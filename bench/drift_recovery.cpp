@@ -173,10 +173,10 @@ int main(int Argc, char **Argv) {
         Config.MessageBytes = Messages[SizeIdx];
         Config.SegmentBytes =
             Alg == BcastAlgorithm::Linear ? 0 : Deployed.SegmentBytes;
+        const Experiment Canary = prepareBcast(Plat, NumProcs, Config);
         for (std::int64_t Rep = 0; Rep != Reps; ++Rep)
-          runBcastOnce(Plat, NumProcs, Config,
-                       SeedBase + 0x10000ull * AlgIdx + 0x100ull * SizeIdx +
-                           static_cast<std::uint64_t>(Rep));
+          Canary.run(SeedBase + 0x10000ull * AlgIdx + 0x100ull * SizeIdx +
+                     static_cast<std::uint64_t>(Rep));
       }
     }
   };

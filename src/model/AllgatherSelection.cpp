@@ -2,12 +2,14 @@
 
 #include "model/AllgatherSelection.h"
 
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 using namespace mpicsel;
 
@@ -64,53 +66,47 @@ AllgatherModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+Experiment
+mpicsel::prepareAllgather(const Platform &P, unsigned NumProcs,
+                          const AllgatherConfig &Config,
+                          std::optional<std::uint64_t> GatherBytes) {
+  std::string Key = strFormat(
+      "allgather|alg=%d|P=%u|block=%llu|tag=%d",
+      static_cast<int>(Config.Algorithm), NumProcs,
+      static_cast<unsigned long long>(Config.BlockBytes), Config.Tag);
+  if (GatherBytes)
+    Key += strFormat("|gb=%llu", static_cast<unsigned long long>(*GatherBytes));
+  return Experiment(P, NumProcs, Key,
+                    GatherBytes ? "allgather+gather" : "allgather", [&] {
+    ScheduleBuilder B(NumProcs);
+    BuiltSchedule Built;
+    Built.Exit = appendAllgather(B, Config);
+    if (GatherBytes)
+      Built.Exit = appendGatherTimer(B, Built.Exit, /*Root=*/0,
+                                     Config.Tag + 8, *GatherBytes);
+    Built.S = B.take();
+    return Built;
+  });
+}
+
 double mpicsel::runAllgatherOnce(const Platform &P, unsigned NumProcs,
                                  const AllgatherConfig &Config,
                                  std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allgather does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendAllgather(B, Config);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allgather schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  return prepareAllgather(P, NumProcs, Config).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureAllgather(const Platform &P,
                                          unsigned NumProcs,
                                          const AllgatherConfig &Config,
                                          const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runAllgatherOnce(P, NumProcs, Config, Seed);
-      },
-      Options);
+  return prepareAllgather(P, NumProcs, Config).measure(Options);
 }
 
 double mpicsel::runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
                                        const AllgatherConfig &Config,
                                        std::uint64_t GatherBytes,
                                        std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allgather does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> AllgatherExit = appendAllgather(B, Config);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = 0;
-  Gather.Tag = Config.Tag + 8;
-  std::vector<OpId> GatherExit =
-      appendLinearGather(B, Gather, AllgatherExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allgather+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Gather.Root]);
+  return prepareAllgather(P, NumProcs, Config, GatherBytes).run(Seed);
 }
 
 AllgatherModels
@@ -157,12 +153,9 @@ mpicsel::calibrateAllgather(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x800000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runAllgatherGatherOnce(Plat, NumProcs, Config,
-                                          GatherSizes[I], Seed);
-          },
-          Adaptive);
+      AdaptiveResult R =
+          prepareAllgather(Plat, NumProcs, Config, GatherSizes[I])
+              .measure(Adaptive);
       CostCoefficients Total =
           allgatherCostCoefficients(Alg, NumProcs, BlockSizes[I],
                                     Models.Gamma) +

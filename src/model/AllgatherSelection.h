@@ -37,11 +37,13 @@
 #include "coll/Allgather.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
+#include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
 #include "stat/Regression.h"
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace mpicsel {
@@ -115,6 +117,14 @@ AdaptiveResult measureAllgather(const Platform &P, unsigned NumProcs,
 double runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
                               const AllgatherConfig &Config,
                               std::uint64_t GatherBytes, std::uint64_t Seed);
+
+/// The experiment runAllgatherOnce replays or, with \p GatherBytes, the
+/// one runAllgatherGatherOnce replays -- for callers that replay one
+/// shape under seeds of their own choosing.
+Experiment
+prepareAllgather(const Platform &P, unsigned NumProcs,
+                 const AllgatherConfig &Config,
+                 std::optional<std::uint64_t> GatherBytes = std::nullopt);
 
 } // namespace mpicsel
 

@@ -3,13 +3,15 @@
 #include "model/AllreduceSelection.h"
 
 #include "coll/Bcast.h"
-#include "coll/Gather.h"
 #include "model/ReduceSelection.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 using namespace mpicsel;
 
@@ -82,59 +84,52 @@ AllreduceModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
-double mpicsel::runAllreduceOnce(const Platform &P, unsigned NumProcs,
-                                 const AllreduceConfig &Config,
-                                 std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allreduce does not fit on the platform");
+Experiment
+mpicsel::prepareAllreduce(const Platform &P, unsigned NumProcs,
+                          const AllreduceConfig &Config,
+                          std::optional<std::uint64_t> GatherBytes) {
   AllreduceConfig Filled = Config;
   if (Filled.ComputeSecondsPerByte == 0.0)
     Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendAllreduce(B, Filled);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allreduce schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  std::string Key = strFormat(
+      "allreduce|alg=%d|P=%u|m=%llu|seg=%llu|cpb=%a|tag=%d",
+      static_cast<int>(Filled.Algorithm), NumProcs,
+      static_cast<unsigned long long>(Filled.MessageBytes),
+      static_cast<unsigned long long>(Filled.SegmentBytes),
+      Filled.ComputeSecondsPerByte, Filled.Tag);
+  if (GatherBytes)
+    Key += strFormat("|gb=%llu", static_cast<unsigned long long>(*GatherBytes));
+  return Experiment(P, NumProcs, Key,
+                    GatherBytes ? "allreduce+gather" : "allreduce", [&] {
+    ScheduleBuilder B(NumProcs);
+    BuiltSchedule Built;
+    Built.Exit = appendAllreduce(B, Filled);
+    if (GatherBytes)
+      Built.Exit = appendGatherTimer(B, Built.Exit, /*Root=*/0,
+                                     Filled.Tag + 8, *GatherBytes);
+    Built.S = B.take();
+    return Built;
+  });
+}
+
+double mpicsel::runAllreduceOnce(const Platform &P, unsigned NumProcs,
+                                 const AllreduceConfig &Config,
+                                 std::uint64_t Seed) {
+  return prepareAllreduce(P, NumProcs, Config).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureAllreduce(const Platform &P,
                                          unsigned NumProcs,
                                          const AllreduceConfig &Config,
                                          const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runAllreduceOnce(P, NumProcs, Config, Seed);
-      },
-      Options);
+  return prepareAllreduce(P, NumProcs, Config).measure(Options);
 }
 
 double mpicsel::runAllreduceGatherOnce(const Platform &P, unsigned NumProcs,
                                        const AllreduceConfig &Config,
                                        std::uint64_t GatherBytes,
                                        std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "allreduce does not fit on the platform");
-  AllreduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> AllreduceExit = appendAllreduce(B, Filled);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = 0;
-  Gather.Tag = Filled.Tag + 8;
-  std::vector<OpId> GatherExit =
-      appendLinearGather(B, Gather, AllreduceExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("allreduce+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Gather.Root]);
+  return prepareAllreduce(P, NumProcs, Config, GatherBytes).run(Seed);
 }
 
 AllreduceModels
@@ -187,12 +182,9 @@ mpicsel::calibrateAllreduce(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x1000000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runAllreduceGatherOnce(Plat, NumProcs, Config,
-                                          GatherBytes, Seed);
-          },
-          Adaptive);
+      AdaptiveResult R =
+          prepareAllreduce(Plat, NumProcs, Config, GatherBytes)
+              .measure(Adaptive);
       CostCoefficients C =
           allreduceCostCoefficients(Alg, NumProcs, MessageSizes[I],
                                     Config.SegmentBytes, Models.Gamma) +

@@ -42,11 +42,13 @@
 #include "coll/Allreduce.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
+#include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
 #include "stat/Regression.h"
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace mpicsel {
@@ -125,6 +127,14 @@ double runAllreduceGatherOnce(const Platform &P, unsigned NumProcs,
                               const AllreduceConfig &Config,
                               std::uint64_t GatherBytes,
                               std::uint64_t Seed);
+
+/// The experiment runAllreduceOnce replays or, with \p GatherBytes, the
+/// one runAllreduceGatherOnce replays -- for callers that replay one
+/// shape under seeds of their own choosing.
+Experiment
+prepareAllreduce(const Platform &P, unsigned NumProcs,
+                 const AllreduceConfig &Config,
+                 std::optional<std::uint64_t> GatherBytes = std::nullopt);
 
 } // namespace mpicsel
 

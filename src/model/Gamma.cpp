@@ -69,19 +69,13 @@ GammaEstimate mpicsel::estimateGamma(const Platform &FullPlat,
       // subtraction is slightly biased (the barrier overlaps the
       // broadcast's tail), which is why the direct method below is
       // the default on the simulator.
-      R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runLinearBcastTrainOnce(Plat, P, Options.SegmentBytes,
-                                           Options.CallsPerMeasurement, Seed);
-          },
-          Adaptive);
+      R = prepareLinearBcastTrain(Plat, P, Options.SegmentBytes,
+                                  Options.CallsPerMeasurement)
+              .measure(Adaptive);
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed + 0x1000ull * P + 7;
-      AdaptiveResult Barriers = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runBarrierTrainOnce(Plat, P, Options.CallsPerMeasurement,
-                                       Seed);
-          },
-          Adaptive);
+      AdaptiveResult Barriers =
+          prepareBarrierTrain(Plat, P, Options.CallsPerMeasurement)
+              .measure(Adaptive);
       R.Stats.Mean -= Barriers.Stats.Mean;
     } else {
       // Direct method: the simulator has a global clock, so

@@ -3,12 +3,14 @@
 #include "model/ReduceSelection.h"
 
 #include "coll/Bcast.h"
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 using namespace mpicsel;
 
@@ -75,55 +77,52 @@ ReduceAlgorithm ReduceModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
-double mpicsel::runReduceOnce(const Platform &P, unsigned NumProcs,
-                              const ReduceConfig &Config,
-                              std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "reduce does not fit on the platform");
+Experiment
+mpicsel::prepareReduce(const Platform &P, unsigned NumProcs,
+                       const ReduceConfig &Config,
+                       std::optional<std::uint64_t> GatherBytes) {
   ReduceConfig Filled = Config;
   if (Filled.ComputeSecondsPerByte == 0.0)
     Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendReduce(B, Filled);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("reduce schedule deadlocked: " + R.Diagnostic);
-  // The collective's useful completion: the result ready on the root.
-  return R.doneTime(Exit[Filled.Root]);
+  std::string Key = strFormat(
+      "reduce|alg=%d|P=%u|m=%llu|seg=%llu|root=%u|cpb=%a|tag=%d",
+      static_cast<int>(Filled.Algorithm), NumProcs,
+      static_cast<unsigned long long>(Filled.MessageBytes),
+      static_cast<unsigned long long>(Filled.SegmentBytes), Filled.Root,
+      Filled.ComputeSecondsPerByte, Filled.Tag);
+  if (GatherBytes)
+    Key += strFormat("|gb=%llu", static_cast<unsigned long long>(*GatherBytes));
+  return Experiment(P, NumProcs, Key,
+                    GatherBytes ? "reduce+gather" : "reduce", [&] {
+    ScheduleBuilder B(NumProcs);
+    BuiltSchedule Built;
+    std::vector<OpId> Exit = appendReduce(B, Filled);
+    // The collective's useful completion: the result ready on the root.
+    Built.Exit = GatherBytes ? appendGatherTimer(B, Exit, Filled.Root,
+                                                 Filled.Tag + 8, *GatherBytes)
+                             : std::vector<OpId>{Exit[Filled.Root]};
+    Built.S = B.take();
+    return Built;
+  });
+}
+
+double mpicsel::runReduceOnce(const Platform &P, unsigned NumProcs,
+                              const ReduceConfig &Config,
+                              std::uint64_t Seed) {
+  return prepareReduce(P, NumProcs, Config).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureReduce(const Platform &P, unsigned NumProcs,
                                       const ReduceConfig &Config,
                                       const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runReduceOnce(P, NumProcs, Config, Seed);
-      },
-      Options);
+  return prepareReduce(P, NumProcs, Config).measure(Options);
 }
 
 double mpicsel::runReduceGatherOnce(const Platform &P, unsigned NumProcs,
                                     const ReduceConfig &Config,
                                     std::uint64_t GatherBytes,
                                     std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "reduce does not fit on the platform");
-  ReduceConfig Filled = Config;
-  if (Filled.ComputeSecondsPerByte == 0.0)
-    Filled.ComputeSecondsPerByte = P.ReduceComputePerByte;
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> ReduceExit = appendReduce(B, Filled);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = Filled.Root;
-  Gather.Tag = Filled.Tag + 8;
-  std::vector<OpId> GatherExit = appendLinearGather(B, Gather, ReduceExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("reduce+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Filled.Root]);
+  return prepareReduce(P, NumProcs, Config, GatherBytes).run(Seed);
 }
 
 ReduceModels
@@ -176,12 +175,8 @@ mpicsel::calibrateReduce(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x400000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runReduceGatherOnce(Plat, NumProcs, Config, GatherBytes,
-                                       Seed);
-          },
-          Adaptive);
+      AdaptiveResult R =
+          prepareReduce(Plat, NumProcs, Config, GatherBytes).measure(Adaptive);
       CostCoefficients C =
           reduceCostCoefficients(Alg, NumProcs, MessageSizes[I],
                                  Config.SegmentBytes, Models.Gamma) +

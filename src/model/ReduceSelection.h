@@ -41,11 +41,13 @@
 #include "coll/Reduce.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
+#include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
 #include "stat/Regression.h"
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace mpicsel {
@@ -118,6 +120,13 @@ AdaptiveResult measureReduce(const Platform &P, unsigned NumProcs,
 double runReduceGatherOnce(const Platform &P, unsigned NumProcs,
                            const ReduceConfig &Config,
                            std::uint64_t GatherBytes, std::uint64_t Seed);
+
+/// The experiment runReduceOnce replays or, with \p GatherBytes, the
+/// one runReduceGatherOnce replays -- for callers that replay one
+/// shape under seeds of their own choosing.
+Experiment
+prepareReduce(const Platform &P, unsigned NumProcs, const ReduceConfig &Config,
+              std::optional<std::uint64_t> GatherBytes = std::nullopt);
 
 } // namespace mpicsel
 

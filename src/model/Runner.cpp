@@ -34,31 +34,6 @@ Engine &workerEngine() {
   return E;
 }
 
-/// Executes an interned schedule and extracts \p Metric from the
-/// result. Every repetition of a grid point lands here with the same
-/// entry, so the schedule is built and compiled exactly once per
-/// process. Under EngineMode::Legacy the retained source schedule
-/// replays through the legacy interpreter instead -- one env variable
-/// (MPICSEL_ENGINE=legacy) flips the whole measurement stack for
-/// differential testing.
-template <typename MetricFn>
-double runInterned(const InternedScheduleRef &IS, const Platform &P,
-                   std::uint64_t Seed, const char *What, MetricFn Metric) {
-  // Every simulated measurement in the process funnels through here,
-  // whichever engine executes it.
-  obs::bump(obs::Counter::RunnerExperiments);
-  if (engineMode() == EngineMode::Legacy) {
-    ExecutionResult R = runScheduleLegacy(IS->Compiled.Source, P, Seed);
-    if (!R.Completed)
-      fatalError(strFormat("%s schedule deadlocked: ", What) + R.Diagnostic);
-    return Metric(R);
-  }
-  const ExecutionResult &R = workerEngine().run(IS->Compiled, P, Seed);
-  if (!R.Completed)
-    fatalError(strFormat("%s schedule deadlocked: ", What) + R.Diagnostic);
-  return Metric(R);
-}
-
 /// Interning key fragment for one broadcast configuration.
 std::string bcastKey(const BcastConfig &Config, unsigned NumProcs) {
   return strFormat("alg=%d|P=%u|m=%llu|seg=%llu|root=%u|k=%u|tag=%d",
@@ -70,70 +45,115 @@ std::string bcastKey(const BcastConfig &Config, unsigned NumProcs) {
 
 } // namespace
 
-double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
-                             const BcastConfig &Config, std::uint64_t Seed) {
+Experiment::Experiment(const Platform &P, unsigned NumProcs,
+                       const std::string &Key, const char *What,
+                       const std::function<BuiltSchedule()> &Build,
+                       double Divisor)
+    : Plat(&P), Label(What), TimeDivisor(Divisor) {
   checkRanks(P, NumProcs);
-  InternedScheduleRef IS = ScheduleInternCache::global().intern(
-      "bcast|" + bcastKey(Config, NumProcs), [&] {
-        ScheduleBuilder B(NumProcs);
-        BuiltSchedule Built;
-        Built.Exit = appendBcast(B, Config);
-        Built.S = B.take();
-        return Built;
-      });
-  const double Latency =
-      runInterned(IS, P, Seed, "broadcast", [&](const ExecutionResult &R) {
-        double Latest = 0.0;
-        for (OpId Id : IS->Exit)
-          Latest = std::max(Latest, R.doneTime(Id));
-        return Latest;
-      });
+  Schedule = ScheduleInternCache::global().intern(Key, Build);
+}
+
+double Experiment::run(std::uint64_t Seed) const {
+  // Every simulated measurement in the process funnels through here,
+  // whichever engine executes it.
+  obs::bump(obs::Counter::RunnerExperiments);
+  // Under EngineMode::Legacy the compiled schedule's source replays
+  // through the legacy interpreter instead -- one env variable
+  // (MPICSEL_ENGINE=legacy) flips the whole measurement stack for
+  // differential testing.
+  ExecutionResult LegacyResult;
+  const ExecutionResult *R = &LegacyResult;
+  if (engineMode() == EngineMode::Legacy)
+    LegacyResult = runScheduleLegacy(Schedule->Compiled.Source, *Plat, Seed);
+  else
+    R = &workerEngine().run(Schedule->Compiled, *Plat, Seed);
+  if (!R->Completed)
+    fatalError(strFormat("%s schedule deadlocked: ", Label) + R->Diagnostic);
+  double Latest = 0.0;
+  for (OpId Id : Schedule->Exit)
+    Latest = std::max(Latest, R->doneTime(Id));
+  const double Observation = Latest / TimeDivisor;
   // Plain broadcast replays are what the deployed selection serves,
   // so they are the drift sentinel's feed; the calibration's
   // bcast+gather experiments deliberately are not (a repair measuring
   // through them must not re-trigger itself). One atomic load when no
   // sentinel is installed.
-  if (DriftSentinel *Sentinel = globalDriftSentinel())
-    Sentinel->observe(Config.Algorithm, NumProcs, Config.MessageBytes,
-                      Latency);
-  return Latency;
+  if (FeedsDrift)
+    if (DriftSentinel *Sentinel = globalDriftSentinel())
+      Sentinel->observe(DriftAlgorithm, Schedule->Compiled.RankCount,
+                        DriftMessageBytes, Observation);
+  return Observation;
+}
+
+AdaptiveResult Experiment::measure(const AdaptiveOptions &Options) const {
+  return measureAdaptively([this](std::uint64_t Seed) { return run(Seed); },
+                           Options);
+}
+
+Experiment mpicsel::prepareBcast(const Platform &P, unsigned NumProcs,
+                                 const BcastConfig &Config,
+                                 std::optional<std::uint64_t> GatherBytes) {
+  if (GatherBytes) {
+    // The Sect. 4.2 calibration experiment starts and finishes on the
+    // root; the gather's tags stay clear of the broadcast's tag range.
+    const std::uint64_t Bytes = *GatherBytes;
+    return Experiment(
+        P, NumProcs,
+        strFormat("bcastgather|gb=%llu|",
+                  static_cast<unsigned long long>(Bytes)) +
+            bcastKey(Config, NumProcs),
+        "bcast+gather", [&] {
+          ScheduleBuilder B(NumProcs);
+          BuiltSchedule Built;
+          Built.Exit = appendGatherTimer(B, appendBcast(B, Config),
+                                         Config.Root, Config.Tag + 8, Bytes);
+          Built.S = B.take();
+          return Built;
+        });
+  }
+  Experiment E(P, NumProcs, "bcast|" + bcastKey(Config, NumProcs),
+               "broadcast", [&] {
+                 ScheduleBuilder B(NumProcs);
+                 BuiltSchedule Built;
+                 Built.Exit = appendBcast(B, Config);
+                 Built.S = B.take();
+                 return Built;
+               });
+  E.FeedsDrift = true;
+  E.DriftAlgorithm = Config.Algorithm;
+  E.DriftMessageBytes = Config.MessageBytes;
+  return E;
+}
+
+double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
+                             const BcastConfig &Config, std::uint64_t Seed) {
+  return prepareBcast(P, NumProcs, Config).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureBcast(const Platform &P, unsigned NumProcs,
                                      const BcastConfig &Config,
                                      const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) { return runBcastOnce(P, NumProcs, Config, Seed); },
-      Options);
+  return prepareBcast(P, NumProcs, Config).measure(Options);
+}
+
+std::vector<OpId> mpicsel::appendGatherTimer(ScheduleBuilder &B,
+                                             std::span<const OpId> Entry,
+                                             unsigned Root, int Tag,
+                                             std::uint64_t GatherBytes) {
+  GatherConfig Gather;
+  Gather.BlockBytes = GatherBytes;
+  Gather.Root = Root;
+  Gather.Tag = Tag;
+  Gather.Synchronised = false;
+  return {appendLinearGather(B, Gather, Entry)[Root]};
 }
 
 double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
                                    const BcastConfig &Bcast,
                                    std::uint64_t GatherBytes,
                                    std::uint64_t Seed) {
-  checkRanks(P, NumProcs);
-  InternedScheduleRef IS = ScheduleInternCache::global().intern(
-      strFormat("bcastgather|gb=%llu|",
-                static_cast<unsigned long long>(GatherBytes)) +
-          bcastKey(Bcast, NumProcs),
-      [&] {
-        ScheduleBuilder B(NumProcs);
-        std::vector<OpId> BcastExit = appendBcast(B, Bcast);
-        GatherConfig Gather;
-        Gather.BlockBytes = GatherBytes;
-        Gather.Root = Bcast.Root;
-        Gather.Tag = Bcast.Tag + 8; // Clear of the broadcast's tag range.
-        Gather.Synchronised = false;
-        BuiltSchedule Built;
-        Built.Exit = appendLinearGather(B, Gather, BcastExit);
-        Built.S = B.take();
-        return Built;
-      });
-  // The experiment starts and finishes on the root (paper Sect. 4.2).
-  return runInterned(IS, P, Seed, "bcast+gather",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[Bcast.Root]);
-                     });
+  return prepareBcast(P, NumProcs, Bcast, GatherBytes).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
@@ -141,21 +161,21 @@ AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
                                            const BcastConfig &Bcast,
                                            std::uint64_t GatherBytes,
                                            const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runBcastGatherOnce(P, NumProcs, Bcast, GatherBytes, Seed);
-      },
-      Options);
+  return prepareBcast(P, NumProcs, Bcast, GatherBytes).measure(Options);
 }
 
-double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
-                                        std::uint64_t SegmentBytes,
-                                        unsigned Calls, std::uint64_t Seed) {
-  checkRanks(P, NumProcs);
+Experiment mpicsel::prepareLinearBcastTrain(const Platform &P,
+                                            unsigned NumProcs,
+                                            std::uint64_t SegmentBytes,
+                                            unsigned Calls) {
   assert(Calls >= 1 && "need at least one call");
-  InternedScheduleRef IS = ScheduleInternCache::global().intern(
+  // T1: measured on the root, from the experiment start to the root's
+  // exit from the last barrier (which certifies the last delivery).
+  return Experiment(
+      P, NumProcs,
       strFormat("bcasttrain|P=%u|seg=%llu|calls=%u", NumProcs,
                 static_cast<unsigned long long>(SegmentBytes), Calls),
+      "gamma-experiment",
       [&] {
         ScheduleBuilder B(NumProcs);
         BcastConfig Config;
@@ -163,62 +183,70 @@ double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
         Config.MessageBytes = SegmentBytes;
         Config.SegmentBytes = 0;
         Config.Root = 0;
-        BuiltSchedule Built;
+        std::vector<OpId> Exit;
         for (unsigned Call = 0; Call != Calls; ++Call) {
           Config.Tag = static_cast<int>(Call) * 16;
-          Built.Exit = appendBcast(B, Config, Built.Exit);
-          Built.Exit = appendBarrier(B, Config.Tag + 8, Built.Exit);
+          Exit = appendBcast(B, Config, Exit);
+          Exit = appendBarrier(B, Config.Tag + 8, Exit);
         }
+        BuiltSchedule Built;
+        Built.Exit = {Exit[0]};
         Built.S = B.take();
         return Built;
-      });
-  // T1: measured on the root, from the experiment start to the root's
-  // exit from the last barrier (which certifies the last delivery).
-  return runInterned(IS, P, Seed, "gamma-experiment",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[0]) /
-                              static_cast<double>(Calls);
-                     });
+      },
+      static_cast<double>(Calls));
+}
+
+double mpicsel::runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
+                                        std::uint64_t SegmentBytes,
+                                        unsigned Calls, std::uint64_t Seed) {
+  return prepareLinearBcastTrain(P, NumProcs, SegmentBytes, Calls).run(Seed);
+}
+
+Experiment mpicsel::prepareBarrierTrain(const Platform &P, unsigned NumProcs,
+                                        unsigned Calls) {
+  assert(Calls >= 1 && "need at least one call");
+  return Experiment(
+      P, NumProcs, strFormat("barriertrain|P=%u|calls=%u", NumProcs, Calls),
+      "barrier-train",
+      [&] {
+        ScheduleBuilder B(NumProcs);
+        std::vector<OpId> Exit;
+        for (unsigned Call = 0; Call != Calls; ++Call)
+          Exit = appendBarrier(B, static_cast<int>(Call) * 16 + 8, Exit);
+        BuiltSchedule Built;
+        Built.Exit = {Exit[0]};
+        Built.S = B.take();
+        return Built;
+      },
+      static_cast<double>(Calls));
 }
 
 double mpicsel::runBarrierTrainOnce(const Platform &P, unsigned NumProcs,
                                     unsigned Calls, std::uint64_t Seed) {
-  checkRanks(P, NumProcs);
-  assert(Calls >= 1 && "need at least one call");
-  InternedScheduleRef IS = ScheduleInternCache::global().intern(
-      strFormat("barriertrain|P=%u|calls=%u", NumProcs, Calls), [&] {
+  return prepareBarrierTrain(P, NumProcs, Calls).run(Seed);
+}
+
+Experiment mpicsel::preparePingPong(const Platform &P, unsigned RankA,
+                                    unsigned RankB, std::uint64_t Bytes) {
+  const unsigned NumProcs = std::max(RankA, RankB) + 1;
+  return Experiment(
+      P, NumProcs,
+      strFormat("pingpong|a=%u|b=%u|bytes=%llu", RankA, RankB,
+                static_cast<unsigned long long>(Bytes)),
+      "ping-pong",
+      [&] {
         ScheduleBuilder B(NumProcs);
         BuiltSchedule Built;
-        for (unsigned Call = 0; Call != Calls; ++Call)
-          Built.Exit =
-              appendBarrier(B, static_cast<int>(Call) * 16 + 8, Built.Exit);
+        Built.Exit = {appendPingPong(B, RankA, RankB, Bytes, /*Tag=*/0)[RankA]};
         Built.S = B.take();
         return Built;
-      });
-  return runInterned(IS, P, Seed, "barrier-train",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[0]) /
-                              static_cast<double>(Calls);
-                     });
+      },
+      2.0);
 }
 
 double mpicsel::runPingPongOnce(const Platform &P, unsigned RankA,
                                 unsigned RankB, std::uint64_t Bytes,
                                 std::uint64_t Seed) {
-  unsigned NumProcs = std::max(RankA, RankB) + 1;
-  checkRanks(P, NumProcs);
-  InternedScheduleRef IS = ScheduleInternCache::global().intern(
-      strFormat("pingpong|a=%u|b=%u|bytes=%llu", RankA, RankB,
-                static_cast<unsigned long long>(Bytes)),
-      [&] {
-        ScheduleBuilder B(NumProcs);
-        BuiltSchedule Built;
-        Built.Exit = appendPingPong(B, RankA, RankB, Bytes, /*Tag=*/0);
-        Built.S = B.take();
-        return Built;
-      });
-  return runInterned(IS, P, Seed, "ping-pong",
-                     [&](const ExecutionResult &R) {
-                       return R.doneTime(IS->Exit[RankA]) / 2.0;
-                     });
+  return preparePingPong(P, RankA, RankB, Bytes).run(Seed);
 }

@@ -18,6 +18,11 @@
 ///  * the Sect. 4.1 gamma experiment -- N successive linear
 ///    broadcasts separated by barriers -- timed on the root.
 ///
+/// Every simulated measurement of every collective replays through one
+/// path, Experiment: a measurement builds and compiles its schedule
+/// once, replays each repetition on the calling thread's warm Engine,
+/// and releases the schedule when it returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPICSEL_MODEL_RUNNER_H
@@ -26,11 +31,86 @@
 #include "cluster/Platform.h"
 #include "coll/Bcast.h"
 #include "coll/Gather.h"
+#include "mpi/ScheduleIntern.h"
 #include "stat/AdaptiveBenchmark.h"
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace mpicsel {
+
+class Experiment;
+
+/// The experiment runBcastOnce replays or, with \p GatherBytes, the one
+/// runBcastGatherOnce replays -- for callers that replay one shape
+/// under seeds of their own choosing. Only the plain broadcast feeds
+/// the drift sentinel.
+Experiment
+prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
+             std::optional<std::uint64_t> GatherBytes = std::nullopt);
+
+/// A communication experiment ready to replay. Construction builds and
+/// compiles the schedule once, through the process-wide intern cache,
+/// so concurrent measurements of one shape share it. The schedule is
+/// released when the last copy of the Experiment goes away.
+///
+/// run() is the library's one replay path. It replays on the calling
+/// thread's warm Engine, or through the legacy interpreter under
+/// EngineMode::Legacy, with the same pre-flight verification as
+/// runSchedule. The observation is the latest completion time over the
+/// schedule's exit ops, divided by \p Divisor (the call count of a
+/// train, 2 for a ping-pong's one-way time). The platform is held by
+/// reference and must outlive the experiment.
+class Experiment {
+public:
+  /// Prepares the experiment whose schedule \p Build generates over
+  /// \p NumProcs ranks. \p Key must name every parameter that shapes
+  /// that schedule; \p What (a string literal) names it in
+  /// diagnostics. Aborts when the platform hosts fewer than
+  /// \p NumProcs processes.
+  Experiment(const Platform &P, unsigned NumProcs, const std::string &Key,
+             const char *What, const std::function<BuiltSchedule()> &Build,
+             double Divisor = 1.0);
+
+  /// Replays one repetition under \p Seed and returns its observation.
+  /// Aborts if the schedule deadlocks -- a programming error.
+  double run(std::uint64_t Seed) const;
+
+  /// Adaptively repeats run() until the paper's 95%/2.5% criterion is
+  /// met and returns the statistics.
+  AdaptiveResult measure(const AdaptiveOptions &Options = {}) const;
+
+  /// The interned schedule this experiment replays.
+  const InternedScheduleRef &schedule() const { return Schedule; }
+
+private:
+  friend Experiment prepareBcast(const Platform &, unsigned,
+                                 const BcastConfig &,
+                                 std::optional<std::uint64_t>);
+
+  InternedScheduleRef Schedule;
+  const Platform *Plat;
+  const char *Label;
+  double TimeDivisor;
+  /// Plain broadcasts feed the installed drift sentinel; see
+  /// prepareBcast.
+  bool FeedsDrift = false;
+  BcastAlgorithm DriftAlgorithm = BcastAlgorithm::Linear;
+  std::uint64_t DriftMessageBytes = 0;
+};
+
+/// Appends the Sect. 4.2 calibration timer to a collective that exits
+/// through \p Entry: a linear gather without synchronisation of
+/// \p GatherBytes per rank to \p Root, tagged \p Tag. Returns the op
+/// the experiment's timer reads -- the root's gather exit.
+std::vector<OpId> appendGatherTimer(ScheduleBuilder &B,
+                                    std::span<const OpId> Entry,
+                                    unsigned Root, int Tag,
+                                    std::uint64_t GatherBytes);
 
 /// Runs one broadcast over ranks 0..NumProcs-1 of \p P and returns
 /// the collective's completion time: the latest exit over all ranks
@@ -69,6 +149,10 @@ double runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
                                std::uint64_t SegmentBytes, unsigned Calls,
                                std::uint64_t Seed);
 
+/// The experiment runLinearBcastTrainOnce replays.
+Experiment prepareLinearBcastTrain(const Platform &P, unsigned NumProcs,
+                                   std::uint64_t SegmentBytes, unsigned Calls);
+
 /// Runs \p Calls back-to-back dissemination barriers and returns the
 /// root's exit time divided by Calls. Subtracted from
 /// runLinearBcastTrainOnce to isolate the broadcast cost (the paper's
@@ -77,10 +161,18 @@ double runLinearBcastTrainOnce(const Platform &P, unsigned NumProcs,
 double runBarrierTrainOnce(const Platform &P, unsigned NumProcs,
                            unsigned Calls, std::uint64_t Seed);
 
+/// The experiment runBarrierTrainOnce replays.
+Experiment prepareBarrierTrain(const Platform &P, unsigned NumProcs,
+                               unsigned Calls);
+
 /// Runs one ping-pong between ranks \p RankA and \p RankB and returns
 /// the *one-way* time (round trip / 2) -- Hockney's measurement.
 double runPingPongOnce(const Platform &P, unsigned RankA, unsigned RankB,
                        std::uint64_t Bytes, std::uint64_t Seed);
+
+/// The experiment runPingPongOnce replays.
+Experiment preparePingPong(const Platform &P, unsigned RankA, unsigned RankB,
+                           std::uint64_t Bytes);
 
 } // namespace mpicsel
 

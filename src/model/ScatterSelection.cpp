@@ -2,13 +2,15 @@
 
 #include "model/ScatterSelection.h"
 
-#include "coll/Gather.h"
-#include "sim/Engine.h"
+#include "model/Runner.h"
 #include "support/Error.h"
+#include "support/Format.h"
 #include "topo/Tree.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 using namespace mpicsel;
 
@@ -78,51 +80,47 @@ ScatterAlgorithm ScatterModels::selectBest(unsigned NumProcs,
   return Best;
 }
 
+Experiment
+mpicsel::prepareScatter(const Platform &P, unsigned NumProcs,
+                        const ScatterConfig &Config,
+                        std::optional<std::uint64_t> GatherBytes) {
+  std::string Key = strFormat(
+      "scatter|alg=%d|P=%u|block=%llu|root=%u|tag=%d",
+      static_cast<int>(Config.Algorithm), NumProcs,
+      static_cast<unsigned long long>(Config.BlockBytes), Config.Root,
+      Config.Tag);
+  if (GatherBytes)
+    Key += strFormat("|gb=%llu", static_cast<unsigned long long>(*GatherBytes));
+  return Experiment(P, NumProcs, Key,
+                    GatherBytes ? "scatter+gather" : "scatter", [&] {
+    ScheduleBuilder B(NumProcs);
+    BuiltSchedule Built;
+    Built.Exit = appendScatter(B, Config);
+    if (GatherBytes)
+      Built.Exit = appendGatherTimer(B, Built.Exit, Config.Root,
+                                     Config.Tag + 8, *GatherBytes);
+    Built.S = B.take();
+    return Built;
+  });
+}
+
 double mpicsel::runScatterOnce(const Platform &P, unsigned NumProcs,
                                const ScatterConfig &Config,
                                std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "scatter does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> Exit = appendScatter(B, Config);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("scatter schedule deadlocked: " + R.Diagnostic);
-  double Latest = 0.0;
-  for (OpId Id : Exit)
-    Latest = std::max(Latest, R.doneTime(Id));
-  return Latest;
+  return prepareScatter(P, NumProcs, Config).run(Seed);
 }
 
 AdaptiveResult mpicsel::measureScatter(const Platform &P, unsigned NumProcs,
                                        const ScatterConfig &Config,
                                        const AdaptiveOptions &Options) {
-  return measureAdaptively(
-      [&](std::uint64_t Seed) {
-        return runScatterOnce(P, NumProcs, Config, Seed);
-      },
-      Options);
+  return prepareScatter(P, NumProcs, Config).measure(Options);
 }
 
 double mpicsel::runScatterGatherOnce(const Platform &P, unsigned NumProcs,
                                      const ScatterConfig &Config,
                                      std::uint64_t GatherBytes,
                                      std::uint64_t Seed) {
-  assert(NumProcs >= 1 && NumProcs <= P.maxProcs() &&
-         "scatter does not fit on the platform");
-  ScheduleBuilder B(NumProcs);
-  std::vector<OpId> ScatterExit = appendScatter(B, Config);
-  GatherConfig Gather;
-  Gather.BlockBytes = GatherBytes;
-  Gather.Root = Config.Root;
-  Gather.Tag = Config.Tag + 8;
-  std::vector<OpId> GatherExit = appendLinearGather(B, Gather, ScatterExit);
-  Schedule S = B.take();
-  ExecutionResult R = runSchedule(S, P, Seed);
-  if (!R.Completed)
-    fatalError("scatter+gather schedule deadlocked: " + R.Diagnostic);
-  return R.doneTime(GatherExit[Config.Root]);
+  return prepareScatter(P, NumProcs, Config, GatherBytes).run(Seed);
 }
 
 ScatterModels
@@ -168,12 +166,9 @@ mpicsel::calibrateScatter(const Platform &Plat,
       Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
                           0x200000ull * static_cast<unsigned>(Alg) +
                           0x100ull * I;
-      AdaptiveResult R = measureAdaptively(
-          [&](std::uint64_t Seed) {
-            return runScatterGatherOnce(Plat, NumProcs, Config,
-                                        GatherSizes[I], Seed);
-          },
-          Adaptive);
+      AdaptiveResult R =
+          prepareScatter(Plat, NumProcs, Config, GatherSizes[I])
+              .measure(Adaptive);
       CostCoefficients Total =
           scatterCostCoefficients(Alg, NumProcs, BlockSizes[I],
                                   Models.Gamma) +

@@ -34,11 +34,13 @@
 #include "coll/Scatter.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
+#include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
 #include "stat/Regression.h"
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace mpicsel {
@@ -110,6 +112,14 @@ AdaptiveResult measureScatter(const Platform &P, unsigned NumProcs,
 double runScatterGatherOnce(const Platform &P, unsigned NumProcs,
                             const ScatterConfig &Config,
                             std::uint64_t GatherBytes, std::uint64_t Seed);
+
+/// The experiment runScatterOnce replays or, with \p GatherBytes, the
+/// one runScatterGatherOnce replays -- for callers that replay one
+/// shape under seeds of their own choosing.
+Experiment
+prepareScatter(const Platform &P, unsigned NumProcs,
+               const ScatterConfig &Config,
+               std::optional<std::uint64_t> GatherBytes = std::nullopt);
 
 } // namespace mpicsel
 

@@ -33,11 +33,8 @@ mpicsel::measureHockneyParams(const Platform &P, unsigned RankA,
   AdaptiveOptions PointOptions = Options;
   for (std::uint64_t Bytes : MessageSizes) {
     PointOptions.BaseSeed = Options.BaseSeed + Bytes;
-    AdaptiveResult R = measureAdaptively(
-        [&](std::uint64_t Seed) {
-          return runPingPongOnce(P, RankA, RankB, Bytes, Seed);
-        },
-        PointOptions);
+    AdaptiveResult R =
+        preparePingPong(P, RankA, RankB, Bytes).measure(PointOptions);
     X.push_back(static_cast<double>(Bytes));
     Y.push_back(R.Stats.Mean);
   }

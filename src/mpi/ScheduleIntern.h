@@ -6,19 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide cache of compiled schedules. The paper's method runs
-/// thousands of repetitions per (collective, algorithm, P, m, segment)
-/// grid point -- calibration trains, gamma experiments, selection
-/// sweeps -- and every repetition of one point executes the *same*
-/// schedule with a different seed. Interning builds and compiles that
-/// schedule once and hands every repetition (on every ParallelSweep
-/// worker) the same immutable CompiledSchedule.
+/// A process-wide registry of the compiled schedules that measurements
+/// are replaying right now. The paper's method runs many repetitions
+/// per (collective, algorithm, P, m, segment) grid point -- calibration
+/// trains, gamma experiments, selection sweeps -- and every repetition
+/// of one point executes the *same* schedule with a different seed. A
+/// measurement interns its schedule once, replays every repetition
+/// from the reference it holds, and drops it when it returns;
+/// concurrent measurements of one shape (on different ParallelSweep
+/// workers) share the same immutable CompiledSchedule.
 ///
 /// Keys are explicit strings assembled by the caller from everything
 /// that determines the schedule's shape (collective, algorithm, rank
 /// count, message size, segment size, root, fanout, tag, call count).
-/// Entries are never evicted: the grids are finite, so the cache is
-/// bounded by the number of distinct grid points touched.
+/// Entries are weak: the cache keeps a schedule only while some caller
+/// still holds its reference, so the resident schedules are bounded by
+/// the measurements in flight, not by the grid points ever touched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +40,8 @@
 namespace mpicsel {
 
 /// What a schedule generator produces for one grid point: the schedule
-/// plus the per-rank exit ops the experiment's timer reads.
+/// plus the exit ops the experiment's timer reads (the observation is
+/// the latest of their completion times).
 struct BuiltSchedule {
   Schedule S;
   std::vector<OpId> Exit;
@@ -52,12 +56,14 @@ struct InternedSchedule {
 
 using InternedScheduleRef = std::shared_ptr<const InternedSchedule>;
 
-/// Thread-safe, insert-only interning cache. Lookups take a mutex;
+/// Thread-safe interning cache of weak entries. Lookups take a mutex;
 /// misses build and compile *outside* the lock (so concurrent workers
 /// hitting distinct keys never serialise on schedule construction) and
 /// insert-if-absent afterwards -- the loser of a racing build discards
 /// its copy and adopts the winner's entry, which is identical because
-/// schedule generation is deterministic in the key.
+/// schedule generation is deterministic in the key. An entry whose
+/// last reference was dropped is dead: the next intern of its key
+/// builds again, and insertions sweep dead entries out of the map.
 class ScheduleInternCache {
 public:
   /// Cache observability for tests and tools.
@@ -66,14 +72,17 @@ public:
     /// Times a schedule was built (a lost insertion race counts as a
     /// miss too: the build did happen).
     std::uint64_t Misses = 0;
+    /// Live entries: schedules some caller still references.
     std::size_t Entries = 0;
   };
 
   /// The process-wide instance shared by all sweeps.
   static ScheduleInternCache &global();
 
-  /// Returns the entry for \p Key, invoking \p Build exactly when the
-  /// key is absent. \p Build must be a pure function of the key.
+  /// Returns the entry for \p Key, invoking \p Build exactly when no
+  /// live entry exists. \p Build must be a pure function of the key.
+  /// The entry stays shared only while the returned reference (or a
+  /// copy) is held.
   template <typename BuildFn>
   InternedScheduleRef intern(const std::string &Key, BuildFn &&Build) {
     if (InternedScheduleRef Hit = lookup(Key))
@@ -86,17 +95,17 @@ public:
 
   CacheStats stats() const;
 
-  /// Drops every entry and resets the counters (tests only; in-flight
-  /// shared_ptrs stay valid).
+  /// Forgets every entry and resets the counters (in-flight references
+  /// stay valid).
   void clear();
 
 private:
   InternedScheduleRef lookup(const std::string &Key);
-  InternedScheduleRef insert(const std::string &Key,
-                             std::shared_ptr<InternedSchedule> Entry);
+  InternedScheduleRef insert(const std::string &Key, InternedScheduleRef Entry);
 
   mutable std::mutex Lock;
-  std::unordered_map<std::string, InternedScheduleRef> Entries;
+  std::unordered_map<std::string, std::weak_ptr<const InternedSchedule>>
+      Entries;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
 };

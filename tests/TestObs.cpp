@@ -18,8 +18,13 @@
 
 #include "coll/Bcast.h"
 #include "fault/Fault.h"
+#include "model/AllgatherSelection.h"
+#include "model/AllreduceSelection.h"
 #include "model/Calibration.h"
 #include "model/DecisionCache.h"
+#include "model/ReduceSelection.h"
+#include "model/Runner.h"
+#include "model/ScatterSelection.h"
 #include "mpi/CompiledSchedule.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
@@ -192,6 +197,54 @@ TEST(Metrics, EveryNameIsNonEmptyAndDotSeparated) {
   for (std::size_t I = 0; I != obs::NumPhases; ++I)
     EXPECT_FALSE(
         std::string(obs::phaseName(static_cast<obs::Phase>(I))).empty());
+}
+
+TEST(Metrics, RunnerExperimentsCountEveryReplayOfEveryCollective) {
+  ObservabilityReset Reset;
+  const EngineMode SavedMode = engineMode();
+  setEngineMode(EngineMode::Compiled);
+  obs::setMetricsEnabled(true);
+  Platform Plat = smallCluster();
+  const obs::MetricsSnapshot Before = obs::snapshotMetrics();
+
+  AllreduceCalibrationOptions Options;
+  Options.NumProcs = 12;
+  Options.MessageSizes = {8192, 65536, 524288};
+  Options.Adaptive.MinReps = 3;
+  Options.Adaptive.MaxReps = 5;
+  Options.GammaOptions.Adaptive = Options.Adaptive;
+  calibrateAllreduce(Plat, Options);
+
+  AdaptiveOptions Quick;
+  Quick.MinReps = 3;
+  Quick.MaxReps = 5;
+  BcastConfig Bcast;
+  Bcast.MessageBytes = 65536;
+  measureBcast(Plat, 12, Bcast, Quick);
+  ScatterConfig Scatter;
+  Scatter.BlockBytes = 4096;
+  measureScatter(Plat, 12, Scatter, Quick);
+  ReduceConfig Reduce;
+  Reduce.MessageBytes = 65536;
+  measureReduce(Plat, 12, Reduce, Quick);
+  AllgatherConfig Allgather;
+  Allgather.BlockBytes = 4096;
+  measureAllgather(Plat, 12, Allgather, Quick);
+  AllreduceConfig Allreduce;
+  Allreduce.MessageBytes = 65536;
+  measureAllreduce(Plat, 12, Allreduce, Quick);
+
+  // runner.experiments counts every simulated experiment, of every
+  // collective, calibration and gamma trains included: one per replay.
+  const obs::MetricsSnapshot After = obs::snapshotMetrics();
+  const std::uint64_t Experiments =
+      After.counter(obs::Counter::RunnerExperiments) -
+      Before.counter(obs::Counter::RunnerExperiments);
+  const std::uint64_t Replays = After.counter(obs::Counter::EngineReplays) -
+                                Before.counter(obs::Counter::EngineReplays);
+  EXPECT_GT(Replays, 0u);
+  EXPECT_EQ(Experiments, Replays);
+  setEngineMode(SavedMode);
 }
 
 //===----------------------------------------------------------------------===//

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -359,53 +360,87 @@ TEST(ScheduleIntern, KeySeparatesEveryShapeParameter) {
   Config.Algorithm = BcastAlgorithm::Binomial;
   Config.MessageBytes = 256 * 1024;
   Config.SegmentBytes = 8 * 1024;
-  runBcastOnce(Plat, 16, Config, 1);
-  EXPECT_EQ(Cache.stats().Entries, 1u);
+  {
+    std::vector<Experiment> Held;
+    Held.push_back(prepareBcast(Plat, 16, Config));
+    EXPECT_EQ(Cache.stats().Entries, 1u);
 
-  // The same grid point again -- any seed -- must hit, not rebuild.
-  runBcastOnce(Plat, 16, Config, 2);
-  EXPECT_EQ(Cache.stats().Entries, 1u);
-  EXPECT_EQ(Cache.stats().Hits, 1u);
-  EXPECT_EQ(Cache.stats().Misses, 1u);
+    // The same grid point while it is held must hit and share the
+    // entry, not rebuild it.
+    Held.push_back(prepareBcast(Plat, 16, Config));
+    EXPECT_EQ(Held[1].schedule().get(), Held[0].schedule().get());
+    EXPECT_EQ(Cache.stats().Entries, 1u);
+    EXPECT_EQ(Cache.stats().Hits, 1u);
+    EXPECT_EQ(Cache.stats().Misses, 1u);
 
-  // Segment size is part of the schedule shape: a different segment
-  // count is a different schedule and must occupy its own entry.
-  Config.SegmentBytes = 16 * 1024;
-  runBcastOnce(Plat, 16, Config, 1);
-  EXPECT_EQ(Cache.stats().Entries, 2u);
+    // Segment size is part of the schedule shape: a different segment
+    // count is a different schedule and must occupy its own entry.
+    Config.SegmentBytes = 16 * 1024;
+    Held.push_back(prepareBcast(Plat, 16, Config));
+    EXPECT_EQ(Cache.stats().Entries, 2u);
 
-  // So are algorithm, rank count and message size.
-  Config.Algorithm = BcastAlgorithm::Chain;
-  runBcastOnce(Plat, 16, Config, 1);
-  Config.Algorithm = BcastAlgorithm::Binomial;
-  runBcastOnce(Plat, 12, Config, 1);
-  Config.MessageBytes = 128 * 1024;
-  runBcastOnce(Plat, 12, Config, 1);
-  EXPECT_EQ(Cache.stats().Entries, 5u);
-  EXPECT_EQ(Cache.stats().Misses, 5u);
+    // So are algorithm, rank count and message size.
+    Config.Algorithm = BcastAlgorithm::Chain;
+    Held.push_back(prepareBcast(Plat, 16, Config));
+    Config.Algorithm = BcastAlgorithm::Binomial;
+    Held.push_back(prepareBcast(Plat, 12, Config));
+    Config.MessageBytes = 128 * 1024;
+    Held.push_back(prepareBcast(Plat, 12, Config));
+    EXPECT_EQ(Cache.stats().Entries, 5u);
+    EXPECT_EQ(Cache.stats().Misses, 5u);
+    for (std::size_t I = 2; I != Held.size(); ++I)
+      for (std::size_t J = 0; J != I; ++J)
+        EXPECT_NE(Held[I].schedule().get(), Held[J].schedule().get())
+            << I << " vs " << J;
+  }
+  // Dropping the holders drops the entries.
+  EXPECT_EQ(Cache.stats().Entries, 0u);
   Cache.clear();
 }
 
-TEST(ScheduleIntern, GrowthBoundedByDistinctGridPoints) {
+TEST(ScheduleIntern, MeasurementBuildsOnceAndReleasesItsSchedule) {
   ScheduleInternCache &Cache = ScheduleInternCache::global();
   Cache.clear();
 
   Platform Plat = smallCluster();
-  const std::vector<std::uint64_t> Sizes = {8192, 32768, 131072, 524288};
-  for (unsigned Round = 0; Round != 8; ++Round)
-    for (std::uint64_t Bytes : Sizes) {
-      BcastConfig Config;
-      Config.Algorithm = BcastAlgorithm::Binomial;
-      Config.MessageBytes = Bytes;
-      runBcastOnce(Plat, 16, Config, Round + 1);
-    }
+  BcastConfig Config;
+  Config.Algorithm = BcastAlgorithm::Binomial;
+  Config.MessageBytes = 64 * 1024;
+  for (unsigned Reps : {5u, 40u}) {
+    AdaptiveOptions Options;
+    Options.MinReps = Options.MaxReps = Reps;
+    const ScheduleInternCache::CacheStats Before = Cache.stats();
+    AdaptiveResult R = measureBcast(Plat, 16, Config, Options);
+    ASSERT_EQ(R.Observations.size(), Reps);
 
-  // Thousands of repetitions, four schedules: the cache is bounded by
-  // the grid, not the repetition count.
-  ScheduleInternCache::CacheStats Stats = Cache.stats();
-  EXPECT_EQ(Stats.Entries, Sizes.size());
-  EXPECT_EQ(Stats.Misses, Sizes.size());
-  EXPECT_EQ(Stats.Hits, 8 * Sizes.size() - Sizes.size());
+    // One build per measurement, whatever its repetition count: the
+    // repetitions replay the measurement's own reference and never
+    // look the schedule up again.
+    const ScheduleInternCache::CacheStats After = Cache.stats();
+    EXPECT_EQ(After.Misses - Before.Misses, 1u) << Reps << " reps";
+    EXPECT_EQ(After.Hits - Before.Hits, 0u) << Reps << " reps";
+    // Nothing stays resident once the measurement has returned.
+    EXPECT_EQ(After.Entries, 0u) << Reps << " reps";
+  }
+
+  // The schedule itself is freed with its last holder, not merely
+  // unlisted.
+  std::weak_ptr<const InternedSchedule> Watch =
+      prepareBcast(Plat, 16, Config).schedule();
+  EXPECT_TRUE(Watch.expired());
+
+  // A measurement of a shape some caller holds shares that entry, and
+  // the shape outlives the measurement only as long as the holder.
+  {
+    Experiment Holder = prepareBcast(Plat, 16, Config);
+    const ScheduleInternCache::CacheStats Before = Cache.stats();
+    measureBcast(Plat, 16, Config);
+    const ScheduleInternCache::CacheStats After = Cache.stats();
+    EXPECT_EQ(After.Misses - Before.Misses, 0u);
+    EXPECT_EQ(After.Hits - Before.Hits, 1u);
+    EXPECT_EQ(After.Entries, 1u);
+  }
+  EXPECT_EQ(Cache.stats().Entries, 0u);
   Cache.clear();
 }
 

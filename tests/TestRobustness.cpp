@@ -501,9 +501,9 @@ TEST(RobustnessAcceptance, CleanRunNeverTripsDriftSentinel) {
                                 : C.Models.SegmentBytes;
       for (std::size_t S = 0; S != Messages.size(); ++S) {
         Config.MessageBytes = Messages[S];
+        const Experiment Canary = prepareBcast(Plat, 16, Config);
         for (unsigned R = 0; R != Reps; ++R)
-          runBcastOnce(Plat, 16, Config,
-                       SeedBase + 0x10000ull * A + 0x100ull * S + R);
+          Canary.run(SeedBase + 0x10000ull * A + 0x100ull * S + R);
       }
     }
   };

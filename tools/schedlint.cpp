@@ -23,12 +23,12 @@
 // and the results are merged in grid order, so the findings table
 // and the exit status are identical for any job count.
 //
-// Every grid point is compiled exactly once through the process-wide
-// interning cache (mpi/ScheduleIntern.h) and that one CompiledSchedule
-// serves every analysis pass: the static verifier reads its CSR
-// dependency arrays directly (the compiled-schedule verifySchedule
-// overload) and the fault pass replays it in a per-worker Engine --
-// what gets verified is byte-for-byte what gets executed.
+// Every grid point is compiled exactly once and that one
+// CompiledSchedule serves every analysis pass: the static verifier
+// reads its CSR dependency arrays directly (the compiled-schedule
+// verifySchedule overload) and the fault pass replays it in a
+// per-worker Engine -- what gets verified is byte-for-byte what gets
+// executed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,7 @@
 #include "coll/Reduce.h"
 #include "coll/Scatter.h"
 #include "fault/Fault.h"
-#include "mpi/ScheduleIntern.h"
+#include "mpi/CompiledSchedule.h"
 #include "obs/Journal.h"
 #include "sim/Engine.h"
 #include "stat/ParallelSweep.h"
@@ -128,21 +128,14 @@ struct Sweep {
   unsigned TotalFindings = 0;
 };
 
-/// Checks one standalone collective schedule, compiling it at most
-/// once per process: \p Key identifies the grid point in the interning
-/// cache, and every analysis pass shares the cached CompiledSchedule.
+/// Checks one standalone collective schedule; every analysis pass
+/// reads the same CompiledSchedule.
 template <typename AppendFn>
 void checkOne(Sweep &SW, unsigned P, const ScheduleContract &C,
-              const std::string &Key, AppendFn Append) {
-  InternedScheduleRef IS =
-      ScheduleInternCache::global().intern(Key, [&] {
-        ScheduleBuilder B(P);
-        Append(B);
-        BuiltSchedule Built;
-        Built.S = B.take();
-        return Built;
-      });
-  SW.check(IS->Compiled, C, P);
+              AppendFn Append) {
+  ScheduleBuilder B(P);
+  Append(B);
+  SW.check(compileSchedule(B.take()), C, P);
 }
 
 } // namespace
@@ -337,7 +330,6 @@ int main(int Argc, char **Argv) {
         if (C.Barrier) {
           if (SweepAllOps)
             checkOne(SW, C.P, barrierContract(C.P),
-                     strFormat("lint|barrier|P=%u", C.P),
                      [&](ScheduleBuilder &B) { appendBarrier(B, /*Tag=*/0); });
           return SW;
         }
@@ -352,9 +344,6 @@ int main(int Argc, char **Argv) {
             Config.MessageBytes = M;
             Config.SegmentBytes = Seg;
             checkOne(SW, P, bcastContract(Config, P),
-                     strFormat("lint|bcast|alg=%d|P=%u|m=%llu|seg=%llu",
-                               static_cast<int>(Alg), P,
-                               (unsigned long long)M, (unsigned long long)Seg),
                      [&](ScheduleBuilder &B) { appendBcast(B, Config); });
           }
           for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
@@ -365,9 +354,6 @@ int main(int Argc, char **Argv) {
             Config.MessageBytes = M;
             Config.SegmentBytes = Seg;
             checkOne(SW, P, reduceContract(Config, P),
-                     strFormat("lint|reduce|alg=%d|P=%u|m=%llu|seg=%llu",
-                               static_cast<int>(Alg), P,
-                               (unsigned long long)M, (unsigned long long)Seg),
                      [&](ScheduleBuilder &B) { appendReduce(B, Config); });
           }
         }
@@ -379,8 +365,6 @@ int main(int Argc, char **Argv) {
           Config.BlockBytes = M;
           Config.Synchronised = Sync;
           checkOne(SW, P, gatherContract(Config, P),
-                   strFormat("lint|gather|sync=%d|P=%u|m=%llu", Sync ? 1 : 0,
-                             P, (unsigned long long)M),
                    [&](ScheduleBuilder &B) { appendLinearGather(B, Config); });
         }
         for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
@@ -390,9 +374,6 @@ int main(int Argc, char **Argv) {
           Config.Algorithm = Alg;
           Config.BlockBytes = M;
           checkOne(SW, P, scatterContract(Config, P),
-                   strFormat("lint|scatter|alg=%d|P=%u|m=%llu",
-                             static_cast<int>(Alg), P,
-                             (unsigned long long)M),
                    [&](ScheduleBuilder &B) { appendScatter(B, Config); });
         }
         for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
@@ -402,9 +383,6 @@ int main(int Argc, char **Argv) {
           Config.Algorithm = Alg;
           Config.BlockBytes = M;
           checkOne(SW, P, allgatherContract(Config, P),
-                   strFormat("lint|allgather|alg=%d|P=%u|m=%llu",
-                             static_cast<int>(Alg), P,
-                             (unsigned long long)M),
                    [&](ScheduleBuilder &B) { appendAllgather(B, Config); });
         }
         for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms) {
@@ -414,9 +392,6 @@ int main(int Argc, char **Argv) {
           Config.Algorithm = Alg;
           Config.MessageBytes = M;
           checkOne(SW, P, allreduceContract(Config, P),
-                   strFormat("lint|allreduce|alg=%d|P=%u|m=%llu",
-                             static_cast<int>(Alg), P,
-                             (unsigned long long)M),
                    [&](ScheduleBuilder &B) { appendAllreduce(B, Config); });
         }
         return SW;
