@@ -193,7 +193,8 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   ./build/bench/extension_allreduce --quick \
     --json "$OUT/BENCH_extension_allreduce.json" >/dev/null
   # micro_engine exits non-zero unless compiled replay is bit-identical
-  # to the legacy interpreter and allocation-free after warm-up.
+  # to the legacy interpreter and allocation-free after warm-up; the
+  # baseline's budget caps its deep-heap case's replay ns/event.
   ./build/bench/micro_engine --quick \
     --json "$OUT/BENCH_micro_engine.json" >/dev/null
   # decision_service exits non-zero unless served lookups match the

@@ -89,9 +89,9 @@ double medianOf(std::vector<double> Values) {
 
 } // namespace
 
-DriftSentinel::DriftSentinel(DriftMode Mode,
-                             const DriftDetectorOptions &Options)
-    : Mode(Mode), Options(Options) {}
+DriftSentinel::DriftSentinel(DriftMode SentinelMode,
+                             const DriftDetectorOptions &DetectorOptions)
+    : Mode(SentinelMode), Options(DetectorOptions) {}
 
 void DriftSentinel::bindModels(const CalibratedModels *Models) {
   std::lock_guard<std::mutex> Lock(Mutex);

@@ -154,8 +154,8 @@ unsigned driftSizeBucket(std::uint64_t MessageBytes);
 /// set; bind the models before feeding.
 class DriftSentinel {
 public:
-  explicit DriftSentinel(DriftMode Mode,
-                         const DriftDetectorOptions &Options = {});
+  explicit DriftSentinel(DriftMode SentinelMode,
+                         const DriftDetectorOptions &DetectorOptions = {});
 
   DriftMode mode() const { return Mode; }
   const DriftDetectorOptions &options() const { return Options; }

@@ -3,6 +3,7 @@
 #include "sim/Engine.h"
 
 #include "obs/Metrics.h"
+#include "sim/EventQueue.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -527,27 +528,22 @@ ExecutionResult mpicsel::runScheduleLegacy(const Schedule &S,
 
 namespace {
 
-/// A compiled-replay heap event, packed to 16 bytes:
-/// Key = Seq << 34 | Kind << 32 | Id. The creation sequence occupies
-/// the top bits, so ordering equal-Time events by Key reproduces the
-/// legacy (Time, Seq) tiebreak with a single integer compare.
-struct ReplayEvent {
-  double Time;
-  std::uint64_t Key;
+/// Packs a compiled-replay event key: Seq << 34 | Kind << 32 | Id. The
+/// creation sequence occupies the top bits, so ordering equal-Time
+/// events by Key reproduces the legacy (Time, Seq) tiebreak.
+std::uint64_t packEventKey(std::uint64_t Seq, EventKind Kind, OpId Id) {
+  static_assert(static_cast<unsigned>(EventKind::OpDone) < 4 &&
+                    static_cast<unsigned>(EventKind::MsgAvailable) < 4,
+                "event kind must fit in two bits");
+  assert(Seq < (std::uint64_t{1} << 30) && "event sequence overflow");
+  return (Seq << 34) | (static_cast<std::uint64_t>(Kind) << 32) | Id;
+}
 
-  static std::uint64_t packKey(std::uint64_t Seq, EventKind Kind, OpId Id) {
-    static_assert(static_cast<unsigned>(EventKind::OpDone) < 4 &&
-                      static_cast<unsigned>(EventKind::MsgAvailable) < 4,
-                  "event kind must fit in two bits");
-    assert(Seq < (std::uint64_t{1} << 30) && "event sequence overflow");
-    return (Seq << 34) | (static_cast<std::uint64_t>(Kind) << 32) | Id;
-  }
-  EventKind kind() const {
-    return static_cast<EventKind>((Key >> 32) & 3);
-  }
-  OpId id() const { return static_cast<OpId>(Key); }
-};
-static_assert(sizeof(ReplayEvent) == 16, "heap events must stay packed");
+EventKind eventKind(const ReplayEvent &E) {
+  return static_cast<EventKind>((E.Key >> 32) & 3);
+}
+
+OpId eventOp(const ReplayEvent &E) { return static_cast<OpId>(E.Key); }
 
 } // namespace
 
@@ -557,7 +553,7 @@ static_assert(sizeof(ReplayEvent) == 16, "heap events must stay packed");
 /// again (the event heap is reserved to its worst case up front, see
 /// CompiledExecutor::run).
 struct Engine::RunState {
-  std::vector<ReplayEvent> Heap;
+  ReplayHeap Events;
   std::vector<std::uint32_t> PendingDeps;
 
   // Resources: free-at times.
@@ -600,10 +596,10 @@ namespace {
 /// The compiled-replay twin of Executor: identical event semantics and
 /// noise-draw order over the flat IR, with all mutable state borrowed
 /// from a reusable Engine::RunState. Readiness is decrement-indegree
-/// over the CSR successor rows; the event queue is a 4-ary min-heap
-/// over the same (time, sequence) key -- that key is a strict total
-/// order (sequence numbers are unique), so any min-heap pops events in
-/// exactly the order the legacy binary heap did.
+/// over the CSR successor rows; the event queue is the ReplayHeap of
+/// sim/EventQueue.h, keyed on the same (time, sequence) order -- a
+/// strict total order (sequence numbers are unique), so it pops events
+/// in exactly the order the legacy binary heap did.
 class CompiledExecutor {
 public:
   CompiledExecutor(Engine::RunState &State, const CompiledSchedule &Compiled,
@@ -612,17 +608,10 @@ public:
       : RS(State), CS(Compiled), P(Plat), Rng(Seed), RunSeed(Seed),
         Faults(FaultSched) {}
 
-  void run();
+  /// Replays the schedule into RS.Result; returns the events popped.
+  std::uint64_t run();
 
 private:
-  static constexpr std::size_t HeapArity = 4;
-
-  static bool earlier(const ReplayEvent &A, const ReplayEvent &B) {
-    if (A.Time != B.Time)
-      return A.Time < B.Time;
-    return A.Key < B.Key;
-  }
-
   double noise(double Now) {
     double Sigma = P.NoiseSigma;
     if (Faults)
@@ -635,45 +624,7 @@ private:
   }
 
   void pushEvent(double Time, EventKind Kind, OpId Id) {
-    std::vector<ReplayEvent> &H = RS.Heap;
-    const ReplayEvent E{Time, ReplayEvent::packKey(NextSeq++, Kind, Id)};
-    assert(H.size() < H.capacity() && "event heap outgrew its bound");
-    std::size_t I = H.size();
-    H.push_back(E);
-    while (I != 0) {
-      const std::size_t Parent = (I - 1) / HeapArity;
-      if (!earlier(E, H[Parent]))
-        break;
-      H[I] = H[Parent];
-      I = Parent;
-    }
-    H[I] = E;
-  }
-
-  ReplayEvent popEvent() {
-    std::vector<ReplayEvent> &H = RS.Heap;
-    const ReplayEvent Top = H[0];
-    const ReplayEvent Last = H.back();
-    H.pop_back();
-    if (const std::size_t N = H.size()) {
-      std::size_t I = 0;
-      for (;;) {
-        const std::size_t First = HeapArity * I + 1;
-        if (First >= N)
-          break;
-        std::size_t Best = First;
-        const std::size_t End = std::min(First + HeapArity, N);
-        for (std::size_t C = First + 1; C != End; ++C)
-          if (earlier(H[C], H[Best]))
-            Best = C;
-        if (!earlier(H[Best], Last))
-          break;
-        H[I] = H[Best];
-        I = Best;
-      }
-      H[I] = Last;
-    }
-    return Top;
+    RS.Events.push(ReplayEvent{Time, packEventKey(NextSeq++, Kind, Id)});
   }
 
   void activateOp(OpId Id, double Now) {
@@ -831,7 +782,7 @@ private:
   std::uint32_t DoneCount = 0;
 };
 
-void CompiledExecutor::run() {
+std::uint64_t CompiledExecutor::run() {
   const std::uint32_t NumOps = CS.numOps();
   ExecutionResult &Result = RS.Result;
 
@@ -855,17 +806,14 @@ void CompiledExecutor::run() {
     RS.NodeOfRank[Rank] = P.nodeOf(Rank);
   RS.LastByteArrival.assign(NumOps, 0.0);
 
-  RS.Heap.clear();
   // Worst-case live events: every op can hold one completion event,
   // and every send one additional in-flight message event. Reserving
   // the bound (rather than warming up to an observed size) keeps
   // replay allocation-free across *seeds* -- noise shifts how full
   // the heap actually gets from run to run.
-  if (obs::metricsEnabled())
-    obs::bump(RS.Heap.capacity() >= NumOps + CS.NumSends
-                  ? obs::Counter::EngineArenaReuses
-                  : obs::Counter::EngineArenaWarmups);
-  RS.Heap.reserve(NumOps + CS.NumSends);
+  obs::bump(RS.Events.reset(NumOps + CS.NumSends)
+                ? obs::Counter::EngineArenaReuses
+                : obs::Counter::EngineArenaWarmups);
 
   RS.MsgAvail.resize(CS.NumSends);
   RS.MsgSender.resize(CS.NumSends);
@@ -885,11 +833,11 @@ void CompiledExecutor::run() {
     activateOp(Id, 0.0);
 
   std::uint64_t EventsPopped = 0;
-  while (!RS.Heap.empty()) {
-    const ReplayEvent E = popEvent();
+  while (!RS.Events.empty()) {
+    const ReplayEvent E = RS.Events.pop();
     ++EventsPopped;
-    const OpId Id = E.id();
-    switch (E.kind()) {
+    const OpId Id = eventOp(E);
+    switch (eventKind(E)) {
     case EventKind::TxAcquire:
       onTxAcquire(Id, E.Time);
       break;
@@ -952,6 +900,7 @@ void CompiledExecutor::run() {
         strFormat("deadlock: %u of %u ops never completed:%s", Stuck,
                   static_cast<unsigned>(NumOps), Detail.c_str());
   }
+  return EventsPopped;
 }
 
 } // namespace
@@ -975,7 +924,7 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
     Report = verifySchedule(CS);
 
   CompiledExecutor Exec(*State, CS, P, Seed, Faults);
-  Exec.run();
+  LastEvents = Exec.run();
 
   if (Preflight)
     crossCheckPreflight(State->Result, Report);

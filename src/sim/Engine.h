@@ -154,12 +154,16 @@ public:
                              std::uint64_t Seed = 0,
                              const FaultSchedule *Faults = nullptr);
 
+  /// Events popped by the most recent run().
+  std::uint64_t eventsProcessed() const { return LastEvents; }
+
   /// All per-run mutable state (event heap, readiness counters,
   /// resource clocks, match queues, timings), defined in Engine.cpp.
   struct RunState;
 
 private:
   std::unique_ptr<RunState> State;
+  std::uint64_t LastEvents = 0;
 };
 
 /// Enables or disables the static pre-flight verification inside

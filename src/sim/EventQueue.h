@@ -1,4 +1,4 @@
-//===- sim/EventQueue.h - Calendar-queue event core -------------*- C++ -*-===//
+//===- sim/EventQueue.h - Simulator event queues ----------------*- C++ -*-===//
 //
 // Part of the mpicsel project: model-based selection of MPI collective
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
@@ -6,24 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event core of the streaming engine: a calendar queue (Brown,
-/// CACM 1988) over 32-byte stream events. A d-ary heap costs O(log n)
-/// per operation with a deep cache-hostile walk at large n; the
-/// calendar buckets events by time so push and pop are amortized O(1)
-/// for the near-uniform event populations a discrete-event network
-/// simulation produces.
+/// The event queues of the two replay engines:
 ///
-/// Determinism contract: pop order is the strict total order
-/// (Time, Key) -- Key embeds the unique creation sequence -- so the
-/// calendar pops exactly the sequence any correct priority queue
-/// would, and the streaming engine stays bit-identical to the 4-ary
-/// heap engine. All sizing decisions (bucket count, bucket width)
-/// depend only on the push/pop sequence, never on wall-clock or
-/// addresses, so identical runs make identical decisions.
+///  * ReplayHeap, the compiled engine's (sim/Engine): a 4-ary min-heap
+///    over 16-byte events, reserved to a worst-case bound, whose pop
+///    walks the hole to a leaf with branch-free child selection;
+///  * CalendarQueue, the streaming engine's (sim/StreamEngine): a
+///    calendar queue (Brown, CACM 1988) over 32-byte stream events. A
+///    d-ary heap costs O(log n) per operation with a deep
+///    cache-hostile walk at large n; the calendar buckets events by
+///    time so push and pop are amortized O(1) for the near-uniform
+///    event populations a discrete-event network simulation produces.
 ///
-/// Memory contract: buckets and the redistribution scratch retain
-/// their high-water capacity across reset(), so the second identical
-/// run performs no heap allocation (bench/micro_engine gates this).
+/// Determinism contract: both pop in the strict total order
+/// (Time, Key) -- Key embeds the unique creation sequence -- so each
+/// pops exactly the sequence any correct priority queue would, and the
+/// streaming, compiled and legacy engines stay bit-identical. All
+/// sizing decisions (bucket count, bucket width) depend only on the
+/// push/pop sequence, never on wall-clock or addresses, so identical
+/// runs make identical decisions.
+///
+/// Memory contract: storage retains its high-water capacity across
+/// reset(), so the second identical run performs no heap allocation
+/// (bench/micro_engine gates this).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,13 +36,151 @@
 #define MPICSEL_SIM_EVENTQUEUE_H
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 namespace mpicsel {
+
+/// One compiled-replay event, packed to 16 bytes. Key is the engine's
+/// payload with the unique creation sequence in its top bits, so
+/// (Time, Key) is a strict total order reproducing the legacy
+/// (Time, Seq) tiebreak.
+///
+/// No default member initializers: heap storage is allocated
+/// uninitialized, so only the slots a run reaches become resident.
+struct ReplayEvent {
+  double Time;
+  std::uint64_t Key;
+};
+static_assert(sizeof(ReplayEvent) == 16, "replay events must stay packed");
+
+/// The compiled engine's event queue: a 4-ary min-heap on (Time, Key).
+///
+/// Both orders are compared as one unsigned 128-bit integer, the IEEE
+/// bits of Time above Key: for non-negative, non-NaN times the bit
+/// pattern orders like the value, so one integer compare replaces the
+/// two-level (Time, Key) branch. pop() is Floyd's bottom-up variant:
+/// the hole left by the root sinks to a leaf along the smallest child
+/// of each group of four, picked without a data-dependent branch, and
+/// the former last event then sifts up from that leaf -- usually not
+/// at all, since it is among the latest events in the heap. The three
+/// slots past the live events hold a sentinel above every legal event,
+/// so the last, partial group of children needs no special case.
+///
+/// Storage is sized by reset() to a caller-supplied bound on live
+/// events; push() never allocates.
+class ReplayHeap {
+public:
+  /// Empties the heap and makes room for \p Bound live events.
+  /// Returns whether the retained storage already had that room, i.e.
+  /// whether this reset reused the arena without allocating.
+  bool reset(std::size_t Bound) {
+    const std::size_t Needed = Bound + Arity;
+    const bool Reused = Capacity >= Needed;
+    if (!Reused) {
+      // Exact, so the capacity tracks the largest bound seen.
+      Slots = std::make_unique_for_overwrite<ReplayEvent[]>(Needed);
+      Capacity = Needed;
+    }
+    Count = 0;
+    std::fill_n(Slots.get(), Arity - 1, sentinel());
+    return Reused;
+  }
+
+  bool empty() const { return Count == 0; }
+  std::size_t size() const { return Count; }
+
+  void push(const ReplayEvent &E) {
+    assert(!std::signbit(E.Time) && !std::isnan(E.Time) &&
+           "event times must be non-negative numbers");
+    assert(Count + Arity < Capacity && "event heap outgrew its bound");
+    ReplayEvent *H = Slots.get();
+    H[Count + Arity - 1] = sentinel(); // the tail moves one slot right
+    const Order K = order(E);
+    std::size_t I = Count++;
+    while (I != 0) {
+      const std::size_t Parent = (I - 1) / Arity;
+      if (!(K < order(H[Parent])))
+        break;
+      H[I] = H[Parent];
+      I = Parent;
+    }
+    H[I] = E;
+  }
+
+  ReplayEvent pop() {
+    assert(Count != 0 && "pop from an empty event heap");
+    ReplayEvent *H = Slots.get();
+    const ReplayEvent Top = H[0];
+    const std::size_t N = --Count;
+    const ReplayEvent Last = H[N];
+    H[N] = sentinel();
+    if (N == 0)
+      return Top;
+    // While the hole has children, the first child is live, so the
+    // smallest of the group is too: the hole never enters the tail.
+    std::size_t Hole = 0;
+    for (std::size_t First = 1; First < N; First = Arity * Hole + 1) {
+      const std::size_t Best = First + smallestOfFour(H + First);
+      H[Hole] = H[Best];
+      Hole = Best;
+    }
+    const Order K = order(Last);
+    while (Hole != 0) {
+      const std::size_t Parent = (Hole - 1) / Arity;
+      if (!(K < order(H[Parent])))
+        break;
+      H[Hole] = H[Parent];
+      Hole = Parent;
+    }
+    H[Hole] = Last;
+    return Top;
+  }
+
+private:
+  static constexpr std::size_t Arity = 4;
+
+  using Order = unsigned __int128;
+
+  static Order order(const ReplayEvent &E) {
+    return static_cast<Order>(std::bit_cast<std::uint64_t>(E.Time)) << 64 |
+           E.Key;
+  }
+
+  /// Orders above every legal event: all-ones time bits are a NaN.
+  static ReplayEvent sentinel() {
+    return {std::bit_cast<double>(~std::uint64_t{0}),
+            std::numeric_limits<std::uint64_t>::max()};
+  }
+
+  /// Index (0-3) of the smallest of the four events at \p C, as a
+  /// two-round tournament of selects rather than branches.
+  static std::size_t smallestOfFour(const ReplayEvent *C) {
+    const Order K0 = order(C[0]), K1 = order(C[1]);
+    const Order K2 = order(C[2]), K3 = order(C[3]);
+    const std::size_t Right01 = K1 < K0;
+    const std::size_t Right23 = K3 < K2;
+    const Order Min01 = Right01 ? K1 : K0;
+    const Order Min23 = Right23 ? K3 : K2;
+    const std::size_t RightHalf = Min23 < Min01;
+    // A mask select, not ?:, which GCC compiles to a branch here.
+    const std::size_t Within =
+        Right01 ^ ((Right01 ^ Right23) & (std::size_t{0} - RightHalf));
+    return RightHalf << 1 | Within;
+  }
+
+  /// Live events in [0, Count), sentinels in [Count, Count + 3); the
+  /// rest holds stale or uninitialized slots that are never read.
+  std::unique_ptr<ReplayEvent[]> Slots;
+  std::size_t Capacity = 0;
+  std::size_t Count = 0;
+};
 
 /// One streaming-replay event. Ops are addressed as (owning rank,
 /// local index inside the rank's op block) -- global op ids would

@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -266,6 +267,47 @@ TEST(CompiledSchedule, AllCollectivesBitIdenticalToLegacy) {
       ASSERT_TRUE(Legacy.Completed) << Entry.Name;
       expectBitIdentical(Legacy, Compiled,
                          Entry.Name + " seed " + std::to_string(Seed));
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: a deep event heap where ties are common.
+//===----------------------------------------------------------------------===//
+
+// The catalogue keeps live heaps small (P=16, ~13 segments), and its
+// sigma = 0.02 platform rarely produces equal timestamps. A P=90 4 MiB
+// split-binary broadcast in 8 KiB segments reaches ~40K live events on
+// Grisou; at sigma = 0 equal-time events are common, so the key
+// tiebreak decides every tied pop.
+TEST(CompiledSchedule, DeepHeapWithTiesBitIdenticalToLegacy) {
+  ScheduleBuilder B(90);
+  BcastConfig C;
+  C.Algorithm = BcastAlgorithm::SplitBinary;
+  C.MessageBytes = 4 << 20;
+  C.SegmentBytes = 8 << 10;
+  appendBcast(B, C);
+  const CompiledSchedule CS = compileSchedule(B.take());
+
+  Engine E;
+  for (double Sigma : {0.02, 0.0}) {
+    Platform P = makeGrisou();
+    P.NoiseSigma = Sigma;
+    const std::string Context = "sigma " + std::to_string(Sigma);
+    ExecutionResult Legacy = runScheduleLegacy(CS.Source, P, 7);
+    const ExecutionResult &Compiled = E.run(CS, P, 7);
+    ASSERT_TRUE(Legacy.Completed) << Context;
+    expectBitIdentical(Legacy, Compiled, Context);
+    if (Sigma == 0.0) {
+      // The premise: the noiseless replay really is full of ties --
+      // over a quarter of the ops finish at an already-seen time.
+      std::vector<double> Done;
+      for (const OpTiming &T : Compiled.Timings)
+        Done.push_back(T.DoneTime);
+      std::sort(Done.begin(), Done.end());
+      const auto Distinct = static_cast<std::size_t>(
+          std::unique(Done.begin(), Done.end()) - Done.begin());
+      EXPECT_GT(CS.numOps() - Distinct, CS.numOps() / 4) << Context;
     }
   }
 }

@@ -16,7 +16,8 @@
 //  * StreamEngine's replay reproduces the compiled engine's timeline
 //    bit for bit -- per-op timings, makespan, byte counters, fault
 //    windows -- across seeds, platforms and fault scenarios;
-//  * the calendar queue pops in exactly the order a binary heap would;
+//  * both event queues, the calendar and the compiled engine's replay
+//    heap, pop in exactly the order a binary heap would;
 //  * and the whole point of the exercise: the streaming engine's
 //    memory footprint at P = 100k stays far below what materializing
 //    the schedule would cost.
@@ -36,9 +37,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <queue>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace mpicsel;
@@ -451,112 +454,213 @@ TEST(StreamEngineTest, FaultScenariosBitIdenticalToCompiledEngine) {
 }
 
 //===----------------------------------------------------------------------===//
-// Calendar queue vs reference heap.
+// Event queues vs reference heap.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct EventLater {
-  bool operator()(const StreamEvent &A, const StreamEvent &B) const {
-    if (A.Time != B.Time)
-      return A.Time > B.Time;
-    return A.Key > B.Key;
-  }
-};
+/// A popped (Time, Key) pair; the reference orders pairs the same way
+/// both queues must.
+using TimedKey = std::pair<double, std::uint64_t>;
 
 using ReferenceHeap =
-    std::priority_queue<StreamEvent, std::vector<StreamEvent>, EventLater>;
+    std::priority_queue<TimedKey, std::vector<TimedKey>, std::greater<>>;
 
-StreamEvent makeEvent(double Time, std::uint64_t Seq) {
-  StreamEvent E;
-  E.Time = Time;
-  E.Key = Seq << 2;
-  E.Rank = static_cast<std::uint32_t>(Seq);
-  return E;
+/// The streaming engine's calendar queue behind the (Time, Seq)
+/// interface the shared cases drive.
+class CalendarUnderTest {
+public:
+  explicit CalendarUnderTest(std::size_t /*MaxLive*/) {}
+  void push(double Time, std::uint64_t Seq) {
+    StreamEvent E;
+    E.Time = Time;
+    E.Key = Seq << 2;
+    E.Rank = static_cast<std::uint32_t>(Seq);
+    Q.push(E);
+  }
+  TimedKey pop() {
+    const StreamEvent E = Q.pop();
+    return {E.Time, E.Key};
+  }
+  std::size_t size() const { return Q.size(); }
+  bool empty() const { return Q.empty(); }
+
+private:
+  CalendarQueue Q;
+};
+
+/// The compiled engine's replay heap, reserved to the case's bound.
+class ReplayHeapUnderTest {
+public:
+  explicit ReplayHeapUnderTest(std::size_t MaxLive) { H.reset(MaxLive); }
+  void push(double Time, std::uint64_t Seq) {
+    H.push(ReplayEvent{Time, Seq << 2});
+  }
+  TimedKey pop() {
+    const ReplayEvent E = H.pop();
+    return {E.Time, E.Key};
+  }
+  std::size_t size() const { return H.size(); }
+  bool empty() const { return H.empty(); }
+
+private:
+  ReplayHeap H;
+};
+
+template <typename Queue>
+void pushBoth(Queue &Q, ReferenceHeap &Ref, double Time, std::uint64_t Seq) {
+  Q.push(Time, Seq);
+  Ref.push({Time, Seq << 2});
 }
 
-void expectSamePops(CalendarQueue &Q, ReferenceHeap &Ref,
-                    const std::string &Context) {
+template <typename Queue>
+void expectSamePops(Queue &Q, ReferenceHeap &Ref, const std::string &Context) {
   ASSERT_EQ(Q.size(), Ref.size()) << Context;
   while (!Ref.empty()) {
-    StreamEvent Expected = Ref.top();
+    const TimedKey Expected = Ref.top();
     Ref.pop();
-    StreamEvent Got = Q.pop();
-    ASSERT_EQ(Expected.Time, Got.Time) << Context;
-    ASSERT_EQ(Expected.Key, Got.Key) << Context;
+    const TimedKey Got = Q.pop();
+    ASSERT_EQ(Expected.first, Got.first) << Context;
+    ASSERT_EQ(Expected.second, Got.second) << Context;
   }
   EXPECT_TRUE(Q.empty()) << Context;
+}
+
+// The cases below run against every queue: a TEST per (queue, case)
+// instantiates the shared body.
+
+template <typename Queue> void randomTimesMatchReferenceHeap() {
+  std::mt19937_64 Rng(12345);
+  std::uniform_real_distribution<double> Times(0.0, 1e-2);
+  Queue Q(5000);
+  ReferenceHeap Ref;
+  for (std::uint64_t Seq = 0; Seq != 5000; ++Seq)
+    pushBoth(Q, Ref, Times(Rng), Seq);
+  expectSamePops(Q, Ref, "random");
+}
+
+template <typename Queue> void equalTimesPopInSequenceOrder() {
+  Queue Q(1000);
+  ReferenceHeap Ref;
+  // Three bands of identical timestamps: ties resolve on Key.
+  for (std::uint64_t Seq = 0; Seq != 1000; ++Seq)
+    pushBoth(Q, Ref, 1e-6 * static_cast<double>(Seq % 3), Seq);
+  expectSamePops(Q, Ref, "equal-times");
+}
+
+template <typename Queue> void simulationPatternMatchesReferenceHeap() {
+  // Event-sim-shaped load: pop the minimum, push a few events a short
+  // (noisy) horizon past it, drain at the end. Exercises the
+  // calendar's day advance, rebuilds in both directions and the
+  // empty-lap direct search.
+  constexpr int Steps = 20000;
+  std::mt19937_64 Rng(999);
+  std::uniform_real_distribution<double> Delta(1e-7, 9e-6);
+  std::uniform_int_distribution<int> Births(0, 2);
+  Queue Q(64 + 2 * Steps);
+  ReferenceHeap Ref;
+  std::uint64_t Seq = 0;
+  for (; Seq != 64; ++Seq)
+    pushBoth(Q, Ref, Delta(Rng), Seq);
+  for (int Step = 0; Step != Steps && !Ref.empty(); ++Step) {
+    const TimedKey Expected = Ref.top();
+    Ref.pop();
+    const TimedKey Got = Q.pop();
+    ASSERT_EQ(Expected.first, Got.first) << "step " << Step;
+    ASSERT_EQ(Expected.second, Got.second) << "step " << Step;
+    const int N = Births(Rng);
+    for (int I = 0; I != N; ++I, ++Seq)
+      pushBoth(Q, Ref, Got.first + Delta(Rng), Seq);
+  }
+  expectSamePops(Q, Ref, "drain");
+}
+
+template <typename Queue> void sparseFarFutureEventsFound() {
+  // Events many calendar "years" apart force the empty-lap fallback.
+  Queue Q(64);
+  ReferenceHeap Ref;
+  for (std::uint64_t Seq = 0; Seq != 64; ++Seq)
+    pushBoth(Q, Ref, static_cast<double>(Seq * Seq) * 1e3 + 0.5, Seq);
+  expectSamePops(Q, Ref, "sparse");
+}
+
+template <typename Queue> void deepHeapWithPartialChildGroups() {
+  // ~40K live events, the depth a P=90 4 MiB split-binary replay
+  // reaches. Each fill ends on a different residue mod 4, so the last
+  // group of children is partial in every possible way; most events
+  // share their time with another, so ties decide most pops.
+  for (std::uint64_t Residue = 0; Residue != 4; ++Residue) {
+    const std::uint64_t Live = 40960 + Residue;
+    std::mt19937_64 Rng(77 + Residue);
+    std::uniform_int_distribution<int> Tick(0, 30000);
+    Queue Q(Live);
+    ReferenceHeap Ref;
+    for (std::uint64_t Seq = 0; Seq != Live; ++Seq)
+      pushBoth(Q, Ref, 1e-9 * Tick(Rng), Seq);
+    // Interleave pops and pushes at full depth before draining.
+    for (std::uint64_t Seq = Live; Seq != Live + 4096; ++Seq) {
+      const TimedKey Expected = Ref.top();
+      Ref.pop();
+      const TimedKey Got = Q.pop();
+      ASSERT_EQ(Expected.first, Got.first) << "residue " << Residue;
+      ASSERT_EQ(Expected.second, Got.second) << "residue " << Residue;
+      pushBoth(Q, Ref, Got.first + 1e-9 * Tick(Rng), Seq);
+    }
+    expectSamePops(Q, Ref, "deep, residue " + std::to_string(Residue));
+  }
 }
 
 } // namespace
 
 TEST(CalendarQueueTest, RandomTimesMatchReferenceHeap) {
-  std::mt19937_64 Rng(12345);
-  std::uniform_real_distribution<double> Times(0.0, 1e-2);
-  CalendarQueue Q;
-  ReferenceHeap Ref;
-  for (std::uint64_t Seq = 0; Seq != 5000; ++Seq) {
-    StreamEvent E = makeEvent(Times(Rng), Seq);
-    Q.push(E);
-    Ref.push(E);
-  }
-  expectSamePops(Q, Ref, "random");
+  randomTimesMatchReferenceHeap<CalendarUnderTest>();
 }
-
 TEST(CalendarQueueTest, EqualTimesPopInSequenceOrder) {
-  CalendarQueue Q;
-  ReferenceHeap Ref;
-  for (std::uint64_t Seq = 0; Seq != 1000; ++Seq) {
-    // Three bands of identical timestamps: ties resolve on Key.
-    StreamEvent E = makeEvent(1e-6 * static_cast<double>(Seq % 3), Seq);
-    Q.push(E);
-    Ref.push(E);
-  }
-  expectSamePops(Q, Ref, "equal-times");
+  equalTimesPopInSequenceOrder<CalendarUnderTest>();
 }
-
 TEST(CalendarQueueTest, SimulationPatternMatchesReferenceHeap) {
-  // Event-sim-shaped load: pop the minimum, push a few events a short
-  // (noisy) horizon past it, drain at the end. Exercises day advance,
-  // rebuilds in both directions and the empty-lap direct search.
-  std::mt19937_64 Rng(999);
-  std::uniform_real_distribution<double> Delta(1e-7, 9e-6);
-  std::uniform_int_distribution<int> Births(0, 2);
-  CalendarQueue Q;
-  ReferenceHeap Ref;
-  std::uint64_t Seq = 0;
-  for (; Seq != 64; ++Seq) {
-    StreamEvent E = makeEvent(Delta(Rng), Seq);
-    Q.push(E);
-    Ref.push(E);
-  }
-  for (int Step = 0; Step != 20000 && !Ref.empty(); ++Step) {
-    StreamEvent Expected = Ref.top();
-    Ref.pop();
-    StreamEvent Got = Q.pop();
-    ASSERT_EQ(Expected.Time, Got.Time) << "step " << Step;
-    ASSERT_EQ(Expected.Key, Got.Key) << "step " << Step;
-    const int N = Births(Rng);
-    for (int I = 0; I != N; ++I, ++Seq) {
-      StreamEvent E = makeEvent(Got.Time + Delta(Rng), Seq);
-      Q.push(E);
-      Ref.push(E);
-    }
-  }
-  expectSamePops(Q, Ref, "drain");
+  simulationPatternMatchesReferenceHeap<CalendarUnderTest>();
+}
+TEST(CalendarQueueTest, SparseFarFutureEventsFound) {
+  sparseFarFutureEventsFound<CalendarUnderTest>();
+}
+TEST(CalendarQueueTest, DeepQueueWithPartialChildGroups) {
+  deepHeapWithPartialChildGroups<CalendarUnderTest>();
 }
 
-TEST(CalendarQueueTest, SparseFarFutureEventsFound) {
-  // Events many "years" apart force the empty-lap fallback.
-  CalendarQueue Q;
-  ReferenceHeap Ref;
-  for (std::uint64_t Seq = 0; Seq != 64; ++Seq) {
-    StreamEvent E =
-        makeEvent(static_cast<double>(Seq * Seq) * 1e3 + 0.5, Seq);
-    Q.push(E);
-    Ref.push(E);
-  }
-  expectSamePops(Q, Ref, "sparse");
+TEST(ReplayHeapTest, RandomTimesMatchReferenceHeap) {
+  randomTimesMatchReferenceHeap<ReplayHeapUnderTest>();
+}
+TEST(ReplayHeapTest, EqualTimesPopInSequenceOrder) {
+  equalTimesPopInSequenceOrder<ReplayHeapUnderTest>();
+}
+TEST(ReplayHeapTest, SimulationPatternMatchesReferenceHeap) {
+  simulationPatternMatchesReferenceHeap<ReplayHeapUnderTest>();
+}
+TEST(ReplayHeapTest, SparseFarFutureEventsFound) {
+  sparseFarFutureEventsFound<ReplayHeapUnderTest>();
+}
+TEST(ReplayHeapTest, DeepHeapWithPartialChildGroups) {
+  deepHeapWithPartialChildGroups<ReplayHeapUnderTest>();
+}
+
+TEST(ReplayHeapTest, ResetReusesStorageUpToItsLargestBound) {
+  ReplayHeap H;
+  EXPECT_FALSE(H.reset(100));
+  EXPECT_TRUE(H.reset(100));
+  EXPECT_TRUE(H.reset(10));
+  EXPECT_FALSE(H.reset(101));
+  // A reset after a partial drain leaves no stale event behind.
+  for (std::uint64_t Seq = 0; Seq != 50; ++Seq)
+    H.push(ReplayEvent{1.0 + static_cast<double>(Seq), Seq << 2});
+  H.pop();
+  EXPECT_TRUE(H.reset(101));
+  EXPECT_TRUE(H.empty());
+  H.push(ReplayEvent{5.0, 7});
+  H.push(ReplayEvent{3.0, 9});
+  EXPECT_EQ(H.pop().Time, 3.0);
+  EXPECT_EQ(H.pop().Key, 7u);
+  EXPECT_TRUE(H.empty());
 }
 
 //===----------------------------------------------------------------------===//
