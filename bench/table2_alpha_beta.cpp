@@ -39,10 +39,12 @@ static void printCluster(const Platform &P, const CalibratedModels &M,
     const AlgorithmCalibration &C = M.of(Alg);
     T.addRow({bcastAlgorithmName(Alg), formatSci(C.Alpha),
               formatSci(C.Beta), formatSci(C.Fit.Rmse)});
+    // Gated in us and ns/KiB: in seconds, bench_compare's absolute
+    // tolerance floor would dwarf every parameter.
     const std::string Key =
         strFormat("%s_%s", P.Name.c_str(), bcastAlgorithmName(Alg));
-    Report.metric("alpha_" + Key, C.Alpha);
-    Report.metric("beta_" + Key, C.Beta);
+    Report.metric("alpha_us_" + Key, C.Alpha * 1e6);
+    Report.metric("beta_ns_per_kib_" + Key, C.Beta * 1.024e12);
   }
   if (Csv)
     std::fputs(T.renderCsv().c_str(), stdout);

@@ -12,6 +12,7 @@ Wired into ctest as PyBenchCompare; also runnable directly:
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,8 @@ import unittest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "bench_compare.py")
+BASELINES = os.path.join(os.path.dirname(os.path.dirname(SCRIPT)), "bench",
+                         "baselines")
 
 
 def record(bench, metrics, schema_version=1, budgets=None):
@@ -225,6 +228,23 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(refreshed["metrics"], {"penalty": 2.0})
         code, out = self.run_compare(rec)
         self.assertEqual(code, 0, out)
+
+    def test_table2_parameter_error_fails(self):
+        # table2 reports alpha in us and beta in ns/KiB, so the absolute
+        # floor stays small against every non-zero parameter: a 25 %
+        # error in the smallest one must fail.
+        committed = os.path.join(BASELINES, "BENCH_table2_alpha_beta.json")
+        shutil.copy(committed, self.baselines)
+        with open(committed, "r", encoding="utf-8") as handle:
+            rec = json.load(handle)
+        code, out = self.run_compare(self.write("BENCH_table2.json", rec))
+        self.assertEqual(code, 0, out)
+        metrics = rec["metrics"]
+        name = min((k for k in metrics if metrics[k]), key=metrics.get)
+        metrics[name] *= 1.25
+        code, out = self.run_compare(self.write("BENCH_table2.json", rec))
+        self.assertEqual(code, 1, out)
+        self.assertIn(name, out)
 
     def test_jsonl_journals_are_skipped(self):
         self.write_baseline("alpha", {"penalty": 1.0})
