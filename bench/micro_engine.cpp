@@ -431,7 +431,7 @@ int main(int Argc, char **Argv) {
     AllIdentical = AllIdentical && Identical;
 
     // Legacy loop: exactly what one pre-interning sweep repetition
-    // did (model/Runner.cpp's runBcastOnce): rebuild the schedule,
+    // did (a pre-interning broadcast runner): rebuild the schedule,
     // then interpret it, reallocating all working state.
     double Sink = 0.0;
     auto LegacyStart = std::chrono::steady_clock::now();

@@ -115,7 +115,7 @@ BENCHMARK(BM_DecisionServiceBatch);
 
 void BM_SingleModelEvaluation(benchmark::State &State) {
   GammaFunction G({1.0, 1.114, 1.219, 1.283, 1.451, 1.540});
-  BcastModelQuery Q;
+  ModelQuery Q;
   Q.NumProcs = 90;
   Q.MessageBytes = 1 << 20;
   for (auto _ : State)

@@ -192,6 +192,10 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   # committed baseline.
   ./build/bench/extension_allreduce --quick \
     --json "$OUT/BENCH_extension_allreduce.json" >/dev/null
+  # The reduce/scatter selection: near-optimal counts and worst
+  # degradations, documented misses included, pinned by the baseline.
+  ./build/bench/extension_reduce_scatter \
+    --json "$OUT/BENCH_extension_reduce_scatter.json" >/dev/null
   # micro_engine exits non-zero unless compiled replay is bit-identical
   # to the legacy interpreter and allocation-free after warm-up; the
   # baseline's budget caps its deep-heap case's replay ns/event.

@@ -6,7 +6,6 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <string>
@@ -43,29 +42,6 @@ mpicsel::allgatherCostCoefficients(AllgatherAlgorithm Alg, unsigned NumProcs,
   MPICSEL_UNREACHABLE("unknown allgather algorithm");
 }
 
-double AllgatherModels::predict(AllgatherAlgorithm Alg, unsigned NumProcs,
-                                std::uint64_t BlockBytes) const {
-  CostCoefficients C =
-      allgatherCostCoefficients(Alg, NumProcs, BlockBytes, Gamma);
-  const AllgatherCalibration &Params = of(Alg);
-  return C.evaluate(Params.Alpha, Params.Beta);
-}
-
-AllgatherAlgorithm
-AllgatherModels::selectBest(unsigned NumProcs,
-                            std::uint64_t BlockBytes) const {
-  AllgatherAlgorithm Best = AllAllgatherAlgorithms.front();
-  double BestTime = predict(Best, NumProcs, BlockBytes);
-  for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
-    double Time = predict(Alg, NumProcs, BlockBytes);
-    if (Time < BestTime) {
-      Best = Alg;
-      BestTime = Time;
-    }
-  }
-  return Best;
-}
-
 Experiment
 mpicsel::prepareAllgather(const Platform &P, unsigned NumProcs,
                           const AllgatherConfig &Config,
@@ -89,86 +65,9 @@ mpicsel::prepareAllgather(const Platform &P, unsigned NumProcs,
   });
 }
 
-double mpicsel::runAllgatherOnce(const Platform &P, unsigned NumProcs,
-                                 const AllgatherConfig &Config,
-                                 std::uint64_t Seed) {
-  return prepareAllgather(P, NumProcs, Config).run(Seed);
-}
-
 AdaptiveResult mpicsel::measureAllgather(const Platform &P,
                                          unsigned NumProcs,
                                          const AllgatherConfig &Config,
                                          const AdaptiveOptions &Options) {
   return prepareAllgather(P, NumProcs, Config).measure(Options);
-}
-
-double mpicsel::runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
-                                       const AllgatherConfig &Config,
-                                       std::uint64_t GatherBytes,
-                                       std::uint64_t Seed) {
-  return prepareAllgather(P, NumProcs, Config, GatherBytes).run(Seed);
-}
-
-AllgatherModels
-mpicsel::calibrateAllgather(const Platform &Plat,
-                            const AllgatherCalibrationOptions &Options) {
-  AllgatherModels Models;
-
-  unsigned NumProcs = Options.NumProcs;
-  if (NumProcs == 0)
-    NumProcs = std::max(2u, Plat.maxProcs() / 2);
-  if (NumProcs > Plat.maxProcs())
-    fatalError("allgather calibration requests more processes than the "
-               "platform hosts");
-
-  std::vector<std::uint64_t> BlockSizes = Options.BlockSizes;
-  if (BlockSizes.empty())
-    for (std::uint64_t Bytes = 1024; Bytes <= 64 * 1024; Bytes *= 2)
-      BlockSizes.push_back(Bytes);
-  std::vector<std::uint64_t> GatherSizes = Options.GatherSizes;
-  if (GatherSizes.empty())
-    for (std::uint64_t BlockBytes : BlockSizes)
-      GatherSizes.push_back(std::max<std::uint64_t>(512, BlockBytes / 4));
-  if (GatherSizes.size() != BlockSizes.size())
-    fatalError("allgather calibration needs one gather size per block "
-               "size");
-
-  GammaEstimationOptions GammaOpts = Options.GammaOptions;
-  GammaOpts.MaxP =
-      std::max(GammaOpts.MaxP, maxGammaArgument(Plat.maxProcs(), 1));
-  GammaOpts.MaxP = std::min(GammaOpts.MaxP, Plat.maxProcs());
-  Models.Gamma = estimateGamma(Plat, GammaOpts).Gamma;
-
-  for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms) {
-    AllgatherCalibration &Calib =
-        Models.Algorithms[static_cast<unsigned>(Alg)];
-    Calib.Algorithm = Alg;
-
-    std::vector<double> X, T;
-    for (std::size_t I = 0; I != BlockSizes.size(); ++I) {
-      AllgatherConfig Config;
-      Config.Algorithm = Alg;
-      Config.BlockBytes = BlockSizes[I];
-      AdaptiveOptions Adaptive = Options.Adaptive;
-      Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
-                          0x800000ull * static_cast<unsigned>(Alg) +
-                          0x100ull * I;
-      AdaptiveResult R =
-          prepareAllgather(Plat, NumProcs, Config, GatherSizes[I])
-              .measure(Adaptive);
-      CostCoefficients Total =
-          allgatherCostCoefficients(Alg, NumProcs, BlockSizes[I],
-                                    Models.Gamma) +
-          linearGatherCostCoefficients(NumProcs, GatherSizes[I]);
-      assert(Total.A > 0 && "degenerate allgather experiment");
-      X.push_back(Total.B / Total.A);
-      T.push_back(R.Stats.Mean / Total.A);
-    }
-    Calib.Fit = Options.UseHuber ? fitHuber(X, T) : fitLeastSquares(X, T);
-    if (!Calib.Fit.Valid)
-      fatalError("allgather alpha/beta regression degenerate");
-    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
-    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
-  }
-  return Models;
 }

@@ -24,9 +24,10 @@
 /// selection is a latency-vs-size crossover and why a fixed rule
 /// tuned on one cluster mis-picks on another.
 ///
-/// Calibration follows Sect. 4.2: the modelled allgather followed by
-/// a linear gather without synchronisation (root 0), timed on that
-/// root, solved with Huber.
+/// Calibration follows Sect. 4.2 through the shared core
+/// (model/Calibration.h): the modelled allgather followed by a linear
+/// gather without synchronisation (root 0), timed on that root,
+/// solved with Huber.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,16 +36,14 @@
 
 #include "cluster/Platform.h"
 #include "coll/Allgather.h"
+#include "model/Calibration.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
 #include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace mpicsel {
 
@@ -57,74 +56,57 @@ CostCoefficients allgatherCostCoefficients(AllgatherAlgorithm Alg,
                                            std::uint64_t BlockBytes,
                                            const GammaFunction &Gamma);
 
-/// Options of the allgather calibration.
-struct AllgatherCalibrationOptions {
-  /// Processes used in the experiments (0 = half the platform).
-  unsigned NumProcs = 0;
-  /// Per-rank block sizes of the experiments; empty selects 1 KB ..
-  /// 64 KB doubling (the total data volume is P times larger).
-  std::vector<std::uint64_t> BlockSizes;
-  /// Gather block sizes (one per experiment); empty derives a ramp.
-  std::vector<std::uint64_t> GatherSizes;
-  GammaEstimationOptions GammaOptions;
-  AdaptiveOptions Adaptive;
-  bool UseHuber = true;
-};
-
-/// Calibration result of one allgather algorithm.
-struct AllgatherCalibration {
-  AllgatherAlgorithm Algorithm = AllgatherAlgorithm::Ring;
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  LinearFit Fit;
-};
-
-/// The calibrated allgather models plus the runtime selector.
-struct AllgatherModels {
-  GammaFunction Gamma;
-  std::array<AllgatherCalibration, NumAllgatherAlgorithms> Algorithms;
-
-  const AllgatherCalibration &of(AllgatherAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted allgather time of \p Alg.
-  double predict(AllgatherAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t BlockBytes) const;
-
-  /// The model-based decision function for MPI_Allgather.
-  AllgatherAlgorithm selectBest(unsigned NumProcs,
-                                std::uint64_t BlockBytes) const;
-};
-
-/// Runs the allgather calibration on \p P.
-AllgatherModels
-calibrateAllgather(const Platform &P,
-                   const AllgatherCalibrationOptions &Options = {});
-
-/// Runs one allgather over ranks 0..NumProcs-1 and returns the
-/// collective's completion time (latest exit over all ranks).
-double runAllgatherOnce(const Platform &P, unsigned NumProcs,
-                        const AllgatherConfig &Config, std::uint64_t Seed);
-
-/// Adaptive wrapper around runAllgatherOnce.
-AdaptiveResult measureAllgather(const Platform &P, unsigned NumProcs,
-                                const AllgatherConfig &Config,
-                                const AdaptiveOptions &Options = {});
-
-/// One calibration experiment: allgather + linear gather without
-/// synchronisation to rank 0, timed on that root.
-double runAllgatherGatherOnce(const Platform &P, unsigned NumProcs,
-                              const AllgatherConfig &Config,
-                              std::uint64_t GatherBytes, std::uint64_t Seed);
-
-/// The experiment runAllgatherOnce replays or, with \p GatherBytes, the
-/// one runAllgatherGatherOnce replays -- for callers that replay one
-/// shape under seeds of their own choosing.
+/// The experiment of one allgather over ranks 0..NumProcs-1, observing
+/// the collective's completion time (latest exit over all ranks) or,
+/// with \p GatherBytes, the Sect. 4.2 calibration experiment:
+/// allgather + linear gather without synchronisation to rank 0, timed
+/// on that root.
 Experiment
 prepareAllgather(const Platform &P, unsigned NumProcs,
                  const AllgatherConfig &Config,
                  std::optional<std::uint64_t> GatherBytes = std::nullopt);
+
+/// Allgather's contribution to the calibration core: per-rank blocks
+/// of 1 KB .. 64 KB (the total data volume is P times larger), gathers
+/// of a quarter block, no segmented algorithm.
+template <> struct CollectiveDescriptor<AllgatherAlgorithm> {
+  static constexpr CollectiveOp Op = CollectiveOp::Allgather;
+  static constexpr const auto &Algorithms = AllAllgatherAlgorithms;
+  static constexpr std::uint64_t MinBytes = 1024;
+  static constexpr std::uint64_t MaxBytes = 64 * 1024;
+  static constexpr GatherRamp Gather = {4, 512, UINT64_MAX};
+  static constexpr unsigned SegmentedMask = 0;
+
+  static CostCoefficients cost(AllgatherAlgorithm Alg, const ModelQuery &Query,
+                               const GammaFunction &Gamma) {
+    return allgatherCostCoefficients(Alg, Query.NumProcs, Query.MessageBytes,
+                                     Gamma);
+  }
+  static Experiment prepare(const Platform &P, AllgatherAlgorithm Alg,
+                            const ModelQuery &Query,
+                            std::uint64_t GatherBytes) {
+    return prepareAllgather(
+        P, Query.NumProcs,
+        {.Algorithm = Alg, .BlockBytes = Query.MessageBytes}, GatherBytes);
+  }
+};
+
+using AllgatherCalibrationOptions = CalibrationOptions;
+using AllgatherModels = CollectiveModels<AllgatherAlgorithm>;
+
+/// Runs the allgather calibration on \p P (Options.MessageSizes are the
+/// per-rank block sizes).
+inline AllgatherModels
+calibrateAllgather(const Platform &P, const CalibrationOptions &Options = {},
+                   CollectiveCalibrationReport<AllgatherAlgorithm> *Report =
+                       nullptr) {
+  return calibrateCollective<AllgatherAlgorithm>(P, Options, Report);
+}
+
+/// Adaptively measures one allgather (prepareAllgather(...).measure()).
+AdaptiveResult measureAllgather(const Platform &P, unsigned NumProcs,
+                                const AllgatherConfig &Config,
+                                const AdaptiveOptions &Options = {});
 
 } // namespace mpicsel
 

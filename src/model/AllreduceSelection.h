@@ -27,8 +27,9 @@
 /// algorithm's calibrated beta absorbs its compute-per-byte along the
 /// critical path, as in model/ReduceSelection.h.
 ///
-/// Calibration follows Sect. 4.2: the modelled allreduce followed by
-/// a linear gather of a varying m_g to rank 0, timed on that root.
+/// Calibration follows Sect. 4.2 through the shared core
+/// (model/Calibration.h): the modelled allreduce followed by a linear
+/// gather of a varying m_g to rank 0, timed on that root.
 /// The gather ramp keeps (alpha, beta) identifiable for the
 /// fixed-round algorithms whose canonical x would otherwise be
 /// degenerate across the sweep.
@@ -40,16 +41,14 @@
 
 #include "cluster/Platform.h"
 #include "coll/Allreduce.h"
+#include "model/Calibration.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
 #include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace mpicsel {
 
@@ -62,79 +61,60 @@ CostCoefficients allreduceCostCoefficients(AllreduceAlgorithm Alg,
                                            std::uint64_t SegmentBytes,
                                            const GammaFunction &Gamma);
 
-/// Options of the allreduce calibration.
-struct AllreduceCalibrationOptions {
-  /// Processes used in the experiments (0 = half the platform).
-  unsigned NumProcs = 0;
-  /// Segment size of the reduce+bcast composition.
-  std::uint64_t SegmentBytes = 8 * 1024;
-  /// Vector sizes of the experiments; empty selects 8 KB .. 4 MB
-  /// doubling (the paper's broadcast sweep).
-  std::vector<std::uint64_t> MessageSizes;
-  GammaEstimationOptions GammaOptions;
-  AdaptiveOptions Adaptive;
-  bool UseHuber = true;
-};
-
-/// Calibration result of one allreduce algorithm.
-struct AllreduceCalibration {
-  AllreduceAlgorithm Algorithm = AllreduceAlgorithm::RecursiveDoubling;
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  LinearFit Fit;
-};
-
-/// The calibrated allreduce models plus the runtime selector.
-struct AllreduceModels {
-  GammaFunction Gamma;
-  std::array<AllreduceCalibration, NumAllreduceAlgorithms> Algorithms;
-  std::uint64_t SegmentBytes = 8 * 1024;
-
-  const AllreduceCalibration &of(AllreduceAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted allreduce time of \p Alg.
-  double predict(AllreduceAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t MessageBytes) const;
-
-  /// The model-based decision function for MPI_Allreduce.
-  AllreduceAlgorithm selectBest(unsigned NumProcs,
-                                std::uint64_t MessageBytes) const;
-};
-
-/// Runs the allreduce calibration on \p P.
-AllreduceModels
-calibrateAllreduce(const Platform &P,
-                   const AllreduceCalibrationOptions &Options = {});
-
-/// Runs one allreduce over ranks 0..NumProcs-1 and returns the
-/// collective's completion time (latest exit over all ranks).
-/// ComputeSecondsPerByte is filled from the platform if the config
-/// leaves it 0.
-double runAllreduceOnce(const Platform &P, unsigned NumProcs,
-                        const AllreduceConfig &Config, std::uint64_t Seed);
-
-/// Adaptive wrapper around runAllreduceOnce.
-AdaptiveResult measureAllreduce(const Platform &P, unsigned NumProcs,
-                                const AllreduceConfig &Config,
-                                const AdaptiveOptions &Options = {});
-
-/// One calibration experiment: the modelled allreduce followed by a
-/// linear gather without synchronisation of \p GatherBytes to rank 0,
-/// timed on that root (the Sect. 4.2 experiment shape).
-double runAllreduceGatherOnce(const Platform &P, unsigned NumProcs,
-                              const AllreduceConfig &Config,
-                              std::uint64_t GatherBytes,
-                              std::uint64_t Seed);
-
-/// The experiment runAllreduceOnce replays or, with \p GatherBytes, the
-/// one runAllreduceGatherOnce replays -- for callers that replay one
-/// shape under seeds of their own choosing.
+/// The experiment of one allreduce over ranks 0..NumProcs-1, observing
+/// the collective's completion time (latest exit over all ranks) or,
+/// with \p GatherBytes, the Sect. 4.2 calibration experiment: the
+/// allreduce followed by a linear gather without synchronisation to
+/// rank 0, timed on that root. ComputeSecondsPerByte is filled from
+/// the platform if the config leaves it 0.
 Experiment
 prepareAllreduce(const Platform &P, unsigned NumProcs,
                  const AllreduceConfig &Config,
                  std::optional<std::uint64_t> GatherBytes = std::nullopt);
+
+/// Allreduce's contribution to the calibration core: the broadcast's
+/// 8 KB .. 4 MB vectors, gathers of m/64 (at least 512 bytes), only
+/// the reduce+bcast composition segmented.
+template <> struct CollectiveDescriptor<AllreduceAlgorithm> {
+  static constexpr CollectiveOp Op = CollectiveOp::Allreduce;
+  static constexpr const auto &Algorithms = AllAllreduceAlgorithms;
+  static constexpr std::uint64_t MinBytes = 8 * 1024;
+  static constexpr std::uint64_t MaxBytes = 4 * 1024 * 1024;
+  static constexpr GatherRamp Gather = {64, 512, UINT64_MAX};
+  static constexpr unsigned SegmentedMask =
+      1u << static_cast<unsigned>(AllreduceAlgorithm::ReduceBcast);
+
+  static CostCoefficients cost(AllreduceAlgorithm Alg, const ModelQuery &Query,
+                               const GammaFunction &Gamma) {
+    return allreduceCostCoefficients(Alg, Query.NumProcs, Query.MessageBytes,
+                                     Query.SegmentBytes, Gamma);
+  }
+  static Experiment prepare(const Platform &P, AllreduceAlgorithm Alg,
+                            const ModelQuery &Query,
+                            std::uint64_t GatherBytes) {
+    return prepareAllreduce(P, Query.NumProcs,
+                            {.Algorithm = Alg,
+                             .MessageBytes = Query.MessageBytes,
+                             .SegmentBytes = Query.SegmentBytes},
+                            GatherBytes);
+  }
+};
+
+using AllreduceCalibrationOptions = CalibrationOptions;
+using AllreduceModels = CollectiveModels<AllreduceAlgorithm>;
+
+/// Runs the allreduce calibration on \p P.
+inline AllreduceModels
+calibrateAllreduce(const Platform &P, const CalibrationOptions &Options = {},
+                   CollectiveCalibrationReport<AllreduceAlgorithm> *Report =
+                       nullptr) {
+  return calibrateCollective<AllreduceAlgorithm>(P, Options, Report);
+}
+
+/// Adaptively measures one allreduce (prepareAllreduce(...).measure()).
+AdaptiveResult measureAllreduce(const Platform &P, unsigned NumProcs,
+                                const AllreduceConfig &Config,
+                                const AdaptiveOptions &Options = {});
 
 } // namespace mpicsel
 

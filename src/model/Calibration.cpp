@@ -2,7 +2,11 @@
 
 #include "model/Calibration.h"
 
+#include "model/AllgatherSelection.h"
+#include "model/AllreduceSelection.h"
+#include "model/ReduceSelection.h"
 #include "model/Runner.h"
+#include "model/ScatterSelection.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "stat/ParallelSweep.h"
@@ -13,75 +17,34 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 using namespace mpicsel;
 
-double CalibratedModels::predict(BcastAlgorithm Alg, unsigned NumProcs,
-                                 std::uint64_t MessageBytes) const {
-  BcastModelQuery Query;
-  Query.NumProcs = NumProcs;
-  Query.MessageBytes = MessageBytes;
-  // The linear algorithm is never segmented; the others use the
-  // calibrated segment size (the paper fixes 8 KB for all segmented
-  // algorithms).
-  Query.SegmentBytes = Alg == BcastAlgorithm::Linear ? 0 : SegmentBytes;
-  Query.KChainFanout = KChainFanout;
-  CostCoefficients C = bcastCostCoefficients(Alg, Query, Gamma);
-  const AlgorithmCalibration &Params = of(Alg);
-  return C.evaluate(Params.Alpha, Params.Beta);
-}
-
-BcastAlgorithm CalibratedModels::selectBest(unsigned NumProcs,
-                                            std::uint64_t MessageBytes) const {
-  BcastAlgorithm Best = AllBcastAlgorithms.front();
-  double BestTime = predict(Best, NumProcs, MessageBytes);
-  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
-    double Time = predict(Alg, NumProcs, MessageBytes);
-    if (Time < BestTime) {
-      Best = Alg;
-      BestTime = Time;
-    }
-  }
-  return Best;
-}
-
-static std::vector<std::uint64_t> defaultMessageSizes() {
-  // The paper's sweep: 10 sizes, 8 KB .. 4 MB, constant log step.
-  std::vector<std::uint64_t> Sizes;
-  for (std::uint64_t Bytes = 8 * 1024; Bytes <= 4 * 1024 * 1024; Bytes *= 2)
-    Sizes.push_back(Bytes);
-  return Sizes;
-}
-
-static std::vector<std::uint64_t>
-defaultGatherSizes(const std::vector<std::uint64_t> &MessageSizes,
-                   std::uint64_t SegmentBytes) {
-  // Gather block sizes m_g_i proportional to the broadcast sizes
-  // (m_i / 64, clamped): the ramp spreads the canonical x_i of the
-  // Fig. 4 system enough to identify alpha and beta separately, while
-  // the broadcast still dominates every experiment. None may equal
-  // the segment size (the paper requires m_g != m_s).
-  std::vector<std::uint64_t> Sizes;
-  for (std::uint64_t MessageBytes : MessageSizes) {
-    std::uint64_t Bytes =
-        std::clamp<std::uint64_t>(MessageBytes / 64, 1024, 256 * 1024);
-    if (Bytes == SegmentBytes)
-      Bytes += 512;
-    Sizes.push_back(Bytes);
-  }
-  return Sizes;
-}
-
 namespace {
+
+/// The model query of \p Alg at one (P, size) point: segmented
+/// algorithms run at the calibrated segment size, the others
+/// unsegmented.
+template <typename AlgT>
+ModelQuery modelQuery(AlgT Alg, unsigned NumProcs, std::uint64_t Bytes,
+                      std::uint64_t SegmentBytes, unsigned KChainFanout) {
+  const unsigned Mask = CollectiveDescriptor<AlgT>::SegmentedMask;
+  const bool Segmented = (Mask >> static_cast<unsigned>(Alg)) & 1u;
+  ModelQuery Query;
+  Query.NumProcs = NumProcs;
+  Query.MessageBytes = Bytes;
+  Query.SegmentBytes = Segmented ? SegmentBytes : 0;
+  Query.KChainFanout = KChainFanout;
+  return Query;
+}
 
 /// Measures one calibration experiment, retrying with reseed and a
 /// MaxReps backoff when the quality policy is enabled and the
 /// measurement does not converge. With the policy disabled this is a
 /// single measurement with the historical options -- bit-identical to
 /// the unguarded pass.
-AdaptiveResult measureExperiment(const Platform &Plat, unsigned NumProcs,
-                                 const BcastConfig &Bcast,
-                                 std::uint64_t GatherBytes,
+AdaptiveResult measureExperiment(const Experiment &E, const ModelQuery &Query,
                                  AdaptiveOptions Adaptive,
                                  const CalibrationQualityOptions &Quality,
                                  unsigned &AttemptsOut) {
@@ -110,13 +73,12 @@ AdaptiveResult measureExperiment(const Platform &Plat, unsigned NumProcs,
         JsonObject Event = J.line("calib_retry");
         Event.set("attempt", Attempt);
         Event.set("max_reps", Adaptive.MaxReps);
-        Event.set("procs", NumProcs);
-        Event.set("message_bytes", Bcast.MessageBytes);
+        Event.set("procs", Query.NumProcs);
+        Event.set("message_bytes", Query.MessageBytes);
         J.write(Event);
       }
     }
-    AdaptiveResult R =
-        measureBcastGather(Plat, NumProcs, Bcast, GatherBytes, Adaptive);
+    AdaptiveResult R = E.measure(Adaptive);
     AttemptsOut = Attempt + 1;
     obs::bump(obs::Counter::CalibExperiments);
     obs::bump(obs::Counter::CalibOutliers, R.OutliersRejected);
@@ -141,16 +103,18 @@ AdaptiveResult measureExperiment(const Platform &Plat, unsigned NumProcs,
 }
 
 /// Appends one gate verdict and folds it into the usable flag.
-void addGate(AlgorithmCalibrationReport &Rep, const char *Gate, bool Passed,
-             std::string Detail) {
+template <typename AlgT>
+void addGate(CollectiveAlgorithmReport<AlgT> &Rep, const char *Gate,
+             bool Passed, std::string Detail) {
   Rep.Gates.push_back({Gate, Passed, std::move(Detail)});
   Rep.Usable = Rep.Usable && Passed;
 }
 
 /// Evaluates the per-algorithm quality gates against the canonical
 /// fit and the experiment records.
-void evaluateGates(const AlgorithmCalibration &Calib,
-                   AlgorithmCalibrationReport &Rep,
+template <typename AlgT>
+void evaluateGates(const CollectiveAlgorithmCalibration<AlgT> &Calib,
+                   CollectiveAlgorithmReport<AlgT> &Rep,
                    const CalibrationQualityOptions &Quality) {
   if (!Calib.Fit.Valid) {
     addGate(Rep, "fit-valid", false, "degenerate regression");
@@ -216,7 +180,7 @@ void evaluateGates(const AlgorithmCalibration &Calib,
 }
 
 /// The resolved stage-2 experiment grid: process count plus the
-/// paired message/gather size ramps. calibrate() and
+/// paired size/gather ramps. calibrateCollective() and
 /// calibrateSingleAlgorithm() must resolve identically, or the
 /// targeted repair loses its bit-identity with the full pass.
 struct CalibrationGrid {
@@ -225,21 +189,36 @@ struct CalibrationGrid {
   std::vector<std::uint64_t> GatherSizes;
 };
 
+template <typename AlgT>
 CalibrationGrid resolveCalibrationGrid(const Platform &Plat,
                                        const CalibrationOptions &Options) {
+  using Descriptor = CollectiveDescriptor<AlgT>;
   CalibrationGrid Grid;
   Grid.NumProcs = Options.NumProcs;
   if (Grid.NumProcs == 0)
     Grid.NumProcs = std::max(2u, Plat.maxProcs() / 2);
   if (Grid.NumProcs > Plat.maxProcs())
     fatalError("calibration requests more processes than the platform hosts");
+  // With one rank the gather is empty and neither the experiment nor
+  // its model carries any information.
+  if (Grid.NumProcs < 2)
+    fatalError("calibration needs at least 2 processes");
   Grid.MessageSizes = Options.MessageSizes;
   if (Grid.MessageSizes.empty())
-    Grid.MessageSizes = defaultMessageSizes();
+    for (std::uint64_t Bytes = Descriptor::MinBytes;
+         Bytes <= Descriptor::MaxBytes; Bytes *= 2)
+      Grid.MessageSizes.push_back(Bytes);
   Grid.GatherSizes = Options.GatherSizes;
   if (Grid.GatherSizes.empty())
-    Grid.GatherSizes =
-        defaultGatherSizes(Grid.MessageSizes, Options.SegmentBytes);
+    for (std::uint64_t Bytes : Grid.MessageSizes) {
+      std::uint64_t GatherBytes =
+          std::clamp(Bytes / Descriptor::Gather.Divisor,
+                     Descriptor::Gather.Min, Descriptor::Gather.Max);
+      if (Descriptor::SegmentedMask != 0 &&
+          GatherBytes == Options.SegmentBytes)
+        GatherBytes += 512;
+      Grid.GatherSizes.push_back(GatherBytes);
+    }
   if (Grid.GatherSizes.size() != Grid.MessageSizes.size())
     fatalError("calibration needs one gather size per message size");
   return Grid;
@@ -252,32 +231,31 @@ struct ExperimentOutcome {
 };
 
 /// Runs the (Alg, I) stage-2 experiment of \p Grid. The seed derives
-/// from the grid position off \p BaseAdaptive, so any sweep order --
-/// and the single-algorithm repair pass -- reproduces the full pass's
-/// measurement stream bit for bit.
+/// from the op and the grid position off \p BaseAdaptive, so any
+/// sweep order -- and the single-algorithm repair pass -- reproduces
+/// the full pass's measurement stream bit for bit.
+template <typename AlgT>
 ExperimentOutcome runCalibrationPoint(const Platform &Plat,
                                       const CalibrationGrid &Grid,
                                       const CalibrationOptions &Options,
                                       const AdaptiveOptions &BaseAdaptive,
-                                      BcastAlgorithm Alg, std::size_t I) {
-  BcastConfig Bcast;
-  Bcast.Algorithm = Alg;
-  Bcast.MessageBytes = Grid.MessageSizes[I];
-  Bcast.SegmentBytes =
-      Alg == BcastAlgorithm::Linear ? 0 : Options.SegmentBytes;
-  Bcast.Root = 0;
-  Bcast.KChainFanout = Options.KChainFanout;
-
+                                      AlgT Alg, std::size_t I) {
+  const ModelQuery Query =
+      modelQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
+                 Options.SegmentBytes, Options.KChainFanout);
+  const std::uint64_t AlgorithmStride =
+      0x100000ull << static_cast<unsigned>(CollectiveDescriptor<AlgT>::Op);
   AdaptiveOptions Adaptive = BaseAdaptive;
   Adaptive.BaseSeed = BaseAdaptive.BaseSeed +
-                      0x100000ull * static_cast<unsigned>(Alg) +
+                      AlgorithmStride * static_cast<unsigned>(Alg) +
                       0x100ull * I;
   ExperimentOutcome Outcome;
   Outcome.Record.MessageBytes = Grid.MessageSizes[I];
   Outcome.Record.GatherBytes = Grid.GatherSizes[I];
-  Outcome.Result =
-      measureExperiment(Plat, Grid.NumProcs, Bcast, Grid.GatherSizes[I],
-                        Adaptive, Options.Quality, Outcome.Record.Attempts);
+  Outcome.Result = measureExperiment(
+      CollectiveDescriptor<AlgT>::prepare(Plat, Alg, Query,
+                                          Grid.GatherSizes[I]),
+      Query, Adaptive, Options.Quality, Outcome.Record.Attempts);
   Outcome.Record.OutliersRejected = Outcome.Result.OutliersRejected;
   Outcome.Record.Converged = Outcome.Result.Converged;
   Outcome.Record.Precision = Outcome.Result.Stats.relativePrecision();
@@ -285,15 +263,36 @@ ExperimentOutcome runCalibrationPoint(const Platform &Plat,
   return Outcome;
 }
 
+/// Measures the (algorithm x size) experiments of \p Algorithms over
+/// \p Grid, algorithm-major. The experiments are mutually independent
+/// and each derives its seed from its grid position, so they fan
+/// across the sweep pool with results bit-identical to a nested
+/// serial loop for any thread count.
+template <typename AlgT>
+std::vector<ExperimentOutcome>
+measureGrid(const Platform &Plat, const CalibrationGrid &Grid,
+            const CalibrationOptions &Options,
+            const AdaptiveOptions &BaseAdaptive,
+            std::span<const AlgT> Algorithms, unsigned Threads) {
+  const std::size_t NumSizes = Grid.MessageSizes.size();
+  return sweepIndexed<ExperimentOutcome>(
+      Threads, Algorithms.size() * NumSizes, [&](std::size_t Task) {
+        return runCalibrationPoint(Plat, Grid, Options, BaseAdaptive,
+                                   Algorithms[Task / NumSizes],
+                                   Task % NumSizes);
+      });
+}
+
 /// Assembles one algorithm's canonical system from its \p Outcomes
 /// (one per grid size, in grid order), fits it, applies the
 /// physical clamps and -- when enabled -- the quality gates.
+template <typename AlgT>
 void assembleAlgorithm(const CalibrationGrid &Grid,
                        const CalibrationOptions &Options,
-                       const GammaFunction &Gamma, BcastAlgorithm Alg,
+                       const GammaFunction &Gamma, AlgT Alg,
                        const ExperimentOutcome *Outcomes,
-                       AlgorithmCalibration &Calib,
-                       AlgorithmCalibrationReport &Rep) {
+                       CollectiveAlgorithmCalibration<AlgT> &Calib,
+                       CollectiveAlgorithmReport<AlgT> &Rep) {
   Calib.Algorithm = Alg;
   Rep.Algorithm = Alg;
   for (std::size_t I = 0; I != Grid.MessageSizes.size(); ++I) {
@@ -302,16 +301,13 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
 
     // Canonical form of Fig. 4: T / (A_tot) = alpha + beta * (B_tot
     // / A_tot).
-    BcastModelQuery Query;
-    Query.NumProcs = Grid.NumProcs;
-    Query.MessageBytes = Grid.MessageSizes[I];
-    Query.SegmentBytes =
-        Alg == BcastAlgorithm::Linear ? 0 : Options.SegmentBytes;
-    Query.KChainFanout = Options.KChainFanout;
-    CostCoefficients BcastCost = bcastCostCoefficients(Alg, Query, Gamma);
-    CostCoefficients GatherCost =
+    CostCoefficients Total =
+        CollectiveDescriptor<AlgT>::cost(
+            Alg,
+            modelQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
+                       Options.SegmentBytes, Options.KChainFanout),
+            Gamma) +
         linearGatherCostCoefficients(Grid.NumProcs, Grid.GatherSizes[I]);
-    CostCoefficients Total = BcastCost + GatherCost;
     assert(Total.A > 0 && "degenerate experiment coefficients");
     Calib.CanonicalX.push_back(Total.B / Total.A);
     Calib.CanonicalT.push_back(Outcome.Result.Stats.Mean / Total.A);
@@ -322,7 +318,9 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
                   : fitLeastSquares(Calib.CanonicalX, Calib.CanonicalT);
   if (!Calib.Fit.Valid && !Options.Quality.Enabled)
     fatalError("alpha/beta regression degenerate for algorithm " +
-               std::string(bcastAlgorithmName(Alg)));
+               std::string(collectiveAlgorithmName(
+                   CollectiveDescriptor<AlgT>::Op,
+                   static_cast<unsigned>(Alg))));
   // Physically, both parameters are non-negative; tiny negative
   // intercepts are regression noise (the paper's alphas are
   // O(1e-12)).
@@ -334,10 +332,42 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
 
 } // namespace
 
-std::string CalibrationReport::str() const {
+template <typename AlgT>
+double CollectiveModels<AlgT>::predict(AlgT Alg, unsigned NumProcs,
+                                       std::uint64_t MessageBytes) const {
+  const CollectiveAlgorithmCalibration<AlgT> &Params = of(Alg);
+  return CollectiveDescriptor<AlgT>::cost(
+             Alg,
+             modelQuery(Alg, NumProcs, MessageBytes, SegmentBytes,
+                        KChainFanout),
+             Gamma)
+      .evaluate(Params.Alpha, Params.Beta);
+}
+
+template <typename AlgT>
+AlgT CollectiveModels<AlgT>::selectBest(unsigned NumProcs,
+                                        std::uint64_t MessageBytes) const {
+  const auto &All = CollectiveDescriptor<AlgT>::Algorithms;
+  AlgT Best = All.front();
+  double BestTime = predict(Best, NumProcs, MessageBytes);
+  for (AlgT Alg : All) {
+    double Time = predict(Alg, NumProcs, MessageBytes);
+    if (Time < BestTime) {
+      Best = Alg;
+      BestTime = Time;
+    }
+  }
+  return Best;
+}
+
+template <typename AlgT>
+std::string CollectiveCalibrationReport<AlgT>::str() const {
   std::string Out;
-  for (const AlgorithmCalibrationReport &A : Algorithms) {
-    Out += strFormat("%-14s %s", bcastAlgorithmName(A.Algorithm),
+  for (const CollectiveAlgorithmReport<AlgT> &A : Algorithms) {
+    Out += strFormat("%-14s %s",
+                     collectiveAlgorithmName(CollectiveDescriptor<AlgT>::Op,
+                                             static_cast<unsigned>(
+                                                 A.Algorithm)),
                      A.Usable ? "usable  " : "EXCLUDED");
     Out += strFormat("  retries %u  outliers %u", A.totalRetries(),
                      A.totalOutliersRejected());
@@ -349,15 +379,17 @@ std::string CalibrationReport::str() const {
   return Out;
 }
 
-CalibratedModels mpicsel::calibrate(const Platform &Plat,
-                                    const CalibrationOptions &Options,
-                                    CalibrationReport *Report) {
+template <typename AlgT>
+CollectiveModels<AlgT>
+mpicsel::calibrateCollective(const Platform &Plat,
+                             const CalibrationOptions &Options,
+                             CollectiveCalibrationReport<AlgT> *Report) {
   obs::PhaseSpan CalibSpan(obs::Phase::Calibration, Plat.Name);
-  CalibratedModels Models;
+  CollectiveModels<AlgT> Models;
   Models.SegmentBytes = Options.SegmentBytes;
   Models.KChainFanout = Options.KChainFanout;
 
-  const CalibrationGrid Grid = resolveCalibrationGrid(Plat, Options);
+  const CalibrationGrid Grid = resolveCalibrationGrid<AlgT>(Plat, Options);
 
   // Resolve the sweep parallelism once; both stages fan their
   // independent experiments over it with bit-identical results.
@@ -381,39 +413,31 @@ CalibratedModels mpicsel::calibrate(const Platform &Plat,
     Models.Gamma = estimateGamma(Plat, GammaOpts).Gamma;
   }
 
-  // Stage 2 (Sect. 4.2): one linear system per algorithm. The
-  // (algorithm x message-size) experiments are mutually independent
-  // and each derives its seed from its grid position, so they fan
-  // across the sweep pool; the canonical systems are then assembled
-  // serially in grid order, making the results bit-identical to the
-  // historical nested loop for any thread count.
-  CalibrationReport LocalReport;
-  const std::size_t NumSizes = Grid.MessageSizes.size();
-  std::vector<ExperimentOutcome> Outcomes =
-      sweepIndexed<ExperimentOutcome>(
-          Threads, AllBcastAlgorithms.size() * NumSizes,
-          [&](std::size_t Task) {
-            return runCalibrationPoint(Plat, Grid, Options, Options.Adaptive,
-                                       AllBcastAlgorithms[Task / NumSizes],
-                                       Task % NumSizes);
-          });
-
-  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
+  // Stage 2 (Sect. 4.2): one linear system per algorithm, measured in
+  // parallel and assembled serially in grid order.
+  const std::span<const AlgT> Algorithms =
+      CollectiveDescriptor<AlgT>::Algorithms;
+  const std::vector<ExperimentOutcome> Outcomes = measureGrid(
+      Plat, Grid, Options, Options.Adaptive, Algorithms, Threads);
+  CollectiveCalibrationReport<AlgT> LocalReport;
+  for (AlgT Alg : Algorithms) {
+    const unsigned Index = static_cast<unsigned>(Alg);
     assembleAlgorithm(Grid, Options, Models.Gamma, Alg,
-                      Outcomes.data() + static_cast<unsigned>(Alg) * NumSizes,
-                      Models.Algorithms[static_cast<unsigned>(Alg)],
-                      LocalReport.Algorithms[static_cast<unsigned>(Alg)]);
+                      Outcomes.data() + Index * Grid.MessageSizes.size(),
+                      Models.Algorithms[Index],
+                      LocalReport.Algorithms[Index]);
   }
   if (Report)
     *Report = std::move(LocalReport);
   return Models;
 }
 
-AlgorithmCalibration mpicsel::calibrateSingleAlgorithm(
+template <typename AlgT>
+CollectiveAlgorithmCalibration<AlgT> mpicsel::calibrateSingleAlgorithm(
     const Platform &Plat, const CalibrationOptions &Options,
-    const GammaFunction &Gamma, BcastAlgorithm Alg, unsigned Attempt,
-    AlgorithmCalibrationReport *Report) {
-  const CalibrationGrid Grid = resolveCalibrationGrid(Plat, Options);
+    const GammaFunction &Gamma, AlgT Alg, unsigned Attempt,
+    std::type_identity_t<CollectiveAlgorithmReport<AlgT>> *Report) {
+  const CalibrationGrid Grid = resolveCalibrationGrid<AlgT>(Plat, Options);
   const unsigned Threads = resolveSweepThreads(Options.Threads);
 
   // Attempt 0 replays the full pass's exact measurement stream for
@@ -430,15 +454,33 @@ AlgorithmCalibration mpicsel::calibrateSingleAlgorithm(
         static_cast<double>(Base.MaxReps) * std::pow(Growth, Attempt)));
   }
 
-  std::vector<ExperimentOutcome> Outcomes = sweepIndexed<ExperimentOutcome>(
-      Threads, Grid.MessageSizes.size(), [&](std::size_t I) {
-        return runCalibrationPoint(Plat, Grid, Options, Base, Alg, I);
-      });
+  const std::vector<ExperimentOutcome> Outcomes =
+      measureGrid(Plat, Grid, Options, Base, std::span<const AlgT>(&Alg, 1),
+                  Threads);
 
-  AlgorithmCalibration Calib;
-  AlgorithmCalibrationReport Rep;
+  CollectiveAlgorithmCalibration<AlgT> Calib;
+  CollectiveAlgorithmReport<AlgT> Rep;
   assembleAlgorithm(Grid, Options, Gamma, Alg, Outcomes.data(), Calib, Rep);
   if (Report)
     *Report = std::move(Rep);
   return Calib;
 }
+
+// The five collectives the core serves.
+#define MPICSEL_INSTANTIATE_CALIBRATION(AlgT)                                  \
+  template struct mpicsel::CollectiveModels<AlgT>;                             \
+  template struct mpicsel::CollectiveCalibrationReport<AlgT>;                  \
+  template CollectiveModels<AlgT> mpicsel::calibrateCollective(                \
+      const Platform &, const CalibrationOptions &,                            \
+      CollectiveCalibrationReport<AlgT> *);                                    \
+  template CollectiveAlgorithmCalibration<AlgT>                                \
+  mpicsel::calibrateSingleAlgorithm(const Platform &,                          \
+                                    const CalibrationOptions &,                \
+                                    const GammaFunction &, AlgT, unsigned,     \
+                                    CollectiveAlgorithmReport<AlgT> *);
+MPICSEL_INSTANTIATE_CALIBRATION(BcastAlgorithm)
+MPICSEL_INSTANTIATE_CALIBRATION(ScatterAlgorithm)
+MPICSEL_INSTANTIATE_CALIBRATION(ReduceAlgorithm)
+MPICSEL_INSTANTIATE_CALIBRATION(AllgatherAlgorithm)
+MPICSEL_INSTANTIATE_CALIBRATION(AllreduceAlgorithm)
+#undef MPICSEL_INSTANTIATE_CALIBRATION

@@ -8,19 +8,30 @@
 /// \file
 /// The paper's second innovation (Sect. 4.2): estimate alpha and beta
 /// *separately for each collective algorithm*, from communication
-/// experiments in which the modelled algorithm itself dominates.
+/// experiments in which the modelled algorithm itself dominates. This
+/// is the one implementation of the recipe; all five collectives run
+/// through it.
 ///
-/// Experiment (one per message size m_i): the modelled broadcast of
-/// m_i over P ranks, immediately followed by a linear gather without
-/// synchronisation of m_g_i per rank, timed on the root. Its model is
+/// Experiment (one per size m_i): the modelled collective over P
+/// ranks, immediately followed by a linear gather without
+/// synchronisation of m_g_i per rank, timed on the gather's root. Its
+/// model is
 ///
 ///   T_i = (A_i + P - 1) * alpha + (B_i + (P-1) * m_g_i) * beta,
 ///
-/// where (A_i, B_i) are the broadcast's implementation-derived cost
+/// where (A_i, B_i) are the collective's implementation-derived cost
 /// coefficients. Dividing by (A_i + P - 1) puts every equation in the
 /// canonical form `alpha + beta * x_i = t_i` of the paper's Fig. 4;
-/// the stacked system over the 10 message sizes is solved with the
-/// Huber regressor [25].
+/// the stacked system over the sizes is solved with the Huber
+/// regressor [25]. The runtime selection is the argmin of the fitted
+/// models.
+///
+/// Everything in which collectives differ -- cost coefficients,
+/// experiment, default sizes and gather ramp, which algorithms are
+/// segmented -- is the op's CollectiveDescriptor: broadcast's below,
+/// the others' in model/<Op>Selection.h. The core consists of class
+/// and function templates over the op's algorithm enum, explicitly
+/// instantiated for the five collectives in Calibration.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +40,17 @@
 
 #include "cluster/Platform.h"
 #include "coll/Algorithms.h"
+#include "coll/Collective.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
+#include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
 #include "stat/Regression.h"
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace mpicsel {
@@ -80,23 +94,24 @@ struct CalibrationQualityOptions {
   double MinConvergedFraction = 0.7;
 };
 
-/// Options of the full calibration pass.
+/// Options of the full calibration pass, shared by every collective.
 struct CalibrationOptions {
-  /// Processes used in the alpha/beta experiments. 0 selects the
-  /// paper's choice: roughly half the platform's ranks (the paper
-  /// used 40 of 90 on Grisou and all 124 on Gros; it reports that
-  /// using more nodes does not change the estimates).
+  /// Processes used in the alpha/beta experiments; at least 2. 0
+  /// selects the paper's choice: roughly half the platform's ranks
+  /// (the paper used 40 of 90 on Grisou and all 124 on Gros; it
+  /// reports that using more nodes does not change the estimates).
   unsigned NumProcs = 0;
   /// Segment size of the segmented algorithms (the paper's 8 KB).
   std::uint64_t SegmentBytes = 8 * 1024;
-  /// K of the K-chain algorithm.
+  /// K of the broadcast's K-chain algorithm.
   unsigned KChainFanout = 4;
-  /// Broadcast message sizes of the experiments; empty selects the
-  /// paper's sweep: 10 sizes from 8 KB to 4 MB, constant step in log
-  /// scale (i.e. doubling).
+  /// Sizes of the experiments (message bytes, or per-rank block bytes
+  /// for scatter and allgather); empty selects the op's default
+  /// doubling sweep -- for broadcast the paper's 10 sizes from 8 KB to
+  /// 4 MB, constant step in log scale.
   std::vector<std::uint64_t> MessageSizes;
-  /// Gather block sizes m_g_i (must differ from the segment size);
-  /// empty derives a default ramp 4 KB, 6 KB, ... distinct from m_s.
+  /// Gather block sizes m_g_i, one per size; empty derives the op's
+  /// default ramp (GatherRamp).
   std::vector<std::uint64_t> GatherSizes;
   /// Options of the gamma estimation stage; MaxP is raised
   /// automatically to cover every gamma argument the models need.
@@ -117,6 +132,59 @@ struct CalibrationOptions {
   /// count is deliberately excluded from the DecisionCache content
   /// hash for the same reason.
   unsigned Threads = 0;
+};
+
+/// The default gather block size of the experiment of size s:
+/// clamp(s / Divisor, Min, Max). An op with segmented algorithms also
+/// steps it 512 bytes off the segment size (the paper requires
+/// m_g != m_s).
+struct GatherRamp {
+  std::uint64_t Divisor;
+  std::uint64_t Min;
+  std::uint64_t Max;
+};
+
+/// What one collective contributes to the calibration core; the core
+/// reads nothing else about the op. Specialised per algorithm enum --
+/// broadcast below, the others in model/<Op>Selection.h -- with the
+/// op tag (its ordinal also spaces the experiment seeds), its
+/// algorithms, the default sizes MinBytes..MaxBytes (doubling), the
+/// default gather ramp, a mask of the segmented algorithm ordinals,
+/// and two functions: cost(), the algorithm's implementation-derived
+/// model, and prepare(), its Sect. 4.2 experiment (the op's
+/// prepare<Op> with the linear gather). Both see Query.SegmentBytes =
+/// 0 for an unsegmented algorithm.
+template <typename AlgT> struct CollectiveDescriptor;
+
+/// Broadcast, the paper's collective: the six Open MPI algorithms,
+/// every one but linear segmented.
+template <> struct CollectiveDescriptor<BcastAlgorithm> {
+  static constexpr CollectiveOp Op = CollectiveOp::Bcast;
+  static constexpr const auto &Algorithms = AllBcastAlgorithms;
+  /// The paper's sweep: 8 KB .. 4 MB.
+  static constexpr std::uint64_t MinBytes = 8 * 1024;
+  static constexpr std::uint64_t MaxBytes = 4 * 1024 * 1024;
+  /// m_i / 64, clamped: spreads the canonical x_i enough to identify
+  /// alpha and beta separately while the broadcast still dominates.
+  static constexpr GatherRamp Gather = {64, 1024, 256 * 1024};
+  static constexpr unsigned SegmentedMask =
+      ((1u << NumBcastAlgorithms) - 1) &
+      ~(1u << static_cast<unsigned>(BcastAlgorithm::Linear));
+
+  static CostCoefficients cost(BcastAlgorithm Alg, const ModelQuery &Query,
+                               const GammaFunction &Gamma) {
+    return bcastCostCoefficients(Alg, Query, Gamma);
+  }
+  static Experiment prepare(const Platform &P, BcastAlgorithm Alg,
+                            const ModelQuery &Query,
+                            std::uint64_t GatherBytes) {
+    return prepareBcast(P, Query.NumProcs,
+                        {.Algorithm = Alg,
+                         .MessageBytes = Query.MessageBytes,
+                         .SegmentBytes = Query.SegmentBytes,
+                         .KChainFanout = Query.KChainFanout},
+                        GatherBytes);
+  }
 };
 
 /// What happened to one calibration experiment (one message size of
@@ -147,8 +215,8 @@ struct QualityGateResult {
 };
 
 /// The structured per-algorithm quality record of a calibration run.
-struct AlgorithmCalibrationReport {
-  BcastAlgorithm Algorithm = BcastAlgorithm::Linear;
+template <typename AlgT> struct CollectiveAlgorithmReport {
+  AlgT Algorithm{};
   std::vector<ExperimentRecord> Experiments;
   std::vector<QualityGateResult> Gates;
   /// All gates passed: the model is fit for selection.
@@ -171,15 +239,17 @@ struct AlgorithmCalibrationReport {
 /// The full calibration quality report: one record per algorithm.
 /// With gates disabled every model is marked usable and the records
 /// still describe what was measured.
-struct CalibrationReport {
-  std::array<AlgorithmCalibrationReport, NumBcastAlgorithms> Algorithms;
+template <typename AlgT> struct CollectiveCalibrationReport {
+  std::array<CollectiveAlgorithmReport<AlgT>,
+             CollectiveDescriptor<AlgT>::Algorithms.size()>
+      Algorithms;
 
-  const AlgorithmCalibrationReport &of(BcastAlgorithm Alg) const {
+  const CollectiveAlgorithmReport<AlgT> &of(AlgT Alg) const {
     return Algorithms[static_cast<unsigned>(Alg)];
   }
   unsigned usableCount() const {
     unsigned Count = 0;
-    for (const AlgorithmCalibrationReport &A : Algorithms)
+    for (const CollectiveAlgorithmReport<AlgT> &A : Algorithms)
       Count += A.Usable ? 1 : 0;
     return Count;
   }
@@ -188,8 +258,8 @@ struct CalibrationReport {
 };
 
 /// Calibration result for one algorithm.
-struct AlgorithmCalibration {
-  BcastAlgorithm Algorithm = BcastAlgorithm::Linear;
+template <typename AlgT> struct CollectiveAlgorithmCalibration {
+  AlgT Algorithm{};
   /// The algorithm-specific Hockney parameters (paper Table 2).
   double Alpha = 0.0;
   double Beta = 0.0;
@@ -200,33 +270,42 @@ struct AlgorithmCalibration {
   LinearFit Fit;
 };
 
-/// Everything the runtime selection needs: gamma plus per-algorithm
-/// (alpha, beta).
-struct CalibratedModels {
+/// Everything the runtime selection of one collective needs: gamma
+/// plus per-algorithm (alpha, beta).
+template <typename AlgT> struct CollectiveModels {
   GammaFunction Gamma;
-  std::array<AlgorithmCalibration, NumBcastAlgorithms> Algorithms;
+  std::array<CollectiveAlgorithmCalibration<AlgT>,
+             CollectiveDescriptor<AlgT>::Algorithms.size()>
+      Algorithms;
   std::uint64_t SegmentBytes = 8 * 1024;
   unsigned KChainFanout = 4;
 
-  const AlgorithmCalibration &of(BcastAlgorithm Alg) const {
+  const CollectiveAlgorithmCalibration<AlgT> &of(AlgT Alg) const {
     return Algorithms[static_cast<unsigned>(Alg)];
   }
 
-  /// Predicted broadcast time of \p Alg for \p NumProcs ranks and
-  /// \p MessageBytes, at the calibrated segment size.
-  double predict(BcastAlgorithm Alg, unsigned NumProcs,
+  /// Predicted time of \p Alg for \p NumProcs ranks and \p MessageBytes
+  /// (block bytes for scatter and allgather), at the calibrated
+  /// segment size.
+  double predict(AlgT Alg, unsigned NumProcs,
                  std::uint64_t MessageBytes) const;
 
   /// The model-based decision function: argmin of predict over the
-  /// six algorithms. This is the paper's runtime selection -- two
+  /// op's algorithms. This is the paper's runtime selection -- two
   /// multiply-adds per algorithm, no search.
-  BcastAlgorithm selectBest(unsigned NumProcs,
-                            std::uint64_t MessageBytes) const;
+  AlgT selectBest(unsigned NumProcs, std::uint64_t MessageBytes) const;
 };
 
-/// Runs the full calibration (gamma, then per-algorithm alpha/beta)
-/// on \p P. This is the offline stage of the paper's method; its cost
-/// is independent of the application.
+using AlgorithmCalibrationReport = CollectiveAlgorithmReport<BcastAlgorithm>;
+using CalibrationReport = CollectiveCalibrationReport<BcastAlgorithm>;
+using AlgorithmCalibration = CollectiveAlgorithmCalibration<BcastAlgorithm>;
+using CalibratedModels = CollectiveModels<BcastAlgorithm>;
+
+/// Runs the full calibration (gamma, then per-algorithm alpha/beta) of
+/// the collective whose algorithm enum is \p AlgT on \p P. This is the
+/// offline stage of the paper's method; its cost is independent of
+/// the application. Aborts when the resolved process count is below 2
+/// or above what the platform hosts.
 ///
 /// With Options.Quality.Enabled the per-experiment measurements are
 /// screened and retried and the per-algorithm fits are checked
@@ -234,27 +313,35 @@ struct CalibratedModels {
 /// structured record of every retry, rejection and gate verdict.
 /// With the quality policy disabled (the default) the behaviour --
 /// and every produced number -- is identical to the unguarded pass,
-/// and a degenerate regression aborts as before.
-CalibratedModels calibrate(const Platform &P,
-                           const CalibrationOptions &Options = {},
-                           CalibrationReport *Report = nullptr);
+/// and a degenerate regression aborts.
+template <typename AlgT>
+CollectiveModels<AlgT>
+calibrateCollective(const Platform &P, const CalibrationOptions &Options = {},
+                    CollectiveCalibrationReport<AlgT> *Report = nullptr);
+
+/// The broadcast calibration.
+inline CalibratedModels calibrate(const Platform &P,
+                                  const CalibrationOptions &Options = {},
+                                  CalibrationReport *Report = nullptr) {
+  return calibrateCollective<BcastAlgorithm>(P, Options, Report);
+}
 
 /// Recalibrates a single algorithm's stage-2 system (alpha/beta) on
 /// \p P, reusing an already-estimated \p Gamma instead of re-running
 /// stage 1. With \p Attempt == 0 the experiments, their seeds, the
 /// canonical assembly and the fit are exactly those the full
-/// calibrate() pass runs for \p Alg, so the result is bit-identical
-/// to a full pass under the same conditions -- this is the targeted
-/// repair primitive of the drift sentinel (drift/Drift.h): one
-/// algorithm's ~10 experiments instead of the full
-/// (gamma + 6-algorithm) campaign. \p Attempt != 0 reseeds the whole
-/// measurement stream and grows the repetition budget (the repair
-/// retry/backoff), deterministically per attempt.
-AlgorithmCalibration
-calibrateSingleAlgorithm(const Platform &P, const CalibrationOptions &Options,
-                         const GammaFunction &Gamma, BcastAlgorithm Alg,
-                         unsigned Attempt = 0,
-                         AlgorithmCalibrationReport *Report = nullptr);
+/// calibrateCollective() pass runs for \p Alg, so the result is
+/// bit-identical to a full pass under the same conditions -- this is
+/// the targeted repair primitive of the drift sentinel
+/// (drift/Drift.h): one algorithm's ~10 experiments instead of the
+/// full campaign. \p Attempt != 0 reseeds the whole measurement
+/// stream and grows the repetition budget (the repair retry/backoff),
+/// deterministically per attempt.
+template <typename AlgT>
+CollectiveAlgorithmCalibration<AlgT> calibrateSingleAlgorithm(
+    const Platform &P, const CalibrationOptions &Options,
+    const GammaFunction &Gamma, AlgT Alg, unsigned Attempt = 0,
+    std::type_identity_t<CollectiveAlgorithmReport<AlgT>> *Report = nullptr);
 
 } // namespace mpicsel
 

@@ -55,8 +55,7 @@ static unsigned inOrderTreeHeight(unsigned P) {
 /// The segmented algorithms' effective segment size m/n_s (the paper
 /// assumes m is a multiple of m_s; for stray sizes this is the mean
 /// segment, which keeps B consistent with the actual traffic m).
-static double meanSegmentBytes(const BcastModelQuery &Q,
-                               std::uint64_t NumSegments) {
+static double meanSegmentBytes(const ModelQuery &Q, std::uint64_t NumSegments) {
   return static_cast<double>(Q.MessageBytes) /
          static_cast<double>(NumSegments);
 }
@@ -72,7 +71,7 @@ mpicsel::linearGatherCostCoefficients(unsigned NumProcs,
 }
 
 CostCoefficients
-mpicsel::bcastCostCoefficients(BcastAlgorithm Alg, const BcastModelQuery &Q,
+mpicsel::bcastCostCoefficients(BcastAlgorithm Alg, const ModelQuery &Q,
                                const GammaFunction &Gamma) {
   const unsigned P = Q.NumProcs;
   assert(P >= 1 && "empty communicator");

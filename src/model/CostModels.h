@@ -72,8 +72,10 @@ struct CostCoefficients {
   }
 };
 
-/// Shape parameters shared by the model evaluations.
-struct BcastModelQuery {
+/// Shape parameters shared by the model evaluations of every
+/// collective (MessageBytes is the per-rank block for scatter and
+/// allgather; KChainFanout only shapes the broadcast's K-chain).
+struct ModelQuery {
   unsigned NumProcs = 2;
   std::uint64_t MessageBytes = 1;
   /// Segment size of the segmented algorithms (0 = unsegmented).
@@ -85,7 +87,7 @@ struct BcastModelQuery {
 /// \p Query, using \p Gamma for the linear-broadcast serialisation
 /// factor.
 CostCoefficients bcastCostCoefficients(BcastAlgorithm Alg,
-                                       const BcastModelQuery &Query,
+                                       const ModelQuery &Query,
                                        const GammaFunction &Gamma);
 
 /// The Eq. 8 model of the linear gather without synchronisation:

@@ -28,11 +28,14 @@
 #ifndef MPICSEL_MODEL_DECISIONCACHE_H
 #define MPICSEL_MODEL_DECISIONCACHE_H
 
+#include "coll/Allgather.h"
+#include "coll/Allreduce.h"
 #include "coll/Collective.h"
 #include "model/Calibration.h"
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mpicsel {
@@ -74,23 +77,30 @@ struct DecisionTable {
   }
 };
 
-/// Evaluates selectBest over the grid.
-DecisionTable buildDecisionTable(const CalibratedModels &Models,
+/// Evaluates selectBest of \p Models over the grid, tagged with the
+/// models' collective.
+template <typename AlgT>
+DecisionTable buildDecisionTable(const CollectiveModels<AlgT> &Models,
                                  std::vector<unsigned> Procs,
-                                 std::vector<std::uint64_t> MessageSizes);
+                                 std::vector<std::uint64_t> MessageSizes) {
+  DecisionTable T;
+  T.Collective = CollectiveDescriptor<AlgT>::Op;
+  T.Procs = std::move(Procs);
+  T.MessageSizes = std::move(MessageSizes);
+  T.Choice.reserve(T.Procs.size() * T.MessageSizes.size());
+  for (unsigned P : T.Procs)
+    for (std::uint64_t M : T.MessageSizes)
+      T.Choice.push_back(static_cast<unsigned>(Models.selectBest(P, M)));
+  return T;
+}
 
-struct AllgatherModels;
-struct AllreduceModels;
-
-/// The same flattening for the symmetric collectives: selectBest of
-/// the calibrated allgather/allreduce models over the grid, tagged
-/// with the matching CollectiveOp.
+/// buildDecisionTable for the symmetric collectives.
 DecisionTable
-buildAllgatherDecisionTable(const AllgatherModels &Models,
+buildAllgatherDecisionTable(const CollectiveModels<AllgatherAlgorithm> &Models,
                             std::vector<unsigned> Procs,
                             std::vector<std::uint64_t> BlockSizes);
 DecisionTable
-buildAllreduceDecisionTable(const AllreduceModels &Models,
+buildAllreduceDecisionTable(const CollectiveModels<AllreduceAlgorithm> &Models,
                             std::vector<unsigned> Procs,
                             std::vector<std::uint64_t> MessageSizes);
 

@@ -27,7 +27,8 @@
 ///
 /// The calibration experiments follow Sect. 4.2's shape exactly --
 /// the modelled reduce followed by a linear gather of a varying m_g,
-/// timed on the root. The gather is not just ceremony here: a
+/// timed on the root -- and run through the shared core
+/// (model/Calibration.h). The gather is not just ceremony here: a
 /// reduce-only experiment has canonical x = m/n_s = m_s (constant)
 /// for the segmented algorithms, so (alpha, beta) would be
 /// unidentifiable without the gather's spread.
@@ -39,16 +40,14 @@
 
 #include "cluster/Platform.h"
 #include "coll/Reduce.h"
+#include "model/Calibration.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
 #include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace mpicsel {
 
@@ -59,74 +58,60 @@ CostCoefficients reduceCostCoefficients(ReduceAlgorithm Alg,
                                         std::uint64_t SegmentBytes,
                                         const GammaFunction &Gamma);
 
-/// Options of the reduce calibration.
-struct ReduceCalibrationOptions {
-  /// Processes used in the experiments (0 = half the platform).
-  unsigned NumProcs = 0;
-  std::uint64_t SegmentBytes = 8 * 1024;
-  /// Vector sizes of the experiments; empty selects 8 KB .. 4 MB
-  /// doubling (the paper's broadcast sweep).
-  std::vector<std::uint64_t> MessageSizes;
-  GammaEstimationOptions GammaOptions;
-  AdaptiveOptions Adaptive;
-  bool UseHuber = true;
-};
-
-/// Calibration result of one reduce algorithm.
-struct ReduceCalibration {
-  ReduceAlgorithm Algorithm = ReduceAlgorithm::Linear;
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  LinearFit Fit;
-};
-
-/// The calibrated reduce models plus the runtime selector.
-struct ReduceModels {
-  GammaFunction Gamma;
-  std::array<ReduceCalibration, NumReduceAlgorithms> Algorithms;
-  std::uint64_t SegmentBytes = 8 * 1024;
-
-  const ReduceCalibration &of(ReduceAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted reduce time of \p Alg.
-  double predict(ReduceAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t MessageBytes) const;
-
-  /// The model-based decision function for MPI_Reduce.
-  ReduceAlgorithm selectBest(unsigned NumProcs,
-                             std::uint64_t MessageBytes) const;
-};
-
-/// Runs the reduce calibration on \p P.
-ReduceModels calibrateReduce(const Platform &P,
-                             const ReduceCalibrationOptions &Options = {});
-
-/// Runs one reduce over ranks 0..NumProcs-1 and returns the time the
-/// combined result is ready on the root. ComputeSecondsPerByte is
-/// filled from the platform if the config leaves it 0.
-double runReduceOnce(const Platform &P, unsigned NumProcs,
-                     const ReduceConfig &Config, std::uint64_t Seed);
-
-/// Adaptive wrapper around runReduceOnce.
-AdaptiveResult measureReduce(const Platform &P, unsigned NumProcs,
-                             const ReduceConfig &Config,
-                             const AdaptiveOptions &Options = {});
-
-/// One calibration experiment: the modelled reduce followed by a
-/// linear gather without synchronisation of \p GatherBytes, timed on
-/// the root (the Sect. 4.2 experiment shape).
-double runReduceGatherOnce(const Platform &P, unsigned NumProcs,
-                           const ReduceConfig &Config,
-                           std::uint64_t GatherBytes, std::uint64_t Seed);
-
-/// The experiment runReduceOnce replays or, with \p GatherBytes, the
-/// one runReduceGatherOnce replays -- for callers that replay one
-/// shape under seeds of their own choosing.
+/// The experiment of one reduce over ranks 0..NumProcs-1, observing
+/// the time the combined result is ready on the root or, with
+/// \p GatherBytes, the Sect. 4.2 calibration experiment: the reduce
+/// followed by a linear gather without synchronisation, timed on the
+/// root. ComputeSecondsPerByte is filled from the platform if the
+/// config leaves it 0.
 Experiment
 prepareReduce(const Platform &P, unsigned NumProcs, const ReduceConfig &Config,
               std::optional<std::uint64_t> GatherBytes = std::nullopt);
+
+/// Reduce's contribution to the calibration core: the broadcast's
+/// 8 KB .. 4 MB vectors, gathers of m/64 (at least 512 bytes), chain
+/// and binomial segmented.
+template <> struct CollectiveDescriptor<ReduceAlgorithm> {
+  static constexpr CollectiveOp Op = CollectiveOp::Reduce;
+  static constexpr const auto &Algorithms = AllReduceAlgorithms;
+  static constexpr std::uint64_t MinBytes = 8 * 1024;
+  static constexpr std::uint64_t MaxBytes = 4 * 1024 * 1024;
+  static constexpr GatherRamp Gather = {64, 512, UINT64_MAX};
+  static constexpr unsigned SegmentedMask =
+      (1u << static_cast<unsigned>(ReduceAlgorithm::Chain)) |
+      (1u << static_cast<unsigned>(ReduceAlgorithm::Binomial));
+
+  static CostCoefficients cost(ReduceAlgorithm Alg, const ModelQuery &Query,
+                               const GammaFunction &Gamma) {
+    return reduceCostCoefficients(Alg, Query.NumProcs, Query.MessageBytes,
+                                  Query.SegmentBytes, Gamma);
+  }
+  static Experiment prepare(const Platform &P, ReduceAlgorithm Alg,
+                            const ModelQuery &Query,
+                            std::uint64_t GatherBytes) {
+    return prepareReduce(P, Query.NumProcs,
+                         {.Algorithm = Alg,
+                          .MessageBytes = Query.MessageBytes,
+                          .SegmentBytes = Query.SegmentBytes},
+                         GatherBytes);
+  }
+};
+
+using ReduceCalibrationOptions = CalibrationOptions;
+using ReduceModels = CollectiveModels<ReduceAlgorithm>;
+
+/// Runs the reduce calibration on \p P.
+inline ReduceModels
+calibrateReduce(const Platform &P, const CalibrationOptions &Options = {},
+                CollectiveCalibrationReport<ReduceAlgorithm> *Report =
+                    nullptr) {
+  return calibrateCollective<ReduceAlgorithm>(P, Options, Report);
+}
+
+/// Adaptively measures one reduce (prepareReduce(...).measure()).
+AdaptiveResult measureReduce(const Platform &P, unsigned NumProcs,
+                             const ReduceConfig &Config,
+                             const AdaptiveOptions &Options = {});
 
 } // namespace mpicsel
 

@@ -126,11 +126,6 @@ Experiment mpicsel::prepareBcast(const Platform &P, unsigned NumProcs,
   return E;
 }
 
-double mpicsel::runBcastOnce(const Platform &P, unsigned NumProcs,
-                             const BcastConfig &Config, std::uint64_t Seed) {
-  return prepareBcast(P, NumProcs, Config).run(Seed);
-}
-
 AdaptiveResult mpicsel::measureBcast(const Platform &P, unsigned NumProcs,
                                      const BcastConfig &Config,
                                      const AdaptiveOptions &Options) {
@@ -147,21 +142,6 @@ std::vector<OpId> mpicsel::appendGatherTimer(ScheduleBuilder &B,
   Gather.Tag = Tag;
   Gather.Synchronised = false;
   return {appendLinearGather(B, Gather, Entry)[Root]};
-}
-
-double mpicsel::runBcastGatherOnce(const Platform &P, unsigned NumProcs,
-                                   const BcastConfig &Bcast,
-                                   std::uint64_t GatherBytes,
-                                   std::uint64_t Seed) {
-  return prepareBcast(P, NumProcs, Bcast, GatherBytes).run(Seed);
-}
-
-AdaptiveResult mpicsel::measureBcastGather(const Platform &P,
-                                           unsigned NumProcs,
-                                           const BcastConfig &Bcast,
-                                           std::uint64_t GatherBytes,
-                                           const AdaptiveOptions &Options) {
-  return prepareBcast(P, NumProcs, Bcast, GatherBytes).measure(Options);
 }
 
 Experiment mpicsel::prepareLinearBcastTrain(const Platform &P,

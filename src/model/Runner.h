@@ -45,10 +45,14 @@ namespace mpicsel {
 
 class Experiment;
 
-/// The experiment runBcastOnce replays or, with \p GatherBytes, the one
-/// runBcastGatherOnce replays -- for callers that replay one shape
-/// under seeds of their own choosing. Only the plain broadcast feeds
-/// the drift sentinel.
+/// The experiment of one broadcast over ranks 0..NumProcs-1, observing
+/// the collective's completion time -- the latest exit over all ranks,
+/// the usual definition of collective latency -- or, with
+/// \p GatherBytes, the Sect. 4.2 calibration experiment: the modelled
+/// broadcast immediately followed by a linear gather without
+/// synchronisation of \p GatherBytes per rank, timed on the root from
+/// experiment start to the root completing the gather. Only the plain
+/// broadcast feeds the drift sentinel.
 Experiment
 prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
              std::optional<std::uint64_t> GatherBytes = std::nullopt);
@@ -112,32 +116,11 @@ std::vector<OpId> appendGatherTimer(ScheduleBuilder &B,
                                     unsigned Root, int Tag,
                                     std::uint64_t GatherBytes);
 
-/// Runs one broadcast over ranks 0..NumProcs-1 of \p P and returns
-/// the collective's completion time: the latest exit over all ranks
-/// (the usual definition of collective latency). Aborts on malformed
-/// schedules -- those are programming errors.
-double runBcastOnce(const Platform &P, unsigned NumProcs,
-                    const BcastConfig &Config, std::uint64_t Seed);
-
-/// Adaptively repeats runBcastOnce until the paper's 95%/2.5%
-/// criterion is met and returns the statistics.
+/// Adaptively repeats prepareBcast(...).run() until the paper's
+/// 95%/2.5% criterion is met and returns the statistics.
 AdaptiveResult measureBcast(const Platform &P, unsigned NumProcs,
                             const BcastConfig &Config,
                             const AdaptiveOptions &Options = {});
-
-/// Runs one Sect. 4.2 calibration experiment: the modelled broadcast
-/// immediately followed by a linear gather without synchronisation of
-/// \p GatherBytes per rank. Returns the time measured on the root:
-/// from experiment start to the root completing the gather.
-double runBcastGatherOnce(const Platform &P, unsigned NumProcs,
-                          const BcastConfig &Bcast, std::uint64_t GatherBytes,
-                          std::uint64_t Seed);
-
-/// Adaptive wrapper around runBcastGatherOnce.
-AdaptiveResult measureBcastGather(const Platform &P, unsigned NumProcs,
-                                  const BcastConfig &Bcast,
-                                  std::uint64_t GatherBytes,
-                                  const AdaptiveOptions &Options = {});
 
 /// Runs one Sect. 4.1 gamma experiment: \p Calls successive
 /// non-blocking linear broadcasts of \p SegmentBytes over NumProcs

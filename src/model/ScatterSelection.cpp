@@ -7,7 +7,6 @@
 #include "support/Format.h"
 #include "topo/Tree.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <string>
@@ -58,28 +57,6 @@ mpicsel::scatterCostCoefficients(ScatterAlgorithm Alg, unsigned NumProcs,
   MPICSEL_UNREACHABLE("unknown scatter algorithm");
 }
 
-double ScatterModels::predict(ScatterAlgorithm Alg, unsigned NumProcs,
-                              std::uint64_t BlockBytes) const {
-  CostCoefficients C =
-      scatterCostCoefficients(Alg, NumProcs, BlockBytes, Gamma);
-  const ScatterCalibration &Params = of(Alg);
-  return C.evaluate(Params.Alpha, Params.Beta);
-}
-
-ScatterAlgorithm ScatterModels::selectBest(unsigned NumProcs,
-                                           std::uint64_t BlockBytes) const {
-  ScatterAlgorithm Best = AllScatterAlgorithms.front();
-  double BestTime = predict(Best, NumProcs, BlockBytes);
-  for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
-    double Time = predict(Alg, NumProcs, BlockBytes);
-    if (Time < BestTime) {
-      Best = Alg;
-      BestTime = Time;
-    }
-  }
-  return Best;
-}
-
 Experiment
 mpicsel::prepareScatter(const Platform &P, unsigned NumProcs,
                         const ScatterConfig &Config,
@@ -104,84 +81,8 @@ mpicsel::prepareScatter(const Platform &P, unsigned NumProcs,
   });
 }
 
-double mpicsel::runScatterOnce(const Platform &P, unsigned NumProcs,
-                               const ScatterConfig &Config,
-                               std::uint64_t Seed) {
-  return prepareScatter(P, NumProcs, Config).run(Seed);
-}
-
 AdaptiveResult mpicsel::measureScatter(const Platform &P, unsigned NumProcs,
                                        const ScatterConfig &Config,
                                        const AdaptiveOptions &Options) {
   return prepareScatter(P, NumProcs, Config).measure(Options);
-}
-
-double mpicsel::runScatterGatherOnce(const Platform &P, unsigned NumProcs,
-                                     const ScatterConfig &Config,
-                                     std::uint64_t GatherBytes,
-                                     std::uint64_t Seed) {
-  return prepareScatter(P, NumProcs, Config, GatherBytes).run(Seed);
-}
-
-ScatterModels
-mpicsel::calibrateScatter(const Platform &Plat,
-                          const ScatterCalibrationOptions &Options) {
-  ScatterModels Models;
-
-  unsigned NumProcs = Options.NumProcs;
-  if (NumProcs == 0)
-    NumProcs = std::max(2u, Plat.maxProcs() / 2);
-  if (NumProcs > Plat.maxProcs())
-    fatalError("scatter calibration requests more processes than the "
-               "platform hosts");
-
-  std::vector<std::uint64_t> BlockSizes = Options.BlockSizes;
-  if (BlockSizes.empty())
-    for (std::uint64_t Bytes = 1024; Bytes <= 64 * 1024; Bytes *= 2)
-      BlockSizes.push_back(Bytes);
-  std::vector<std::uint64_t> GatherSizes = Options.GatherSizes;
-  if (GatherSizes.empty())
-    for (std::uint64_t BlockBytes : BlockSizes)
-      GatherSizes.push_back(std::max<std::uint64_t>(512, BlockBytes / 4));
-  if (GatherSizes.size() != BlockSizes.size())
-    fatalError("scatter calibration needs one gather size per block size");
-
-  GammaEstimationOptions GammaOpts = Options.GammaOptions;
-  GammaOpts.MaxP =
-      std::max(GammaOpts.MaxP, maxGammaArgument(Plat.maxProcs(), 1));
-  GammaOpts.MaxP = std::min(GammaOpts.MaxP, Plat.maxProcs());
-  Models.Gamma = estimateGamma(Plat, GammaOpts).Gamma;
-
-  for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
-    ScatterCalibration &Calib =
-        Models.Algorithms[static_cast<unsigned>(Alg)];
-    Calib.Algorithm = Alg;
-
-    std::vector<double> X, T;
-    for (std::size_t I = 0; I != BlockSizes.size(); ++I) {
-      ScatterConfig Config;
-      Config.Algorithm = Alg;
-      Config.BlockBytes = BlockSizes[I];
-      AdaptiveOptions Adaptive = Options.Adaptive;
-      Adaptive.BaseSeed = Options.Adaptive.BaseSeed +
-                          0x200000ull * static_cast<unsigned>(Alg) +
-                          0x100ull * I;
-      AdaptiveResult R =
-          prepareScatter(Plat, NumProcs, Config, GatherSizes[I])
-              .measure(Adaptive);
-      CostCoefficients Total =
-          scatterCostCoefficients(Alg, NumProcs, BlockSizes[I],
-                                  Models.Gamma) +
-          linearGatherCostCoefficients(NumProcs, GatherSizes[I]);
-      assert(Total.A > 0 && "degenerate scatter experiment");
-      X.push_back(Total.B / Total.A);
-      T.push_back(R.Stats.Mean / Total.A);
-    }
-    Calib.Fit = Options.UseHuber ? fitHuber(X, T) : fitLeastSquares(X, T);
-    if (!Calib.Fit.Valid)
-      fatalError("scatter alpha/beta regression degenerate");
-    Calib.Alpha = std::max(Calib.Fit.Intercept, 0.0);
-    Calib.Beta = std::max(Calib.Fit.Slope, 0.0);
-  }
-  return Models;
 }

@@ -22,7 +22,8 @@
 ///  * algorithm-specific (alpha, beta) from collective experiments:
 ///    the modelled scatter followed by a linear gather without
 ///    synchronisation, timed on the root, solved with Huber -- the
-///    Sect. 4.2 recipe verbatim;
+///    Sect. 4.2 recipe verbatim, run by the shared core
+///    (model/Calibration.h) from the descriptor below;
 ///  * a runtime selector: argmin over the two models.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,16 +33,14 @@
 
 #include "cluster/Platform.h"
 #include "coll/Scatter.h"
+#include "model/Calibration.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
 #include "model/Runner.h"
 #include "stat/AdaptiveBenchmark.h"
-#include "stat/Regression.h"
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace mpicsel {
 
@@ -52,74 +51,56 @@ CostCoefficients scatterCostCoefficients(ScatterAlgorithm Alg,
                                          std::uint64_t BlockBytes,
                                          const GammaFunction &Gamma);
 
-/// Options of the scatter calibration.
-struct ScatterCalibrationOptions {
-  /// Processes used in the experiments (0 = half the platform).
-  unsigned NumProcs = 0;
-  /// Per-rank block sizes of the experiments; empty selects 1 KB ..
-  /// 64 KB doubling (scatter blocks are per-rank, so the total data
-  /// volume is P times larger).
-  std::vector<std::uint64_t> BlockSizes;
-  /// Gather block sizes (one per experiment); empty derives a ramp.
-  std::vector<std::uint64_t> GatherSizes;
-  GammaEstimationOptions GammaOptions;
-  AdaptiveOptions Adaptive;
-  bool UseHuber = true;
-};
-
-/// Calibration result of one scatter algorithm.
-struct ScatterCalibration {
-  ScatterAlgorithm Algorithm = ScatterAlgorithm::Linear;
-  double Alpha = 0.0;
-  double Beta = 0.0;
-  LinearFit Fit;
-};
-
-/// The calibrated scatter models plus the runtime selector.
-struct ScatterModels {
-  GammaFunction Gamma;
-  std::array<ScatterCalibration, NumScatterAlgorithms> Algorithms;
-
-  const ScatterCalibration &of(ScatterAlgorithm Alg) const {
-    return Algorithms[static_cast<unsigned>(Alg)];
-  }
-
-  /// Predicted scatter time of \p Alg.
-  double predict(ScatterAlgorithm Alg, unsigned NumProcs,
-                 std::uint64_t BlockBytes) const;
-
-  /// The model-based decision function for MPI_Scatter.
-  ScatterAlgorithm selectBest(unsigned NumProcs,
-                              std::uint64_t BlockBytes) const;
-};
-
-/// Runs the scatter calibration on \p P.
-ScatterModels calibrateScatter(const Platform &P,
-                               const ScatterCalibrationOptions &Options = {});
-
-/// Runs one scatter over ranks 0..NumProcs-1 and returns the
-/// collective's completion time (latest exit over all ranks).
-double runScatterOnce(const Platform &P, unsigned NumProcs,
-                      const ScatterConfig &Config, std::uint64_t Seed);
-
-/// Adaptive wrapper around runScatterOnce.
-AdaptiveResult measureScatter(const Platform &P, unsigned NumProcs,
-                              const ScatterConfig &Config,
-                              const AdaptiveOptions &Options = {});
-
-/// One calibration experiment: scatter + linear gather without
-/// synchronisation, timed on the root.
-double runScatterGatherOnce(const Platform &P, unsigned NumProcs,
-                            const ScatterConfig &Config,
-                            std::uint64_t GatherBytes, std::uint64_t Seed);
-
-/// The experiment runScatterOnce replays or, with \p GatherBytes, the
-/// one runScatterGatherOnce replays -- for callers that replay one
-/// shape under seeds of their own choosing.
+/// The experiment of one scatter over ranks 0..NumProcs-1, observing
+/// the collective's completion time (latest exit over all ranks) or,
+/// with \p GatherBytes, the Sect. 4.2 calibration experiment: scatter
+/// + linear gather without synchronisation, timed on the root.
 Experiment
 prepareScatter(const Platform &P, unsigned NumProcs,
                const ScatterConfig &Config,
                std::optional<std::uint64_t> GatherBytes = std::nullopt);
+
+/// Scatter's contribution to the calibration core: per-rank blocks of
+/// 1 KB .. 64 KB (the total data volume is P times larger), gathers of
+/// a quarter block, no segmented algorithm.
+template <> struct CollectiveDescriptor<ScatterAlgorithm> {
+  static constexpr CollectiveOp Op = CollectiveOp::Scatter;
+  static constexpr const auto &Algorithms = AllScatterAlgorithms;
+  static constexpr std::uint64_t MinBytes = 1024;
+  static constexpr std::uint64_t MaxBytes = 64 * 1024;
+  static constexpr GatherRamp Gather = {4, 512, UINT64_MAX};
+  static constexpr unsigned SegmentedMask = 0;
+
+  static CostCoefficients cost(ScatterAlgorithm Alg, const ModelQuery &Query,
+                               const GammaFunction &Gamma) {
+    return scatterCostCoefficients(Alg, Query.NumProcs, Query.MessageBytes,
+                                   Gamma);
+  }
+  static Experiment prepare(const Platform &P, ScatterAlgorithm Alg,
+                            const ModelQuery &Query,
+                            std::uint64_t GatherBytes) {
+    return prepareScatter(
+        P, Query.NumProcs,
+        {.Algorithm = Alg, .BlockBytes = Query.MessageBytes}, GatherBytes);
+  }
+};
+
+using ScatterCalibrationOptions = CalibrationOptions;
+using ScatterModels = CollectiveModels<ScatterAlgorithm>;
+
+/// Runs the scatter calibration on \p P (Options.MessageSizes are the
+/// per-rank block sizes).
+inline ScatterModels
+calibrateScatter(const Platform &P, const CalibrationOptions &Options = {},
+                 CollectiveCalibrationReport<ScatterAlgorithm> *Report =
+                     nullptr) {
+  return calibrateCollective<ScatterAlgorithm>(P, Options, Report);
+}
+
+/// Adaptively measures one scatter (prepareScatter(...).measure()).
+AdaptiveResult measureScatter(const Platform &P, unsigned NumProcs,
+                              const ScatterConfig &Config,
+                              const AdaptiveOptions &Options = {});
 
 } // namespace mpicsel
 

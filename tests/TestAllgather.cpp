@@ -233,9 +233,9 @@ TEST(AllgatherRunner, DeterministicAndComposable) {
   AllgatherConfig Config;
   Config.Algorithm = AllgatherAlgorithm::RecursiveDoubling;
   Config.BlockBytes = 2048;
-  EXPECT_EQ(runAllgatherOnce(Plat, 8, Config, 3),
-            runAllgatherOnce(Plat, 8, Config, 3));
-  double AllgatherOnly = runAllgatherOnce(Plat, 8, Config, 3);
-  double WithGather = runAllgatherGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(prepareAllgather(Plat, 8, Config).run(3),
+            prepareAllgather(Plat, 8, Config).run(3));
+  double AllgatherOnly = prepareAllgather(Plat, 8, Config).run(3);
+  double WithGather = prepareAllgather(Plat, 8, Config, 1024).run(3);
   EXPECT_GT(WithGather, AllgatherOnly);
 }

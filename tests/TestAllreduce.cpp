@@ -211,9 +211,9 @@ TEST(AllreduceRunner, DeterministicAndComposable) {
   AllreduceConfig Config;
   Config.Algorithm = AllreduceAlgorithm::Ring;
   Config.MessageBytes = 65536;
-  EXPECT_EQ(runAllreduceOnce(Plat, 8, Config, 3),
-            runAllreduceOnce(Plat, 8, Config, 3));
-  double AllreduceOnly = runAllreduceOnce(Plat, 8, Config, 3);
-  double WithGather = runAllreduceGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(prepareAllreduce(Plat, 8, Config).run(3),
+            prepareAllreduce(Plat, 8, Config).run(3));
+  double AllreduceOnly = prepareAllreduce(Plat, 8, Config).run(3);
+  double WithGather = prepareAllreduce(Plat, 8, Config, 1024).run(3);
   EXPECT_GT(WithGather, AllreduceOnly);
 }

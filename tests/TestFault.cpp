@@ -57,7 +57,7 @@ TEST(FaultGolden, TestPlatformBinomialBitIdentical) {
   C.Algorithm = BcastAlgorithm::Binomial;
   C.MessageBytes = 64 * 1024;
   C.SegmentBytes = 8 * 1024;
-  EXPECT_EQ(runBcastOnce(P, 8, C, 1), 0.00022136000000000001);
+  EXPECT_EQ(prepareBcast(P, 8, C).run(1), 0.00022136000000000001);
 }
 
 TEST(FaultGolden, GrisouChainBitIdentical) {
@@ -66,7 +66,7 @@ TEST(FaultGolden, GrisouChainBitIdentical) {
   C.Algorithm = BcastAlgorithm::Chain;
   C.MessageBytes = 1024 * 1024;
   C.SegmentBytes = 8 * 1024;
-  EXPECT_EQ(runBcastOnce(P, 40, C, 0xDEADBEEFull), 0.0028136758411903945);
+  EXPECT_EQ(prepareBcast(P, 40, C).run(0xDEADBEEFull), 0.0028136758411903945);
 }
 
 TEST(FaultGolden, GrosSplitBinaryBitIdentical) {
@@ -75,7 +75,7 @@ TEST(FaultGolden, GrosSplitBinaryBitIdentical) {
   C.Algorithm = BcastAlgorithm::SplitBinary;
   C.MessageBytes = 256 * 1024;
   C.SegmentBytes = 8 * 1024;
-  EXPECT_EQ(runBcastOnce(P, 32, C, 42), 0.00033429367027044157);
+  EXPECT_EQ(prepareBcast(P, 32, C).run(42), 0.00033429367027044157);
 }
 
 TEST(FaultGolden, GrisouBcastGatherBitIdentical) {
@@ -84,7 +84,7 @@ TEST(FaultGolden, GrisouBcastGatherBitIdentical) {
   C.Algorithm = BcastAlgorithm::Binary;
   C.MessageBytes = 128 * 1024;
   C.SegmentBytes = 8 * 1024;
-  EXPECT_EQ(runBcastGatherOnce(P, 16, C, 4096, 7), 0.00080420776489600844);
+  EXPECT_EQ(prepareBcast(P, 16, C, 4096).run(7), 0.00080420776489600844);
 }
 
 TEST(FaultGolden, EmptyScheduleTakesFaultFreePath) {

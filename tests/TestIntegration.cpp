@@ -190,7 +190,7 @@ TEST(ModelVsSim, ChainScalesWithSegmentsLikeTheModelSays) {
   Config.SegmentBytes = 8192;
   auto timeOf = [&](std::uint64_t M) {
     Config.MessageBytes = M;
-    return runBcastOnce(P, 16, Config, 0);
+    return prepareBcast(P, 16, Config).run(0);
   };
   double T1 = timeOf(1 << 20), T2 = timeOf(2 << 20), T4 = timeOf(4 << 20);
   double FirstDelta = T2 - T1, SecondDelta = T4 - T2;
@@ -206,7 +206,7 @@ TEST(ModelVsSim, LinearBcastTimeGrowsLinearlyInRanks) {
   Config.MessageBytes = 8192;
   Config.SegmentBytes = 0;
   auto timeOf = [&](unsigned Procs) {
-    return runBcastOnce(P, Procs, Config, 0);
+    return prepareBcast(P, Procs, Config).run(0);
   };
   double T16 = timeOf(16), T32 = timeOf(32), T64 = timeOf(64);
   EXPECT_NEAR(T64 - T32, 2 * (T32 - T16), 0.10 * (T64 - T32));

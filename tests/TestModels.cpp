@@ -24,9 +24,9 @@ GammaFunction paperGrisouGamma() {
   return GammaFunction({1.0, 1.114, 1.219, 1.283, 1.451, 1.540});
 }
 
-BcastModelQuery query(unsigned P, std::uint64_t M, std::uint64_t Seg = 8192,
-                      unsigned K = 4) {
-  BcastModelQuery Q;
+ModelQuery query(unsigned P, std::uint64_t M, std::uint64_t Seg = 8192,
+                 unsigned K = 4) {
+  ModelQuery Q;
   Q.NumProcs = P;
   Q.MessageBytes = M;
   Q.SegmentBytes = Seg;
@@ -319,7 +319,7 @@ TEST(CostModels, SplitBinaryHeightMatchesBuiltTopologyEverywhere) {
   // and n_s = 2 gives A - 1 = Hio.
   GammaFunction G;
   for (unsigned P = 3; P <= 300; ++P) {
-    BcastModelQuery Q;
+    ModelQuery Q;
     Q.NumProcs = P;
     Q.MessageBytes = 2 * 8192;
     Q.SegmentBytes = 8192;
@@ -333,7 +333,7 @@ TEST(CostModels, SplitBinaryHeightMatchesBuiltTopologyEverywhere) {
 TEST(CostModels, BinaryHeightMatchesBuiltTopologyEverywhere) {
   GammaFunction G;
   for (unsigned P = 2; P <= 300; ++P) {
-    BcastModelQuery Q;
+    ModelQuery Q;
     Q.NumProcs = P;
     Q.MessageBytes = 8192;
     Q.SegmentBytes = 8192;

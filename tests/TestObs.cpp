@@ -244,6 +244,11 @@ TEST(Metrics, RunnerExperimentsCountEveryReplayOfEveryCollective) {
                                 Before.counter(obs::Counter::EngineReplays);
   EXPECT_GT(Replays, 0u);
   EXPECT_EQ(Experiments, Replays);
+  // calib.experiments counts the calibration's own measurements: one
+  // per (algorithm, size) point, 3 allreduce algorithms x 3 sizes.
+  EXPECT_EQ(After.counter(obs::Counter::CalibExperiments) -
+                Before.counter(obs::Counter::CalibExperiments),
+            9u);
   setEngineMode(SavedMode);
 }
 

@@ -14,10 +14,14 @@
 
 #include "coll/Bcast.h"
 #include "fault/Fault.h"
+#include "model/AllgatherSelection.h"
+#include "model/AllreduceSelection.h"
 #include "model/Calibration.h"
 #include "model/DecisionCache.h"
 #include "model/Gamma.h"
+#include "model/ReduceSelection.h"
 #include "model/Runner.h"
+#include "model/ScatterSelection.h"
 #include "mpi/ScheduleIntern.h"
 #include "stat/ParallelSweep.h"
 #include "support/ThreadPool.h"
@@ -53,8 +57,9 @@ CalibrationOptions quickOptions(unsigned NumProcs) {
 
 /// Asserts bit-for-bit equality of two calibration results: gamma
 /// table and fit, every algorithm's parameters and canonical system.
-void expectModelsIdentical(const CalibratedModels &A,
-                           const CalibratedModels &B) {
+template <typename AlgT>
+void expectModelsIdentical(const CollectiveModels<AlgT> &A,
+                           const CollectiveModels<AlgT> &B) {
   EXPECT_EQ(A.SegmentBytes, B.SegmentBytes);
   EXPECT_EQ(A.KChainFanout, B.KChainFanout);
   ASSERT_EQ(A.Gamma.measuredMax(), B.Gamma.measuredMax());
@@ -62,11 +67,13 @@ void expectModelsIdentical(const CalibratedModels &A,
     EXPECT_EQ(A.Gamma(P), B.Gamma(P)) << "gamma P=" << P;
   EXPECT_EQ(A.Gamma.fit().Intercept, B.Gamma.fit().Intercept);
   EXPECT_EQ(A.Gamma.fit().Slope, B.Gamma.fit().Slope);
-  for (BcastAlgorithm Alg : AllBcastAlgorithms) {
-    const AlgorithmCalibration &CA = A.of(Alg);
-    const AlgorithmCalibration &CB = B.of(Alg);
-    EXPECT_EQ(CA.Alpha, CB.Alpha) << bcastAlgorithmName(Alg);
-    EXPECT_EQ(CA.Beta, CB.Beta) << bcastAlgorithmName(Alg);
+  for (std::size_t Alg = 0; Alg != A.Algorithms.size(); ++Alg) {
+    const CollectiveAlgorithmCalibration<AlgT> &CA = A.Algorithms[Alg];
+    const CollectiveAlgorithmCalibration<AlgT> &CB = B.Algorithms[Alg];
+    SCOPED_TRACE("algorithm " + std::to_string(Alg));
+    EXPECT_EQ(CA.Algorithm, CB.Algorithm);
+    EXPECT_EQ(CA.Alpha, CB.Alpha);
+    EXPECT_EQ(CA.Beta, CB.Beta);
     ASSERT_EQ(CA.CanonicalX.size(), CB.CanonicalX.size());
     for (std::size_t I = 0; I != CA.CanonicalX.size(); ++I) {
       EXPECT_EQ(CA.CanonicalX[I], CB.CanonicalX[I]);
@@ -194,21 +201,39 @@ TEST(Parallel, GammaEstimationBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(Serial.Gamma(P), Threaded.Gamma(P));
 }
 
-TEST(Parallel, CalibrationBitIdenticalAcrossThreadCountsAndSeeds) {
-  Platform Plat = smallCluster();
+/// Calibrates the collective of \p AlgT serially and on 2, 4 and 5
+/// threads under two seeds; every result must equal the serial one bit
+/// for bit.
+template <typename AlgT>
+void expectCalibrationThreadInvariant(
+    const Platform &Plat, const std::vector<std::uint64_t> &Sizes) {
   for (std::uint64_t Seed : {std::uint64_t(1), std::uint64_t(12345)}) {
     CalibrationOptions Options = quickOptions(12);
+    Options.MessageSizes = Sizes;
     Options.Adaptive.BaseSeed = Seed;
     Options.Threads = 1;
-    CalibratedModels Serial = calibrate(Plat, Options);
-    for (unsigned Threads : {2u, 5u}) {
+    const CollectiveModels<AlgT> Serial =
+        calibrateCollective<AlgT>(Plat, Options);
+    for (unsigned Threads : {2u, 4u, 5u}) {
       Options.Threads = Threads;
-      CalibratedModels Threaded = calibrate(Plat, Options);
-      SCOPED_TRACE("seed " + std::to_string(Seed) + " threads " +
+      SCOPED_TRACE(std::string(collectiveOpName(
+                       CollectiveDescriptor<AlgT>::Op)) +
+                   " seed " + std::to_string(Seed) + " threads " +
                    std::to_string(Threads));
-      expectModelsIdentical(Serial, Threaded);
+      expectModelsIdentical(Serial, calibrateCollective<AlgT>(Plat, Options));
     }
   }
+}
+
+TEST(Parallel, CalibrationBitIdenticalAcrossThreadCountsAndSeeds) {
+  const Platform Plat = smallCluster();
+  const std::vector<std::uint64_t> Vectors = quickOptions(12).MessageSizes;
+  const std::vector<std::uint64_t> Blocks = {1024, 4096, 16384, 65536};
+  expectCalibrationThreadInvariant<BcastAlgorithm>(Plat, Vectors);
+  expectCalibrationThreadInvariant<ScatterAlgorithm>(Plat, Blocks);
+  expectCalibrationThreadInvariant<ReduceAlgorithm>(Plat, Vectors);
+  expectCalibrationThreadInvariant<AllgatherAlgorithm>(Plat, Blocks);
+  expectCalibrationThreadInvariant<AllreduceAlgorithm>(Plat, Vectors);
 }
 
 TEST(Parallel, CalibrationBitIdenticalUnderFaultScenario) {

@@ -94,12 +94,12 @@ TEST(Reduce, ComputeCostIsCharged) {
   Config.MessageBytes = 1 << 20;
   Config.SegmentBytes = 8192;
   Config.ComputeSecondsPerByte = 0.0;
-  double Free = runReduceOnce(P, 8, Config, 0);
-  // runReduceOnce fills 0 from the platform; force distinct values.
+  double Free = prepareReduce(P, 8, Config).run(0);
+  // prepareReduce fills 0 from the platform; force distinct values.
   Config.ComputeSecondsPerByte = 1e-12; // Effectively free.
-  double Cheap = runReduceOnce(P, 8, Config, 0);
+  double Cheap = prepareReduce(P, 8, Config).run(0);
   Config.ComputeSecondsPerByte = 5e-9; // Slower than the network.
-  double Expensive = runReduceOnce(P, 8, Config, 0);
+  double Expensive = prepareReduce(P, 8, Config).run(0);
   EXPECT_GT(Expensive, 1.5 * Cheap);
   EXPECT_GT(Free, 0.0);
 }
@@ -111,7 +111,7 @@ TEST(Reduce, PipelineBeatsLinearOnLargeVectors) {
     Config.Algorithm = Alg;
     Config.MessageBytes = 4 << 20;
     Config.SegmentBytes = 8192;
-    return runReduceOnce(P, 24, Config, 0);
+    return prepareReduce(P, 24, Config).run(0);
   };
   // The linear reduce drains 23 x 4 MB through one NIC; the
   // segmented trees pipeline.
@@ -183,8 +183,8 @@ TEST(ReduceRunner, DeterministicPerSeed) {
   ReduceConfig Config;
   Config.Algorithm = ReduceAlgorithm::Binomial;
   Config.MessageBytes = 65536;
-  EXPECT_EQ(runReduceOnce(Plat, 16, Config, 9),
-            runReduceOnce(Plat, 16, Config, 9));
-  EXPECT_NE(runReduceOnce(Plat, 16, Config, 9),
-            runReduceOnce(Plat, 16, Config, 10));
+  EXPECT_EQ(prepareReduce(Plat, 16, Config).run(9),
+            prepareReduce(Plat, 16, Config).run(9));
+  EXPECT_NE(prepareReduce(Plat, 16, Config).run(9),
+            prepareReduce(Plat, 16, Config).run(10));
 }

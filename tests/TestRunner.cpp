@@ -137,8 +137,8 @@ const std::vector<Case> &catalogue() {
        }},
       {"bcast_gather",
        [](const Platform &P, const AdaptiveOptions &O) {
-         return measureBcastGather(P, NumProcs, bcastConfig(), GatherBytes,
-                                   O);
+         return prepareBcast(P, NumProcs, bcastConfig(), GatherBytes)
+             .measure(O);
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
@@ -368,49 +368,49 @@ using RunnerDeathTest = ::testing::Test;
 TEST(RunnerDeathTest, BcastRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
-  EXPECT_DEATH(runBcastOnce(P, Over, bcastConfig(), 0), TooManyRanks);
+  EXPECT_DEATH(prepareBcast(P, Over, bcastConfig()).run(0), TooManyRanks);
   EXPECT_DEATH(measureBcast(P, Over, bcastConfig()), TooManyRanks);
-  EXPECT_DEATH(runBcastGatherOnce(P, Over, bcastConfig(), GatherBytes, 0),
+  EXPECT_DEATH(prepareBcast(P, Over, bcastConfig(), GatherBytes).run(0),
                TooManyRanks);
 }
 
 TEST(RunnerDeathTest, ScatterRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
-  EXPECT_DEATH(runScatterOnce(P, Over, scatterConfig(), 0), TooManyRanks);
+  EXPECT_DEATH(prepareScatter(P, Over, scatterConfig()).run(0), TooManyRanks);
   EXPECT_DEATH(measureScatter(P, Over, scatterConfig()), TooManyRanks);
   EXPECT_DEATH(
-      runScatterGatherOnce(P, Over, scatterConfig(), GatherBytes, 0),
+      prepareScatter(P, Over, scatterConfig(), GatherBytes).run(0),
       TooManyRanks);
 }
 
 TEST(RunnerDeathTest, ReduceRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
-  EXPECT_DEATH(runReduceOnce(P, Over, reduceConfig(), 0), TooManyRanks);
+  EXPECT_DEATH(prepareReduce(P, Over, reduceConfig()).run(0), TooManyRanks);
   EXPECT_DEATH(measureReduce(P, Over, reduceConfig()), TooManyRanks);
-  EXPECT_DEATH(runReduceGatherOnce(P, Over, reduceConfig(), GatherBytes, 0),
+  EXPECT_DEATH(prepareReduce(P, Over, reduceConfig(), GatherBytes).run(0),
                TooManyRanks);
 }
 
 TEST(RunnerDeathTest, AllgatherRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
-  EXPECT_DEATH(runAllgatherOnce(P, Over, allgatherConfig(), 0),
+  EXPECT_DEATH(prepareAllgather(P, Over, allgatherConfig()).run(0),
                TooManyRanks);
   EXPECT_DEATH(measureAllgather(P, Over, allgatherConfig()), TooManyRanks);
   EXPECT_DEATH(
-      runAllgatherGatherOnce(P, Over, allgatherConfig(), GatherBytes, 0),
+      prepareAllgather(P, Over, allgatherConfig(), GatherBytes).run(0),
       TooManyRanks);
 }
 
 TEST(RunnerDeathTest, AllreduceRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
-  EXPECT_DEATH(runAllreduceOnce(P, Over, allreduceConfig(), 0),
+  EXPECT_DEATH(prepareAllreduce(P, Over, allreduceConfig()).run(0),
                TooManyRanks);
   EXPECT_DEATH(measureAllreduce(P, Over, allreduceConfig()), TooManyRanks);
   EXPECT_DEATH(
-      runAllreduceGatherOnce(P, Over, allreduceConfig(), GatherBytes, 0),
+      prepareAllreduce(P, Over, allreduceConfig(), GatherBytes).run(0),
       TooManyRanks);
 }

@@ -185,9 +185,9 @@ TEST(ScatterRunner, DeterministicAndComposable) {
   ScatterConfig Config;
   Config.Algorithm = ScatterAlgorithm::Binomial;
   Config.BlockBytes = 2048;
-  EXPECT_EQ(runScatterOnce(Plat, 8, Config, 3),
-            runScatterOnce(Plat, 8, Config, 3));
-  double ScatterOnly = runScatterOnce(Plat, 8, Config, 3);
-  double WithGather = runScatterGatherOnce(Plat, 8, Config, 1024, 3);
+  EXPECT_EQ(prepareScatter(Plat, 8, Config).run(3),
+            prepareScatter(Plat, 8, Config).run(3));
+  double ScatterOnly = prepareScatter(Plat, 8, Config).run(3);
+  double WithGather = prepareScatter(Plat, 8, Config, 1024).run(3);
   EXPECT_GT(WithGather, ScatterOnly);
 }

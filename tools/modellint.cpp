@@ -135,6 +135,29 @@ bool writeReportJson(const std::string &Path, const std::string &Subject,
   return Ok;
 }
 
+/// Calibrates the collective of \p AlgT on \p P afresh and flattens the
+/// models over the audit grid; \p Predict receives their cost function
+/// for the table audit.
+template <typename AlgT>
+DecisionTable calibrateTable(const Platform &P, bool Quick,
+                             const AuditOptions &Options,
+                             TableCostFn &Predict) {
+  CalibrationOptions CalOptions;
+  if (Quick) {
+    CalOptions.Adaptive.MinReps = 3;
+    CalOptions.Adaptive.MaxReps = 8;
+    CalOptions.GammaOptions.Adaptive.MinReps = 3;
+    CalOptions.GammaOptions.Adaptive.MaxReps = 8;
+  }
+  const CollectiveModels<AlgT> Models =
+      calibrateCollective<AlgT>(P, CalOptions);
+  Predict = [Models](unsigned Choice, unsigned NumProcs,
+                     std::uint64_t Bytes) {
+    return Models.predict(static_cast<AlgT>(Choice), NumProcs, Bytes);
+  };
+  return buildDecisionTable(Models, Options.Procs, Options.MessageSizes);
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -320,41 +343,11 @@ int main(int Argc, char **Argv) {
       for (unsigned Procs = 2; Procs <= P.maxProcs(); Procs *= 2)
         Options.Procs.push_back(Procs);
     const auto SweepStart = std::chrono::steady_clock::now();
-    DecisionTable Built;
     TableCostFn Predict;
-    if (*Collective == CollectiveOp::Allgather) {
-      AllgatherCalibrationOptions CalOptions;
-      if (Quick) {
-        CalOptions.Adaptive.MinReps = 3;
-        CalOptions.Adaptive.MaxReps = 8;
-        CalOptions.GammaOptions.Adaptive.MinReps = 3;
-        CalOptions.GammaOptions.Adaptive.MaxReps = 8;
-      }
-      const AllgatherModels Models = calibrateAllgather(P, CalOptions);
-      Built = buildAllgatherDecisionTable(Models, Options.Procs,
-                                          Options.MessageSizes);
-      Predict = [Models](unsigned Choice, unsigned NumProcs,
-                         std::uint64_t Bytes) {
-        return Models.predict(static_cast<AllgatherAlgorithm>(Choice),
-                              NumProcs, Bytes);
-      };
-    } else {
-      AllreduceCalibrationOptions CalOptions;
-      if (Quick) {
-        CalOptions.Adaptive.MinReps = 3;
-        CalOptions.Adaptive.MaxReps = 8;
-        CalOptions.GammaOptions.Adaptive.MinReps = 3;
-        CalOptions.GammaOptions.Adaptive.MaxReps = 8;
-      }
-      const AllreduceModels Models = calibrateAllreduce(P, CalOptions);
-      Built = buildAllreduceDecisionTable(Models, Options.Procs,
-                                          Options.MessageSizes);
-      Predict = [Models](unsigned Choice, unsigned NumProcs,
-                         std::uint64_t Bytes) {
-        return Models.predict(static_cast<AllreduceAlgorithm>(Choice),
-                              NumProcs, Bytes);
-      };
-    }
+    const DecisionTable Built =
+        *Collective == CollectiveOp::Allgather
+            ? calibrateTable<AllgatherAlgorithm>(P, Quick, Options, Predict)
+            : calibrateTable<AllreduceAlgorithm>(P, Quick, Options, Predict);
     AuditReport Report = auditDecisionTable(Built, Predict, Options);
     if (!DumpTable.empty() && !writeDecisionTableFile(DumpTable, Built)) {
       std::fprintf(stderr, "error: cannot write table to '%s'\n",
