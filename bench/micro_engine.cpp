@@ -6,14 +6,18 @@
 // Measures the replay throughput of the compiled schedule engine
 // (sim/Engine.h) against the legacy per-Op interpreter on the
 // schedules the calibration sweeps replay thousands of times, and
-// proves two properties the compiled path claims:
+// proves three properties the compiled path claims:
 //
 //  * bit-identity: every OpTiming of a compiled run equals the legacy
 //    run's at the same (schedule, platform, seed);
+//  * the measurement replay -- no per-op timeline, only the exit ops'
+//    completion times -- observes the same latest exit completion as
+//    the full replay, over several seeds;
 //  * allocation-free replay: after the first run of a schedule shape,
-//    Engine::run performs zero heap allocations. The global operator
-//    new/delete of this binary are replaced below to count through
-//    bench::countAllocation(), so the claim is enforced, not assumed.
+//    Engine::run performs zero heap allocations, with and without the
+//    timeline. The global operator new/delete of this binary are
+//    replaced below to count through bench::countAllocation(), so the
+//    claim is enforced, not assumed.
 //
 // The deterministic facts (op and event counts, identity flags,
 // allocation counts) land in the gated `metrics` section of the --json
@@ -43,6 +47,7 @@
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -409,16 +414,17 @@ int main(int Argc, char **Argv) {
   Report.info("platform", Plat.Name);
 
   Table Results({"case", "ops", "events", "legacy ns/op", "compiled ns/op",
-                 "compiled ns/event", "speedup", "identical",
-                 "replay allocs"});
+                 "compiled ns/event", "lean ns/event", "speedup", "identical",
+                 "lean identical", "replay allocs", "lean allocs"});
   Results.setTitle("legacy interpreter vs compiled replay");
 
   bool AllIdentical = true;
+  bool AllLeanIdentical = true;
   bool AllAllocFree = true;
 
   for (const BenchCase &Case : benchCases()) {
     ScheduleBuilder B(Case.NumProcs);
-    appendBcast(B, Case.Config);
+    const std::vector<OpId> Exit = appendBcast(B, Case.Config);
     CompiledSchedule CS = compileSchedule(B.take());
     const std::size_t NumOps = CS.numOps();
 
@@ -464,11 +470,53 @@ int main(int Argc, char **Argv) {
     }
     AllAllocFree = AllAllocFree && ReplayAllocs == 0;
 
+    // The measurement replay (model/Runner's Experiment): no timeline,
+    // only the exit ops' completion times. Its latest exit completion
+    // must be the full replay's, over several seeds.
+    ReplayOptions Lean;
+    Lean.RecordTimings = false;
+    Lean.ExitOps = Exit;
+    Engine LeanEngine;
+    bool LeanIdentical = true;
+    for (std::uint64_t Seed = 9001; Seed != 9006; ++Seed) {
+      double Full = 0.0;
+      const ExecutionResult &R = E.run(CS, Plat, Seed);
+      for (OpId Id : Exit)
+        Full = std::max(Full, R.doneTime(Id));
+      double Latest = 0.0;
+      const ExecutionResult &L =
+          LeanEngine.run(CS, Plat, Seed, nullptr, Lean);
+      for (double Done : L.ExitTimes)
+        Latest = std::max(Latest, Done);
+      LeanIdentical = LeanIdentical && L.Completed && L.Timings.empty() &&
+                      Latest == Full;
+    }
+    AllLeanIdentical = AllLeanIdentical && LeanIdentical;
+
+    // Lean loop: warmed by the probes above, so it must not allocate.
+    double LeanSeconds = 0.0;
+    std::uint64_t LeanAllocs = 0;
+    std::uint64_t LeanEvents = 0;
+    {
+      obs::PhaseSpan ReplaySpan(obs::Phase::Replay, Case.Name + "_lean");
+      const std::uint64_t AllocsBefore = allocationCount();
+      auto LeanStart = std::chrono::steady_clock::now();
+      for (unsigned Rep = 0; Rep != NumReps; ++Rep) {
+        Sink += LeanEngine.run(CS, Plat, Rep + 1, nullptr, Lean).Makespan;
+        LeanEvents += LeanEngine.eventsProcessed();
+      }
+      LeanSeconds = secondsSince(LeanStart);
+      LeanAllocs = allocationCount() - AllocsBefore;
+    }
+    AllAllocFree = AllAllocFree && LeanAllocs == 0;
+
     const double TotalOps = static_cast<double>(NumOps) * NumReps;
     const double LegacyNsPerOp = LegacySeconds * 1e9 / TotalOps;
     const double CompiledNsPerOp = CompiledSeconds * 1e9 / TotalOps;
     const double CompiledNsPerEvent =
         CompiledSeconds * 1e9 / static_cast<double>(ReplayEvents);
+    const double LeanNsPerEvent =
+        LeanSeconds * 1e9 / static_cast<double>(LeanEvents);
     const double Speedup =
         CompiledSeconds > 0.0 ? LegacySeconds / CompiledSeconds : 0.0;
 
@@ -478,20 +526,28 @@ int main(int Argc, char **Argv) {
                     strFormat("%.1f", LegacyNsPerOp),
                     strFormat("%.1f", CompiledNsPerOp),
                     strFormat("%.1f", CompiledNsPerEvent),
+                    strFormat("%.1f", LeanNsPerEvent),
                     strFormat("%.2fx", Speedup), Identical ? "yes" : "NO",
+                    LeanIdentical ? "yes" : "NO",
                     strFormat("%llu",
-                              static_cast<unsigned long long>(ReplayAllocs))});
+                              static_cast<unsigned long long>(ReplayAllocs)),
+                    strFormat("%llu",
+                              static_cast<unsigned long long>(LeanAllocs))});
 
     Report.metric(Case.Name + "_ops", static_cast<double>(NumOps));
     Report.metric(Case.Name + "_events", static_cast<double>(ProbeEvents));
     Report.metric(Case.Name + "_identical", Identical ? 1.0 : 0.0);
     Report.metric(Case.Name + "_replay_allocs",
                   static_cast<double>(ReplayAllocs));
+    Report.metric(Case.Name + "_lean_identical", LeanIdentical ? 1.0 : 0.0);
+    Report.metric(Case.Name + "_lean_replay_allocs",
+                  static_cast<double>(LeanAllocs));
     if (Case.BudgetThroughput)
       Report.metric(Case.Name + "_compiled_ns_per_event", CompiledNsPerEvent);
     Report.timing(Case.Name + "_legacy_ns_per_op", LegacyNsPerOp);
     Report.timing(Case.Name + "_compiled_ns_per_op", CompiledNsPerOp);
     Report.timing(Case.Name + "_compiled_ns_per_event", CompiledNsPerEvent);
+    Report.timing(Case.Name + "_lean_ns_per_event", LeanNsPerEvent);
     Report.timing(Case.Name + "_speedup", Speedup);
 
     // Keep the loops observable.
@@ -501,7 +557,9 @@ int main(int Argc, char **Argv) {
 
   Results.print();
   std::printf("\nEvery case must replay bit-identically to the legacy "
-              "interpreter and allocation-free\nafter warm-up; throughput "
+              "interpreter, observe the same\nlatest exit completion "
+              "without the timeline, and replay allocation-free\nafter "
+              "warm-up either way; throughput "
               "columns are host-dependent, and only the deep-heap\ncase's "
               "compiled ns/event is capped, by the committed budget "
               "(bench/baselines/\nBENCH_micro_engine.json).\n");
@@ -509,6 +567,11 @@ int main(int Argc, char **Argv) {
   if (!AllIdentical) {
     std::fprintf(stderr, "error: compiled replay diverged from the legacy "
                          "interpreter\n");
+    return 1;
+  }
+  if (!AllLeanIdentical) {
+    std::fprintf(stderr, "error: the replay without the timeline observed a "
+                         "different exit completion\n");
     return 1;
   }
   if (!AllAllocFree) {

@@ -306,10 +306,11 @@ if [ "$RUN_TSAN" -eq 1 ]; then
   cmake --build build-tsan -j
 
   # Everything that fans work over threads: the sweep tests, the
+  # helper pool and every suite that measures through Experiment, the
   # journal/metrics shards, the audit sweep, and the threaded tools.
   step "threaded tests under TSan"
   ctest --test-dir build-tsan --output-on-failure \
-    -R "Parallel|Obs|Audit|Drift|Serve|Allgather|Allreduce" \
+    -R "Parallel|HelperPool|Obs|Audit|Drift|Serve|Allgather|Allreduce|Runner|UnifiedReplayPath|Calibration|GammaEstimation|Selection|AdaptiveMeasurement|Robust|Fault" \
     --timeout "$CTEST_TIMEOUT"
 
   step "threaded tools under TSan"

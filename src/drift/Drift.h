@@ -38,8 +38,10 @@
 /// score crosses the threshold with enough samples behind it. All
 /// state updates are plain arithmetic on the observation stream, so
 /// a cell's verdict is bit-deterministic given the same per-cell
-/// sample order (parallel sweeps preserve it: one grid point's
-/// repetitions run on one worker).
+/// sample order. The replay feed preserves it: one grid point's
+/// measurement runs on one sweep worker, and although its first
+/// repetitions replay side by side on helper threads, the measuring
+/// thread feeds their observations in repetition order.
 ///
 /// Quarantine and repair. Under MPICSEL_DRIFT=repair a tripped cell
 /// is quarantined: model/RobustSelector degrades exactly that cell to

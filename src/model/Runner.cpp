@@ -10,6 +10,7 @@
 #include "sim/Engine.h"
 #include "support/Error.h"
 #include "support/Format.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -55,6 +56,21 @@ Experiment::Experiment(const Platform &P, unsigned NumProcs,
 }
 
 double Experiment::run(std::uint64_t Seed) const {
+  const double Observation = replay(Seed, workerEngine());
+  feedDrift(Observation);
+  return Observation;
+}
+
+ReplayOptions Experiment::leanReplay() const {
+  // The observation reads only the exit ops, so the replay keeps no
+  // per-op timeline.
+  ReplayOptions Lean;
+  Lean.RecordTimings = false;
+  Lean.ExitOps = Schedule->Exit;
+  return Lean;
+}
+
+double Experiment::replay(std::uint64_t Seed, Engine &E) const {
   // Every simulated measurement in the process funnels through here,
   // whichever engine executes it.
   obs::bump(obs::Counter::RunnerExperiments);
@@ -62,18 +78,26 @@ double Experiment::run(std::uint64_t Seed) const {
   // through the legacy interpreter instead -- one env variable
   // (MPICSEL_ENGINE=legacy) flips the whole measurement stack for
   // differential testing.
-  ExecutionResult LegacyResult;
-  const ExecutionResult *R = &LegacyResult;
-  if (engineMode() == EngineMode::Legacy)
-    LegacyResult = runScheduleLegacy(Schedule->Compiled.Source, *Plat, Seed);
-  else
-    R = &workerEngine().run(Schedule->Compiled, *Plat, Seed);
-  if (!R->Completed)
-    fatalError(strFormat("%s schedule deadlocked: ", Label) + R->Diagnostic);
   double Latest = 0.0;
-  for (OpId Id : Schedule->Exit)
-    Latest = std::max(Latest, R->doneTime(Id));
-  const double Observation = Latest / TimeDivisor;
+  if (engineMode() == EngineMode::Legacy) {
+    const ExecutionResult R =
+        runScheduleLegacy(Schedule->Compiled.Source, *Plat, Seed);
+    if (!R.Completed)
+      fatalError(strFormat("%s schedule deadlocked: ", Label) + R.Diagnostic);
+    for (OpId Id : Schedule->Exit)
+      Latest = std::max(Latest, R.doneTime(Id));
+    return Latest / TimeDivisor;
+  }
+  const ExecutionResult &R =
+      E.run(Schedule->Compiled, *Plat, Seed, nullptr, leanReplay());
+  if (!R.Completed)
+    fatalError(strFormat("%s schedule deadlocked: ", Label) + R.Diagnostic);
+  for (double Done : R.ExitTimes)
+    Latest = std::max(Latest, Done);
+  return Latest / TimeDivisor;
+}
+
+void Experiment::feedDrift(double Observation) const {
   // Plain broadcast replays are what the deployed selection serves,
   // so they are the drift sentinel's feed; the calibration's
   // bcast+gather experiments deliberately are not (a repair measuring
@@ -83,12 +107,34 @@ double Experiment::run(std::uint64_t Seed) const {
     if (DriftSentinel *Sentinel = globalDriftSentinel())
       Sentinel->observe(DriftAlgorithm, Schedule->Compiled.RankCount,
                         DriftMessageBytes, Observation);
-  return Observation;
 }
 
 AdaptiveResult Experiment::measure(const AdaptiveOptions &Options) const {
-  return measureAdaptively([this](std::uint64_t Seed) { return run(Seed); },
-                           Options);
+  // The first MinReps repetitions always run and depend only on their
+  // seeds, so they replay side by side on the idle cores, each thread
+  // on its own engine over the shared schedule. The calling thread
+  // replays on its warm engine. The helpers' engines live for this
+  // measurement only and are sized here, so their memory comes from
+  // and returns to this thread's allocator arena, where the next
+  // schedule build reuses it; engines kept warm on the helper threads
+  // would each pin their largest shape for good. The drift sentinel
+  // needs a fixed sample order per cell, so this thread feeds it the
+  // observations in repetition order afterwards.
+  return measureAdaptively(
+      [this](std::uint64_t Seed) { return run(Seed); }, Options,
+      [this](std::span<const std::uint64_t> Seeds, std::span<double> Out) {
+        HelperPool &Pool = HelperPool::global();
+        std::vector<Engine> HelperEngines(Pool.seats(Seeds.size()) - 1);
+        if (engineMode() == EngineMode::Compiled)
+          for (Engine &E : HelperEngines)
+            E.reserve(Schedule->Compiled, *Plat, leanReplay());
+        Pool.run(Seeds.size(), [&](std::size_t I, unsigned Seat) {
+          Out[I] = replay(Seeds[I], Seat == 0 ? workerEngine()
+                                              : HelperEngines[Seat - 1]);
+        });
+        for (double Observation : Out)
+          feedDrift(Observation);
+      });
 }
 
 Experiment mpicsel::prepareBcast(const Platform &P, unsigned NumProcs,

@@ -20,8 +20,9 @@
 ///
 /// Every simulated measurement of every collective replays through one
 /// path, Experiment: a measurement builds and compiles its schedule
-/// once, replays each repetition on the calling thread's warm Engine,
-/// and releases the schedule when it returns.
+/// once, replays its repetitions without a per-op timeline -- the
+/// first MinReps side by side on several threads -- and releases the
+/// schedule when it returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +33,7 @@
 #include "coll/Bcast.h"
 #include "coll/Gather.h"
 #include "mpi/ScheduleIntern.h"
+#include "sim/Engine.h"
 #include "stat/AdaptiveBenchmark.h"
 
 #include <cstdint>
@@ -69,6 +71,12 @@ prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
 /// schedule's exit ops, divided by \p Divisor (the call count of a
 /// train, 2 for a ping-pong's one-way time). The platform is held by
 /// reference and must outlive the experiment.
+///
+/// measure() replays the first MinReps repetitions of each attempt side
+/// by side, on the calling thread and the helpers of
+/// HelperPool::global(), then continues serially; its observations
+/// are the serial loop's, bit for bit. Inside a parallel sweep's
+/// worker every repetition replays on the worker.
 class Experiment {
 public:
   /// Prepares the experiment whose schedule \p Build generates over
@@ -95,6 +103,14 @@ private:
   friend Experiment prepareBcast(const Platform &, unsigned,
                                  const BcastConfig &,
                                  std::optional<std::uint64_t>);
+
+  /// run() on \p E, without the drift feed; safe on any thread.
+  double replay(std::uint64_t Seed, Engine &E) const;
+  /// The options of a measurement replay: no timeline, exit ops only.
+  ReplayOptions leanReplay() const;
+  /// Feeds \p Observation to the installed drift sentinel, if this
+  /// experiment is a plain broadcast.
+  void feedDrift(double Observation) const;
 
   InternedScheduleRef Schedule;
   const Platform *Plat;

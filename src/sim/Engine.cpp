@@ -551,7 +551,9 @@ OpId eventOp(const ReplayEvent &E) { return static_cast<OpId>(E.Key); }
 /// is sized by assign()/resize(), which reuse capacity: after the
 /// first run of a given schedule shape nothing here touches the heap
 /// again (the event heap is reserved to its worst case up front, see
-/// CompiledExecutor::run).
+/// CompiledExecutor::run). Without the timeline (Result.Timings, 32
+/// bytes per op) a run keeps 4 bytes per op, 20 per send and 4 per
+/// receive, plus the event heap's live part.
 struct Engine::RunState {
   ReplayHeap Events;
   std::vector<std::uint32_t> PendingDeps;
@@ -567,7 +569,18 @@ struct Engine::RunState {
   /// message hot path reads a table instead of dividing.
   std::vector<std::uint32_t> NodeOfRank;
 
-  std::vector<double> LastByteArrival; // per op
+  /// Last-byte arrival time of each message in flight, per send:
+  /// channel C's messages use the slots of its ChannelSendOffsets row
+  /// in injection order. Every channel delivers in injection order
+  /// (the non-overtaking clamps of onTxAcquire), so a message's k-th
+  /// arrival on its channel finds the slot of its k-th injection.
+  std::vector<double> LastByteArrival;
+  std::vector<std::uint32_t> Injected; // per channel
+  std::vector<std::uint32_t> Arrived;  // per channel
+
+  /// Bit per op: whether it is one of the run's ExitOps (set only for
+  /// runs without the timeline).
+  std::vector<std::uint64_t> ExitMask;
 
   // Bump-pointer match queues. Channel C's messages live in slots
   // [ChannelSendOffsets[C], ChannelSendOffsets[C+1]) of the arenas,
@@ -589,6 +602,44 @@ struct Engine::RunState {
   std::vector<double> ChanLastAvail;
 
   ExecutionResult Result;
+
+  /// Worst-case live events: every op can hold one completion event,
+  /// and every send one additional in-flight message event. Reserving
+  /// the bound (rather than warming up to an observed size) keeps
+  /// replay allocation-free across *seeds* -- noise shifts how full
+  /// the heap actually gets from run to run.
+  static std::size_t eventBound(const CompiledSchedule &CS) {
+    return std::size_t{CS.numOps()} + CS.NumSends;
+  }
+
+  /// Gives every container but the event heap the capacity a run of
+  /// \p CS on \p P under \p Opts fills.
+  void reserve(const CompiledSchedule &CS, const Platform &P,
+               const ReplayOptions &Opts) {
+    const std::uint32_t NumOps = CS.numOps();
+    if (Opts.RecordTimings)
+      Result.Timings.reserve(NumOps);
+    Result.ExitTimes.reserve(Opts.ExitOps.size());
+    Result.BytesReceived.reserve(CS.RankCount);
+    Result.BytesSent.reserve(CS.RankCount);
+    PendingDeps.reserve(NumOps);
+    CpuFree.reserve(CS.RankCount);
+    for (std::vector<double> *Clock :
+         {&NicTxFree, &NicRxFree, &MemTxFree, &MemRxFree})
+      Clock->reserve(P.NodeCount);
+    NodeOfRank.reserve(CS.RankCount);
+    LastByteArrival.reserve(CS.NumSends);
+    if (!Opts.RecordTimings)
+      ExitMask.reserve((NumOps + 63) / 64);
+    MsgAvail.reserve(CS.NumSends);
+    MsgSender.reserve(CS.NumSends);
+    PostedRecvQ.reserve(CS.NumRecvs);
+    for (std::vector<std::uint32_t> *PerChannel :
+         {&Injected, &Arrived, &MsgHead, &MsgTail, &RecvHead, &RecvTail})
+      PerChannel->reserve(CS.NumChannels);
+    ChanLastArrival.reserve(CS.NumChannels);
+    ChanLastAvail.reserve(CS.NumChannels);
+  }
 };
 
 namespace {
@@ -604,9 +655,10 @@ class CompiledExecutor {
 public:
   CompiledExecutor(Engine::RunState &State, const CompiledSchedule &Compiled,
                    const Platform &Plat, std::uint64_t Seed,
-                   const FaultSchedule *FaultSched)
+                   const FaultSchedule *FaultSched, const ReplayOptions &Opts)
       : RS(State), CS(Compiled), P(Plat), Rng(Seed), RunSeed(Seed),
-        Faults(FaultSched) {}
+        Faults(FaultSched), Record(Opts.RecordTimings),
+        ExitOps(Opts.ExitOps) {}
 
   /// Replays the schedule into RS.Result; returns the events popped.
   std::uint64_t run();
@@ -628,7 +680,8 @@ private:
   }
 
   void activateOp(OpId Id, double Now) {
-    RS.Result.Timings[Id].ReadyTime = Now;
+    if (Record)
+      RS.Result.Timings[Id].ReadyTime = Now;
     const CompiledOp &O = CS.Hot[Id];
     switch (O.Kind) {
     case OpKind::Send:
@@ -648,7 +701,8 @@ private:
     double CpuDone = CpuStart + P.SendOverhead * noise(CpuStart) *
                                     cpuFactor(O.Rank, CpuStart);
     RS.CpuFree[O.Rank] = CpuDone;
-    RS.Result.Timings[Id].StartTime = CpuStart;
+    if (Record)
+      RS.Result.Timings[Id].StartTime = CpuStart;
     pushEvent(CpuDone, EventKind::TxAcquire, Id);
   }
 
@@ -669,6 +723,8 @@ private:
 
     pushEvent(TxDone, EventKind::OpDone, Id);
     RS.Result.BytesSent[O.Rank] += O.Bytes;
+    double &LastByte = RS.LastByteArrival[CS.ChannelSendOffsets[O.Channel] +
+                                          RS.Injected[O.Channel]++];
 
     double Latency = Link.Latency * noise(TxStart);
     if (Faults && !Intra) {
@@ -678,7 +734,7 @@ private:
       double &Prev = RS.ChanLastArrival[O.Channel];
       double Arrival = std::max(TxStart + Latency, Prev);
       Prev = Arrival;
-      RS.LastByteArrival[Id] = Arrival + (TxDone - TxStart);
+      LastByte = Arrival + (TxDone - TxStart);
       pushEvent(Arrival, EventKind::MsgArrival, Id);
       return;
     }
@@ -692,11 +748,11 @@ private:
     double &Prev = RS.ChanLastArrival[O.Channel];
     if (Arrival >= Prev) {
       Prev = Arrival;
-      RS.LastByteArrival[Id] = TxDone + Latency;
+      LastByte = TxDone + Latency;
       pushEvent(Arrival, EventKind::MsgArrival, Id);
       return;
     }
-    RS.LastByteArrival[Id] = Prev + (TxDone - TxStart);
+    LastByte = Prev + (TxDone - TxStart);
     pushEvent(Prev, EventKind::MsgArrival, Id);
   }
 
@@ -712,7 +768,10 @@ private:
     double RxOccupancy = Link.rxOccupancy(O.Bytes) * noise(RxStart);
     if (Faults && !Intra)
       RxOccupancy *= Faults->rxGapMultiplier(DstNode, RxStart);
-    double RxDone = std::max(RxStart + RxOccupancy, RS.LastByteArrival[Id]);
+    const double LastByte =
+        RS.LastByteArrival[CS.ChannelSendOffsets[O.Channel] +
+                           RS.Arrived[O.Channel]++];
+    double RxDone = std::max(RxStart + RxOccupancy, LastByte);
     RxFree = RxDone;
     if (Faults) {
       double &Prev = RS.ChanLastAvail[O.Channel];
@@ -726,7 +785,8 @@ private:
     double CpuStart = std::max(Now, RS.CpuFree[O.Rank]);
     double CpuDone = CpuStart + O.Duration * cpuFactor(O.Rank, CpuStart);
     RS.CpuFree[O.Rank] = CpuDone;
-    RS.Result.Timings[Id].StartTime = CpuStart;
+    if (Record)
+      RS.Result.Timings[Id].StartTime = CpuStart;
     if (CpuDone == Now) {
       // Zero-length join: finish inline to avoid flooding the heap.
       finishOp(Id, Now);
@@ -753,16 +813,23 @@ private:
     double CpuDone =
         CpuStart + P.RecvOverhead * noise(CpuStart) * cpuFactor(Rank, CpuStart);
     RS.CpuFree[Rank] = CpuDone;
-    RS.Result.Timings[RecvId].StartTime = CpuStart;
+    if (Record)
+      RS.Result.Timings[RecvId].StartTime = CpuStart;
     RS.Result.BytesReceived[Rank] += Bytes;
     pushEvent(CpuDone, EventKind::OpDone, RecvId);
   }
 
   void finishOp(OpId Id, double Now) {
-    OpTiming &T = RS.Result.Timings[Id];
-    assert(!T.Done && "op finished twice");
-    T.Done = true;
-    T.DoneTime = Now;
+    if (Record) {
+      OpTiming &T = RS.Result.Timings[Id];
+      assert(!T.Done && "op finished twice");
+      T.Done = true;
+      T.DoneTime = Now;
+    } else if ((RS.ExitMask[Id / 64] >> (Id % 64)) & 1) {
+      for (std::size_t I = 0; I != ExitOps.size(); ++I)
+        if (ExitOps[I] == Id)
+          RS.Result.ExitTimes[I] = Now;
+    }
     RS.Result.Makespan = std::max(RS.Result.Makespan, Now);
     ++DoneCount;
     for (OpId Dep : CS.succsOf(Id)) {
@@ -778,6 +845,8 @@ private:
   Xoshiro256 Rng;
   const std::uint64_t RunSeed;
   const FaultSchedule *Faults;
+  const bool Record;
+  const std::span<const OpId> ExitOps;
   std::uint64_t NextSeq = 0;
   std::uint32_t DoneCount = 0;
 };
@@ -786,8 +855,13 @@ std::uint64_t CompiledExecutor::run() {
   const std::uint32_t NumOps = CS.numOps();
   ExecutionResult &Result = RS.Result;
 
+  RS.reserve(CS, P, ReplayOptions{Record, ExitOps});
   Result.Completed = false;
-  Result.Timings.assign(NumOps, OpTiming());
+  if (Record)
+    Result.Timings.assign(NumOps, OpTiming());
+  else
+    Result.Timings.clear();
+  Result.ExitTimes.assign(ExitOps.size(), -1.0);
   Result.Makespan = 0.0;
   Result.BytesReceived.assign(CS.RankCount, 0);
   Result.BytesSent.assign(CS.RankCount, 0);
@@ -804,14 +878,18 @@ std::uint64_t CompiledExecutor::run() {
   RS.NodeOfRank.resize(CS.RankCount);
   for (unsigned Rank = 0; Rank != CS.RankCount; ++Rank)
     RS.NodeOfRank[Rank] = P.nodeOf(Rank);
-  RS.LastByteArrival.assign(NumOps, 0.0);
+  RS.LastByteArrival.assign(CS.NumSends, 0.0);
+  RS.Injected.assign(CS.NumChannels, 0);
+  RS.Arrived.assign(CS.NumChannels, 0);
+  if (!Record) {
+    RS.ExitMask.assign((NumOps + 63) / 64, 0);
+    for (OpId Id : ExitOps) {
+      assert(Id < NumOps && "exit op out of range");
+      RS.ExitMask[Id / 64] |= std::uint64_t{1} << (Id % 64);
+    }
+  }
 
-  // Worst-case live events: every op can hold one completion event,
-  // and every send one additional in-flight message event. Reserving
-  // the bound (rather than warming up to an observed size) keeps
-  // replay allocation-free across *seeds* -- noise shifts how full
-  // the heap actually gets from run to run.
-  obs::bump(RS.Events.reset(NumOps + CS.NumSends)
+  obs::bump(RS.Events.reset(Engine::RunState::eventBound(CS))
                 ? obs::Counter::EngineArenaReuses
                 : obs::Counter::EngineArenaWarmups);
 
@@ -874,7 +952,13 @@ std::uint64_t CompiledExecutor::run() {
     Result.FaultWindows = Faults->windows(Result.Makespan);
     Result.FaultScenario = Faults->name();
   }
-  if (!Result.Completed) {
+  if (Record)
+    for (std::size_t I = 0; I != ExitOps.size(); ++I) {
+      assert(ExitOps[I] < NumOps && "exit op out of range");
+      Result.ExitTimes[I] = Result.Timings[ExitOps[I]].DoneTime;
+    }
+  // Without the timeline, Engine::run reruns a deadlock to list it.
+  if (!Result.Completed && Record) {
     // List every never-completed operation (capped), not just the
     // first: the shape of the stuck set is usually what identifies
     // the bug (one stuck rank vs. a cross-rank wait cycle).
@@ -908,9 +992,16 @@ std::uint64_t CompiledExecutor::run() {
 Engine::Engine() : State(std::make_unique<RunState>()) {}
 Engine::~Engine() = default;
 
+void Engine::reserve(const CompiledSchedule &CS, const Platform &P,
+                     const ReplayOptions &Opts) {
+  State->reserve(CS, P, Opts);
+  State->Events.reset(RunState::eventBound(CS));
+}
+
 const ExecutionResult &Engine::run(const CompiledSchedule &CS,
                                    const Platform &P, std::uint64_t Seed,
-                                   const FaultSchedule *Faults) {
+                                   const FaultSchedule *Faults,
+                                   const ReplayOptions &Opts) {
   assert(CS.RankCount <= P.maxProcs() &&
          "schedule does not fit on the platform");
 
@@ -923,8 +1014,16 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
   if (Preflight)
     Report = verifySchedule(CS);
 
-  CompiledExecutor Exec(*State, CS, P, Seed, Faults);
-  LastEvents = Exec.run();
+  LastEvents = CompiledExecutor(*State, CS, P, Seed, Faults, Opts).run();
+  if (!State->Result.Completed && !Opts.RecordTimings) {
+    // A lean run keeps no record of which ops completed. The same seed
+    // replays the same events, so a rerun with the timeline lists the
+    // stuck ops; its timeline is dropped again afterwards.
+    ReplayOptions WithTimeline = Opts;
+    WithTimeline.RecordTimings = true;
+    CompiledExecutor(*State, CS, P, Seed, Faults, WithTimeline).run();
+    State->Result.Timings.clear();
+  }
 
   if (Preflight)
     crossCheckPreflight(State->Result, Report);

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,12 @@ struct OpTiming {
 struct ExecutionResult {
   /// True if every operation completed.
   bool Completed = false;
-  /// Per-op timestamps, indexed by OpId.
+  /// Per-op timestamps, indexed by OpId. Empty after an Engine replay
+  /// run without ReplayOptions::RecordTimings.
   std::vector<OpTiming> Timings;
+  /// Completion times of the ReplayOptions::ExitOps of an Engine
+  /// replay, in that order (empty otherwise).
+  std::vector<double> ExitTimes;
   /// Time of the last completion in the run.
   double Makespan = 0.0;
   /// Payload bytes received per rank (delivered through matched
@@ -133,16 +138,33 @@ EngineMode engineMode();
 /// Overrides the process-wide engine mode (differential tests).
 void setEngineMode(EngineMode Mode);
 
+/// Per-run knobs of the compiled replay.
+struct ReplayOptions {
+  /// Record one OpTiming row per op in ExecutionResult::Timings (32
+  /// bytes per op). A measurement reads only its exit ops, so it
+  /// replays without the timeline: the run's per-op state shrinks to
+  /// the dependency counters and per-message clocks. Events, noise
+  /// draws and every recorded time are the same either way.
+  bool RecordTimings = true;
+  /// Ops whose completion times the run records in
+  /// ExecutionResult::ExitTimes, in this order.
+  std::span<const OpId> ExitOps;
+};
+
 /// Replays compiled schedules with all per-run mutable state held in a
 /// reusable arena: after the first run of a given schedule shape, a
 /// run performs no heap allocation at all (bench/micro_engine asserts
-/// this with a counting operator-new). One Engine is single-threaded;
-/// sweep workers each own one (thread_local in model/Runner.cpp).
+/// this with a counting operator-new). One Engine is single-threaded:
+/// every measuring thread owns one (thread_local in model/Runner.cpp),
+/// and a measurement's helper threads replay on engines it sizes with
+/// reserve().
 ///
 /// run() returns a reference to the engine's internal result, valid
 /// until the next run() on the same Engine -- copy it to keep it.
 /// Semantics (noise draws, event ordering, fault handling, pre-flight
 /// verification) are bit-identical to runSchedule/runScheduleLegacy.
+/// A run without the timeline that deadlocks replays the same seed
+/// once more with it, to list the ops that never completed.
 class Engine {
 public:
   Engine();
@@ -152,7 +174,16 @@ public:
 
   const ExecutionResult &run(const CompiledSchedule &CS, const Platform &P,
                              std::uint64_t Seed = 0,
-                             const FaultSchedule *Faults = nullptr);
+                             const FaultSchedule *Faults = nullptr,
+                             const ReplayOptions &Opts = {});
+
+  /// Allocates, on the calling thread, all the room a run of \p CS on
+  /// \p P under \p Opts needs, so that the run allocates nothing. A
+  /// measurement sizes its helper threads' engines this way: memory
+  /// freed when they go away then returns to the measuring thread's
+  /// allocator arena, where its next schedule build reuses it.
+  void reserve(const CompiledSchedule &CS, const Platform &P,
+               const ReplayOptions &Opts = {});
 
   /// Events popped by the most recent run().
   std::uint64_t eventsProcessed() const { return LastEvents; }

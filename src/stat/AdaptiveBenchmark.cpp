@@ -38,25 +38,37 @@ SampleStats screenedStats(const std::vector<double> &Observations,
 /// \p AttemptSeed.
 AdaptiveResult
 measureOnce(const std::function<double(std::uint64_t Seed)> &Measure,
-            const AdaptiveOptions &Options, std::uint64_t AttemptSeed) {
+            const AdaptiveOptions &Options, std::uint64_t AttemptSeed,
+            const BatchMeasure &First) {
   AdaptiveResult Result;
   SplitMix64 SeedStream(AttemptSeed);
-  for (unsigned Rep = 0; Rep != Options.MaxReps; ++Rep) {
-    std::uint64_t Seed = SeedStream.next();
-    Result.Observations.push_back(Measure(Seed));
-    if (Result.Observations.size() < Options.MinReps)
-      continue;
+  // Recomputes the statistics; true once the precision target is met.
+  auto Settled = [&] {
     Result.Stats =
         screenedStats(Result.Observations, Options, Result.OutliersRejected);
-    if (Result.Stats.relativePrecision() <= Options.TargetPrecision) {
+    return Result.Stats.relativePrecision() <= Options.TargetPrecision;
+  };
+  if (First) {
+    std::vector<std::uint64_t> Seeds(Options.MinReps);
+    for (std::uint64_t &Seed : Seeds)
+      Seed = SeedStream.next();
+    Result.Observations.resize(Options.MinReps);
+    First(Seeds, Result.Observations);
+    if (Settled()) {
       Result.Converged = true;
       return Result;
     }
   }
-  Result.Stats =
-      screenedStats(Result.Observations, Options, Result.OutliersRejected);
-  Result.Converged =
-      Result.Stats.relativePrecision() <= Options.TargetPrecision;
+  while (Result.Observations.size() != Options.MaxReps) {
+    Result.Observations.push_back(Measure(SeedStream.next()));
+    if (Result.Observations.size() < Options.MinReps)
+      continue;
+    if (Settled()) {
+      Result.Converged = true;
+      return Result;
+    }
+  }
+  Result.Converged = Settled();
   return Result;
 }
 
@@ -64,7 +76,7 @@ measureOnce(const std::function<double(std::uint64_t Seed)> &Measure,
 
 AdaptiveResult mpicsel::measureAdaptively(
     const std::function<double(std::uint64_t Seed)> &Measure,
-    const AdaptiveOptions &Options) {
+    const AdaptiveOptions &Options, const BatchMeasure &First) {
   assert(Options.MinReps >= 1 && "need at least one repetition");
   assert(Options.MaxReps >= Options.MinReps && "MaxReps below MinReps");
 
@@ -78,7 +90,7 @@ AdaptiveResult mpicsel::measureAdaptively(
             : SplitMix64(Options.BaseSeed ^
                          (0xA5A5A5A5A5A5A5A5ull + Attempt))
                   .next();
-    Result = measureOnce(Measure, Options, AttemptSeed);
+    Result = measureOnce(Measure, Options, AttemptSeed, First);
     Result.Attempts = Attempt + 1;
     if (Result.Converged)
       break;

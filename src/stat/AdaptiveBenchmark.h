@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace mpicsel {
@@ -71,12 +72,24 @@ struct AdaptiveResult {
   unsigned Attempts = 1;
 };
 
+/// The batch form of a measurement: writes to Out[I] the observation
+/// of the repetition seeded Seeds[I].
+using BatchMeasure = std::function<void(std::span<const std::uint64_t> Seeds,
+                                        std::span<double> Out)>;
+
 /// Repeatedly evaluates \p Measure (a callable taking the repetition's
 /// seed and returning one observation in seconds) under the stopping
 /// rules of \p Options.
+///
+/// With \p First, every attempt hands the seeds of its first MinReps
+/// repetitions -- the ones the stopping rule always runs -- to
+/// \p First at once, and continues one repetition at a time with
+/// \p Measure. The result is the serial loop's as long as \p First
+/// writes what \p Measure returns for each seed.
 AdaptiveResult
 measureAdaptively(const std::function<double(std::uint64_t Seed)> &Measure,
-                  const AdaptiveOptions &Options = AdaptiveOptions());
+                  const AdaptiveOptions &Options = AdaptiveOptions(),
+                  const BatchMeasure &First = nullptr);
 
 } // namespace mpicsel
 

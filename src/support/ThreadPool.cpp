@@ -4,10 +4,17 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
 using namespace mpicsel;
+
+namespace {
+/// Set on ThreadPool workers: a HelperPool batch started there runs
+/// on the worker alone.
+thread_local bool OnPoolWorker = false;
+} // namespace
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
   if (NumThreads == 0)
@@ -75,6 +82,7 @@ bool ThreadPool::stealOther(unsigned WorkerIndex,
 }
 
 void ThreadPool::workerLoop(unsigned WorkerIndex) {
+  OnPoolWorker = true;
   for (;;) {
     std::function<void()> Task;
     bool Stolen = false;
@@ -132,4 +140,84 @@ unsigned ThreadPool::threadCountFromEnvironment() {
   // "0" and "00" reach here with Count == 0: a zero-thread sweep is
   // meaningless, so non-positive normalises to serial.
   return Count == 0 ? 1 : Count;
+}
+
+HelperPool &HelperPool::global() {
+  static HelperPool Pool(std::max(std::thread::hardware_concurrency(), 1u) -
+                         1);
+  return Pool;
+}
+
+HelperPool::HelperPool(unsigned NumHelpers) {
+  Helpers.reserve(NumHelpers);
+  for (unsigned I = 0; I != NumHelpers; ++I)
+    Helpers.emplace_back([this, I] { helperLoop(I + 1); });
+}
+
+HelperPool::~HelperPool() {
+  Stopping.store(true, std::memory_order_release);
+  Epoch.fetch_add(1, std::memory_order_release);
+  Epoch.notify_all();
+  for (std::thread &Helper : Helpers)
+    Helper.join();
+}
+
+unsigned HelperPool::seats(std::size_t Count) const {
+  if (Count > MaxBatch || OnPoolWorker)
+    return 1;
+  return static_cast<unsigned>(
+      std::min<std::size_t>(std::max<std::size_t>(Count, 1),
+                            Helpers.size() + 1));
+}
+
+void HelperPool::run(std::size_t Count, const BatchTask &Fn) {
+  if (seats(Count) < 2 || Busy.exchange(true, std::memory_order_acquire)) {
+    for (std::size_t I = 0; I != Count; ++I)
+      Fn(I, 0);
+    return;
+  }
+  Task = &Fn;
+  Finished.store(0, std::memory_order_relaxed);
+  const std::uint32_t Batch = Epoch.load(std::memory_order_relaxed) + 1;
+  Claim.store(std::uint64_t{Batch} << 32 | std::uint64_t{Count} << 16,
+              std::memory_order_release);
+  Epoch.store(Batch, std::memory_order_release);
+  Epoch.notify_all();
+  work(Batch, 0);
+  // Every task is claimed now; wait for the ones helpers are running.
+  for (std::uint32_t Done;
+       (Done = Finished.load(std::memory_order_acquire)) != Count;)
+    Finished.wait(Done, std::memory_order_acquire);
+  Busy.store(false, std::memory_order_release);
+}
+
+void HelperPool::work(std::uint32_t Batch, unsigned Seat) {
+  std::uint64_t Word = Claim.load(std::memory_order_acquire);
+  for (;;) {
+    const std::uint32_t Count = (Word >> 16) & 0xFFFF;
+    const std::uint32_t Next = Word & 0xFFFF;
+    if ((Word >> 32) != Batch || Next >= Count || Seat >= Count)
+      return;
+    if (!Claim.compare_exchange_weak(Word, Word + 1,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      continue;
+    (*Task)(Next, Seat);
+    // The caller waits for the last helper-run task, never for itself.
+    if (Finished.fetch_add(1, std::memory_order_acq_rel) + 1 == Count &&
+        Seat != 0)
+      Finished.notify_one();
+    ++Word;
+  }
+}
+
+void HelperPool::helperLoop(unsigned Seat) {
+  std::uint32_t Seen = 0;
+  for (;;) {
+    Epoch.wait(Seen, std::memory_order_acquire);
+    if (Stopping.load(std::memory_order_acquire))
+      return;
+    Seen = Epoch.load(std::memory_order_acquire);
+    work(Seen, Seat);
+  }
 }

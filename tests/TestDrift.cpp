@@ -14,11 +14,13 @@
 
 #include "coll/OmpiDecision.h"
 #include "drift/Drift.h"
+#include "fault/Fault.h"
 #include "model/Calibration.h"
 #include "model/DecisionCache.h"
 #include "model/RobustSelector.h"
 #include "model/Runner.h"
 #include "sim/Engine.h"
+#include "stat/ParallelSweep.h"
 
 #include <gtest/gtest.h>
 
@@ -336,6 +338,57 @@ const QuickWorld &quickWorld() {
 }
 
 } // namespace
+
+TEST(DriftFeed, ConcurrentRepetitionsFeedInRepetitionOrder) {
+  // A measurement replays its first repetitions side by side; the
+  // sentinel must still see each cell's samples in repetition order,
+  // exactly as the serial path inside a sweep worker feeds them. A
+  // degraded link drives the residuals far enough to trip cells.
+  const QuickWorld &W = quickWorld();
+  const FaultSchedule Faults = makeFaultScenario("degraded-link");
+  ScopedFaultInjection Injection(Faults);
+  AdaptiveOptions Options;
+  Options.MinReps = 6;
+  Options.MaxReps = 12;
+  auto measureAll = [&] {
+    for (BcastAlgorithm Alg : {BcastAlgorithm::Binomial,
+                               BcastAlgorithm::SplitBinary,
+                               BcastAlgorithm::Chain})
+      for (std::uint64_t M : {std::uint64_t{16 * 1024}, std::uint64_t{256 * 1024}}) {
+        BcastConfig Config;
+        Config.Algorithm = Alg;
+        Config.MessageBytes = M;
+        Config.SegmentBytes = W.Models.SegmentBytes;
+        measureBcast(W.Plat, 16, Config, Options);
+      }
+  };
+
+  DriftSentinel Concurrent(DriftMode::Warn);
+  Concurrent.bindModels(&W.Models);
+  {
+    ScopedDriftSentinel Install(Concurrent);
+    measureAll();
+  }
+  DriftSentinel Serial(DriftMode::Warn);
+  Serial.bindModels(&W.Models);
+  {
+    ScopedDriftSentinel Install(Serial);
+    // One task measures, on a worker of a two-thread sweep.
+    sweepIndexed(2, 2, [&](std::size_t Task) {
+      if (Task == 0)
+        measureAll();
+    });
+  }
+
+  EXPECT_GT(Concurrent.stats().Samples, 0u);
+  EXPECT_EQ(Concurrent.report(), Serial.report());
+  const DriftStats A = Concurrent.stats(), B = Serial.stats();
+  EXPECT_EQ(A.Samples, B.Samples);
+  EXPECT_EQ(A.Screened, B.Screened);
+  EXPECT_EQ(A.Trips, B.Trips);
+  EXPECT_EQ(A.Quarantined, B.Quarantined);
+  EXPECT_EQ(A.Cells, B.Cells);
+}
 
 TEST(DriftQuarantine, SelectorDegradesQuarantinedRegionToOmpi) {
   const QuickWorld &W = quickWorld();

@@ -218,25 +218,35 @@ TEST(Metrics, RunnerExperimentsCountEveryReplayOfEveryCollective) {
   AdaptiveOptions Quick;
   Quick.MinReps = 3;
   Quick.MaxReps = 5;
+  const obs::MetricsSnapshot BeforeDirect = obs::snapshotMetrics();
+  std::size_t Observed = 0;
   BcastConfig Bcast;
   Bcast.MessageBytes = 65536;
-  measureBcast(Plat, 12, Bcast, Quick);
+  Observed += measureBcast(Plat, 12, Bcast, Quick).Observations.size();
   ScatterConfig Scatter;
   Scatter.BlockBytes = 4096;
-  measureScatter(Plat, 12, Scatter, Quick);
+  Observed += measureScatter(Plat, 12, Scatter, Quick).Observations.size();
   ReduceConfig Reduce;
   Reduce.MessageBytes = 65536;
-  measureReduce(Plat, 12, Reduce, Quick);
+  Observed += measureReduce(Plat, 12, Reduce, Quick).Observations.size();
   AllgatherConfig Allgather;
   Allgather.BlockBytes = 4096;
-  measureAllgather(Plat, 12, Allgather, Quick);
+  Observed +=
+      measureAllgather(Plat, 12, Allgather, Quick).Observations.size();
   AllreduceConfig Allreduce;
   Allreduce.MessageBytes = 65536;
-  measureAllreduce(Plat, 12, Allreduce, Quick);
+  Observed +=
+      measureAllreduce(Plat, 12, Allreduce, Quick).Observations.size();
 
   // runner.experiments counts every simulated experiment, of every
   // collective, calibration and gamma trains included: one per replay.
   const obs::MetricsSnapshot After = obs::snapshotMetrics();
+  // The measurements replay their first repetitions side by side, but
+  // never one the serial loop would not have run: every replay is an
+  // observation.
+  EXPECT_EQ(After.counter(obs::Counter::EngineReplays) -
+                BeforeDirect.counter(obs::Counter::EngineReplays),
+            Observed);
   const std::uint64_t Experiments =
       After.counter(obs::Counter::RunnerExperiments) -
       Before.counter(obs::Counter::RunnerExperiments);

@@ -29,9 +29,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mpicsel;
@@ -148,6 +150,104 @@ TEST(ThreadPool, ThreadCountFromEnvironment) {
   EXPECT_EQ(ThreadPool::threadCountFromEnvironment(), 1u);
   ::unsetenv("MPICSEL_THREADS");
   EXPECT_EQ(ThreadPool::threadCountFromEnvironment(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// HelperPool
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs a batch of \p Count tasks on \p Pool and returns how often each
+/// task ran and from which seats.
+std::vector<int> runCounted(HelperPool &Pool, std::size_t Count,
+                            std::vector<unsigned> *SeatsOut = nullptr) {
+  std::vector<std::atomic<int>> Ran(Count);
+  std::vector<unsigned> Seats(Count, ~0u);
+  Pool.run(Count, [&](std::size_t I, unsigned Seat) {
+    Ran[I].fetch_add(1);
+    Seats[I] = Seat;
+  });
+  if (SeatsOut)
+    *SeatsOut = Seats;
+  std::vector<int> Out;
+  for (const std::atomic<int> &R : Ran)
+    Out.push_back(R.load());
+  return Out;
+}
+
+} // namespace
+
+TEST(HelperPool, RunsEveryTaskExactlyOnceInAValidSeat) {
+  HelperPool Pool(3);
+  for (std::size_t Count : {0u, 1u, 2u, 3u, 4u, 5u, 17u, 200u}) {
+    std::vector<unsigned> Seats;
+    EXPECT_EQ(runCounted(Pool, Count, &Seats), std::vector<int>(Count, 1))
+        << Count << " tasks";
+    for (unsigned Seat : Seats)
+      EXPECT_LT(Seat, Pool.seats(Count));
+  }
+}
+
+TEST(HelperPool, EverySeatJoinsABatch) {
+  // Each task waits until every seat's task has started, so the batch
+  // completes only if min(Count, helpers + 1) threads run it at once.
+  HelperPool Pool(3);
+  const std::size_t Count = Pool.seats(4);
+  ASSERT_EQ(Count, 4u);
+  for (int Batch = 0; Batch != 20; ++Batch) {
+    std::atomic<std::size_t> Started{0};
+    std::atomic<bool> AllMet{true};
+    Pool.run(Count, [&](std::size_t, unsigned) {
+      Started.fetch_add(1);
+      const auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (Started.load() != Count)
+        if (std::chrono::steady_clock::now() > Deadline) {
+          AllMet = false;
+          return;
+        }
+    });
+    EXPECT_TRUE(AllMet.load()) << "batch " << Batch;
+  }
+}
+
+TEST(HelperPool, CallerRunsTheBatchAloneWithoutHelpers) {
+  HelperPool Pool(0);
+  EXPECT_EQ(Pool.seats(8), 1u);
+  std::vector<unsigned> Seats;
+  EXPECT_EQ(runCounted(Pool, 8, &Seats), std::vector<int>(8, 1));
+  EXPECT_EQ(Seats, std::vector<unsigned>(8, 0));
+}
+
+TEST(HelperPool, SweepWorkersRunTheirBatchesAlone) {
+  HelperPool Pool(3);
+  EXPECT_GT(Pool.seats(4), 1u);
+  const std::vector<std::vector<unsigned>> Seats =
+      sweepIndexed<std::vector<unsigned>>(2, 2, [&](std::size_t) {
+        EXPECT_EQ(Pool.seats(4), 1u);
+        std::vector<unsigned> Out;
+        EXPECT_EQ(runCounted(Pool, 4, &Out), std::vector<int>(4, 1));
+        return Out;
+      });
+  for (const std::vector<unsigned> &S : Seats)
+    EXPECT_EQ(S, std::vector<unsigned>(4, 0));
+}
+
+TEST(HelperPool, ConcurrentCallersEachFinishTheirBatches) {
+  // Two callers share one pool: one batch holds the helpers at a time,
+  // the other caller runs its batch alone.
+  HelperPool Pool(3);
+  std::atomic<int> Wrong{0};
+  auto Caller = [&] {
+    for (int Batch = 0; Batch != 200; ++Batch)
+      if (runCounted(Pool, 5) != std::vector<int>(5, 1))
+        Wrong.fetch_add(1);
+  };
+  std::thread Other(Caller);
+  Caller();
+  Other.join();
+  EXPECT_EQ(Wrong.load(), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,15 +4,18 @@
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
 //
 // Every runner of every collective measures through model/Runner's
-// Experiment: a measurement builds and compiles its schedule once and
-// replays each repetition on the calling thread's warm Engine. That
-// must change the cost only. For each collective and experiment kind
+// Experiment: a measurement builds and compiles its schedule once,
+// replays its first MinReps repetitions side by side on per-thread
+// engines without a timeline, and the rest one at a time. That must
+// change the cost only. For each collective and experiment kind
 // (plain, and followed by the Sect. 4.2 linear gather), a
 // measurement's observations must equal those of building the schedule
 // afresh and calling runSchedule once per repetition over the same
-// seed stream -- fault-free, under a fault scenario, through the
-// legacy interpreter and with pre-flight verification on. The runners
-// also share one rank-count check.
+// seed stream, and those of the serial path a parallel sweep's worker
+// takes -- fault-free, under a fault scenario, through the legacy
+// interpreter and with pre-flight verification on. The runners also
+// share one rank-count check, and a deadlocking experiment dies with
+// runSchedule's diagnostic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,7 @@
 #include "model/ScatterSelection.h"
 #include "obs/Metrics.h"
 #include "sim/Engine.h"
+#include "stat/ParallelSweep.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -345,6 +350,77 @@ INSTANTIATE_TEST_SUITE_P(
              modeName(std::get<1>(Info.param));
     });
 
+namespace {
+
+/// Stopping rules that take the concurrent first repetitions through
+/// every branch of the adaptive loop.
+std::vector<std::pair<const char *, AdaptiveOptions>> prefixVariants() {
+  AdaptiveOptions Base;
+  Base.BaseSeed = 0xD1FFull;
+  std::vector<std::pair<const char *, AdaptiveOptions>> Variants;
+  Variants.push_back({"defaults", Base});
+  AdaptiveOptions Wide = Base;
+  Wide.MinReps = std::max(std::thread::hardware_concurrency(), 1u) + 2;
+  Wide.MaxReps = Wide.MinReps + 4;
+  Variants.push_back({"min_reps_above_hardware_threads", Wide});
+  AdaptiveOptions Fixed = Base;
+  Fixed.MinReps = Fixed.MaxReps = Reps;
+  Variants.push_back({"min_reps_equal_max_reps", Fixed});
+  AdaptiveOptions Unsettled = Base;
+  Unsettled.MinReps = 3;
+  Unsettled.MaxReps = 7;
+  Unsettled.TargetPrecision = 1e-12;
+  Variants.push_back({"never_converges", Unsettled});
+  AdaptiveOptions Retried = Unsettled;
+  Retried.RetryAttempts = 2;
+  Variants.push_back({"retries", Retried});
+  AdaptiveOptions Screened = Base;
+  Screened.MinReps = 6;
+  Screened.MaxReps = 12;
+  Screened.ScreenOutliers = true;
+  Screened.OutlierMadSigma = 1.0;
+  Variants.push_back({"screened", Screened});
+  return Variants;
+}
+
+void expectSameResult(const AdaptiveResult &A, const AdaptiveResult &B) {
+  EXPECT_EQ(A.Observations, B.Observations);
+  EXPECT_EQ(A.Stats.Count, B.Stats.Count);
+  EXPECT_EQ(A.Stats.Mean, B.Stats.Mean);
+  EXPECT_EQ(A.Stats.Variance, B.Stats.Variance);
+  EXPECT_EQ(A.Stats.Min, B.Stats.Min);
+  EXPECT_EQ(A.Stats.Max, B.Stats.Max);
+  EXPECT_EQ(A.Stats.Ci95HalfWidth, B.Stats.Ci95HalfWidth);
+  EXPECT_EQ(A.Converged, B.Converged);
+  EXPECT_EQ(A.OutliersRejected, B.OutliersRejected);
+  EXPECT_EQ(A.Attempts, B.Attempts);
+}
+
+} // namespace
+
+TEST_P(UnifiedReplayPath, ConcurrentRepetitionsMatchTheSerialPath) {
+  const Case &C = catalogue()[std::get<0>(GetParam())];
+  const Platform P = testPlatform();
+  ScopedMode Scope(std::get<1>(GetParam()));
+
+  for (const auto &[Name, Options] : prefixVariants()) {
+    SCOPED_TRACE(Name);
+    const AdaptiveResult Concurrent = C.Measure(P, Options);
+    // A measurement inside a parallel sweep's worker replays every
+    // repetition on the worker: the serial loop.
+    const std::vector<AdaptiveResult> Serial = sweepIndexed<AdaptiveResult>(
+        2, 2, [&](std::size_t) { return C.Measure(P, Options); });
+    for (const AdaptiveResult &R : Serial)
+      expectSameResult(Concurrent, R);
+
+    if (Options.TargetPrecision < 1e-9) {
+      EXPECT_FALSE(Concurrent.Converged);
+      EXPECT_EQ(Concurrent.Observations.size(), Options.MaxReps);
+      EXPECT_EQ(Concurrent.Attempts, Options.RetryAttempts + 1);
+    }
+  }
+}
+
 TEST(UnifiedReplayPathFaults, FaultScenarioChangesTheObservations) {
   // Guards the Faulted rows above against an inert injection.
   const Platform P = testPlatform();
@@ -363,9 +439,59 @@ TEST(UnifiedReplayPathFaults, FaultScenarioChangesTheObservations) {
 // fatal error.
 //===----------------------------------------------------------------------===//
 
-using RunnerDeathTest = ::testing::Test;
+/// Death tests run while the measurement helper pool is alive: a
+/// forked child inherits the pool object but none of its threads, so
+/// its measurements must finish on the calling thread alone.
+class RunnerDeathTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    AdaptiveOptions Options;
+    Options.MinReps = Options.MaxReps = 4;
+    measureBcast(testPlatform(), NumProcs, bcastConfig(), Options);
+  }
+};
 
-TEST(RunnerDeathTest, BcastRejectsMoreRanksThanThePlatformHosts) {
+namespace {
+
+/// Rank 1 waits for a message rank 0 never sends.
+BuiltSchedule deadlockingSchedule() {
+  ScheduleBuilder B(2);
+  BuiltSchedule Built;
+  const OpId Compute = B.addCompute(0, 1e-6);
+  const OpId Stuck = B.addRecv(1, 0, 1024, /*Tag=*/3);
+  Built.Exit = {Compute, Stuck};
+  Built.S = B.take();
+  return Built;
+}
+
+/// \p Text as a POSIX extended regular expression matching itself.
+std::string literalRegex(const std::string &Text) {
+  std::string Out;
+  for (char C : Text) {
+    if (std::string("\\^$.|?*+()[]{}").find(C) != std::string::npos)
+      Out += '\\';
+    Out += C;
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST_F(RunnerDeathTest, DeadlockingExperimentListsTheStuckOps) {
+  const Platform P = testPlatform();
+  AdaptiveOptions Options;
+  const ExecutionResult Reference = runSchedule(
+      deadlockingSchedule().S, P, SplitMix64(Options.BaseSeed).next());
+  ASSERT_FALSE(Reference.Completed);
+  const std::string StuckList = literalRegex(Reference.Diagnostic);
+  const Experiment E(P, 2, "test-deadlock", "deadlock-test",
+                     deadlockingSchedule);
+  EXPECT_DEATH(E.measure(Options), "deadlock-test schedule deadlocked: " +
+                                       StuckList);
+  EXPECT_DEATH(E.run(Options.BaseSeed), StuckList);
+}
+
+TEST_F(RunnerDeathTest, BcastRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
   EXPECT_DEATH(prepareBcast(P, Over, bcastConfig()).run(0), TooManyRanks);
@@ -374,7 +500,7 @@ TEST(RunnerDeathTest, BcastRejectsMoreRanksThanThePlatformHosts) {
                TooManyRanks);
 }
 
-TEST(RunnerDeathTest, ScatterRejectsMoreRanksThanThePlatformHosts) {
+TEST_F(RunnerDeathTest, ScatterRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
   EXPECT_DEATH(prepareScatter(P, Over, scatterConfig()).run(0), TooManyRanks);
@@ -384,7 +510,7 @@ TEST(RunnerDeathTest, ScatterRejectsMoreRanksThanThePlatformHosts) {
       TooManyRanks);
 }
 
-TEST(RunnerDeathTest, ReduceRejectsMoreRanksThanThePlatformHosts) {
+TEST_F(RunnerDeathTest, ReduceRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
   EXPECT_DEATH(prepareReduce(P, Over, reduceConfig()).run(0), TooManyRanks);
@@ -393,7 +519,7 @@ TEST(RunnerDeathTest, ReduceRejectsMoreRanksThanThePlatformHosts) {
                TooManyRanks);
 }
 
-TEST(RunnerDeathTest, AllgatherRejectsMoreRanksThanThePlatformHosts) {
+TEST_F(RunnerDeathTest, AllgatherRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
   EXPECT_DEATH(prepareAllgather(P, Over, allgatherConfig()).run(0),
@@ -404,7 +530,7 @@ TEST(RunnerDeathTest, AllgatherRejectsMoreRanksThanThePlatformHosts) {
       TooManyRanks);
 }
 
-TEST(RunnerDeathTest, AllreduceRejectsMoreRanksThanThePlatformHosts) {
+TEST_F(RunnerDeathTest, AllreduceRejectsMoreRanksThanThePlatformHosts) {
   const Platform P = testPlatform();
   const unsigned Over = P.maxProcs() + 1;
   EXPECT_DEATH(prepareAllreduce(P, Over, allreduceConfig()).run(0),
