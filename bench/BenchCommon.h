@@ -20,6 +20,7 @@
 #include "model/Calibration.h"
 #include "model/DecisionCache.h"
 #include "obs/Journal.h"
+#include "obs/Metrics.h"
 #include "support/CommandLine.h"
 #include "support/Json.h"
 
@@ -161,6 +162,20 @@ public:
   }
   void timing(const std::string &Key, double Value) {
     Timings.set(Key, Value);
+  }
+
+  /// Turns metric collection on for the whole run, so that workCounts()
+  /// sees every replay. Call before the run measures anything.
+  static void countWork() { obs::setMetricsEnabled(true); }
+
+  /// Records the run's engine work as exact metrics: its replays and
+  /// popped events, which one command line fixes at any thread count.
+  void workCounts() {
+    const obs::MetricsSnapshot Snap = obs::snapshotMetrics();
+    metric("engine.replays",
+           static_cast<double>(Snap.counter(obs::Counter::EngineReplays)));
+    metric("engine.events",
+           static_cast<double>(Snap.counter(obs::Counter::EngineEvents)));
   }
 
   /// Writes the record to \p Path; empty \p Path is a no-op (the flag

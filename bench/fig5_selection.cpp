@@ -116,6 +116,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
 
   banner("Fig. 5: selection accuracy, Open MPI vs model-based vs best");
 
@@ -148,6 +149,7 @@ int main(int Argc, char **Argv) {
 
   Report.metric("worst_model_deg", WorstModel);
   Report.metric("worst_ompi_deg", WorstOmpi);
+  Report.workCounts();
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);
   Report.timing("cache_misses", Cache.stats().Misses);

@@ -90,6 +90,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
 
   banner("Table 3: selections vs the best performing algorithm");
 
@@ -121,6 +122,7 @@ int main(int Argc, char **Argv) {
   // Max-bounded by the baseline's budget: a measurement that keeps
   // its schedules after it returns shows up here first.
   Report.metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
+  Report.workCounts();
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);
   Report.timing("cache_misses", Cache.stats().Misses);

@@ -19,6 +19,11 @@ fails when any metric drifts beyond tolerance:
 
     |current - baseline| <= abs_tol + rel_tol * |baseline|
 
+Both tolerances default to 0: every metric is a simulator output or a
+work count that one command line fixes bit for bit, so a metric must
+equal its baseline exactly.  A change that moves one refreshes the
+baseline (--update) and says why.
+
 A metric present in the baseline but missing from the current record
 (or vice versa) is a hard failure -- a silently dropped metric must
 not pass CI.  So is a committed baseline whose bench never appears
@@ -172,14 +177,14 @@ def main():
     parser.add_argument(
         "--rel-tol",
         type=float,
-        default=0.15,
-        help="relative tolerance per metric (default: 0.15)",
+        default=0.0,
+        help="relative tolerance per metric (default: 0, exact)",
     )
     parser.add_argument(
         "--abs-tol",
         type=float,
-        default=0.05,
-        help="absolute tolerance floor per metric (default: 0.05)",
+        default=0.0,
+        help="absolute tolerance floor per metric (default: 0, exact)",
     )
     parser.add_argument(
         "--update",

@@ -71,9 +71,21 @@ class BenchCompareTest(unittest.TestCase):
     def test_within_tolerance_passes(self):
         self.write_baseline("alpha", {"penalty": 1.0})
         rec = self.write("BENCH_alpha.json", record("alpha", {"penalty": 1.1}))
-        code, out = self.run_compare(rec)
+        code, out = self.run_compare("--rel-tol", "0.15", "--abs-tol", "0.05",
+                                     rec)
         self.assertEqual(code, 0, out)
         self.assertIn("all records within tolerance", out)
+
+    def test_default_tolerance_is_exact(self):
+        self.write_baseline("alpha", {"penalty": 1.0})
+        rec = self.write("BENCH_alpha.json", record("alpha", {"penalty": 1.0}))
+        code, out = self.run_compare(rec)
+        self.assertEqual(code, 0, out)
+        rec = self.write(
+            "BENCH_alpha.json", record("alpha", {"penalty": 1.0 + 2**-52})
+        )
+        code, out = self.run_compare(rec)
+        self.assertEqual(code, 1, out)
 
     def test_drift_beyond_tolerance_fails(self):
         self.write_baseline("alpha", {"penalty": 1.0})
@@ -245,6 +257,34 @@ class BenchCompareTest(unittest.TestCase):
         code, out = self.run_compare(self.write("BENCH_table2.json", rec))
         self.assertEqual(code, 1, out)
         self.assertIn(name, out)
+
+    def committed_table3(self):
+        """The committed table3 baseline in the temp baselines directory,
+        and a record that matches it, budgets included."""
+        committed = os.path.join(BASELINES, "BENCH_table3_selection.json")
+        shutil.copy(committed, self.baselines)
+        with open(committed, "r", encoding="utf-8") as handle:
+            rec = json.load(handle)
+        rec["metrics"].update(rec.pop("budgets"))
+        code, out = self.run_compare(self.write("BENCH_table3.json", rec))
+        self.assertEqual(code, 0, out)
+        return rec
+
+    def test_table3_lost_near_optimal_point_fails(self):
+        # One selection point falling out of the paper's 10 % band is a
+        # regression of the reproduction, not noise.
+        rec = self.committed_table3()
+        rec["metrics"]["model_near_optimal_grisou_p90"] -= 1
+        code, out = self.run_compare(self.write("BENCH_table3.json", rec))
+        self.assertEqual(code, 1, out)
+        self.assertIn("model_near_optimal_grisou_p90", out)
+
+    def test_table3_degradation_shift_fails(self):
+        rec = self.committed_table3()
+        rec["metrics"]["worst_model_deg_gros_p100"] += 1e-6
+        code, out = self.run_compare(self.write("BENCH_table3.json", rec))
+        self.assertEqual(code, 1, out)
+        self.assertIn("worst_model_deg_gros_p100", out)
 
     def test_jsonl_journals_are_skipped(self):
         self.write_baseline("alpha", {"penalty": 1.0})
