@@ -39,7 +39,7 @@
 /// state updates are plain arithmetic on the observation stream, so
 /// a cell's verdict is bit-deterministic given the same per-cell
 /// sample order. The replay feed preserves it: one grid point's
-/// measurement runs on one sweep worker, and although its first
+/// measurement runs on one thread, and although its first
 /// repetitions replay side by side on helper threads, the measuring
 /// thread feeds their observations in repetition order.
 ///

@@ -84,10 +84,15 @@ template <> struct CollectiveDescriptor<AllgatherAlgorithm> {
   }
   static Experiment prepare(const Platform &P, AllgatherAlgorithm Alg,
                             const ModelQuery &Query,
-                            std::uint64_t GatherBytes) {
+                            std::optional<std::uint64_t> GatherBytes) {
     return prepareAllgather(
         P, Query.NumProcs,
         {.Algorithm = Alg, .BlockBytes = Query.MessageBytes}, GatherBytes);
+  }
+  /// Open MPI 3.1's rule.
+  static FixedDecision<AllgatherAlgorithm>
+  fixedRule(unsigned NumProcs, std::uint64_t BlockBytes) {
+    return {ompiAllgatherDecisionFixed(NumProcs, BlockBytes), std::nullopt};
   }
 };
 

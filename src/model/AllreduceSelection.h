@@ -91,12 +91,17 @@ template <> struct CollectiveDescriptor<AllreduceAlgorithm> {
   }
   static Experiment prepare(const Platform &P, AllreduceAlgorithm Alg,
                             const ModelQuery &Query,
-                            std::uint64_t GatherBytes) {
+                            std::optional<std::uint64_t> GatherBytes) {
     return prepareAllreduce(P, Query.NumProcs,
                             {.Algorithm = Alg,
                              .MessageBytes = Query.MessageBytes,
                              .SegmentBytes = Query.SegmentBytes},
                             GatherBytes);
+  }
+  /// Open MPI 3.1's rule, at the calibrated segment size.
+  static FixedDecision<AllreduceAlgorithm>
+  fixedRule(unsigned NumProcs, std::uint64_t MessageBytes) {
+    return {ompiAllreduceDecisionFixed(NumProcs, MessageBytes), std::nullopt};
   }
 };
 

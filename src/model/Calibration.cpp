@@ -23,22 +23,6 @@ using namespace mpicsel;
 
 namespace {
 
-/// The model query of \p Alg at one (P, size) point: segmented
-/// algorithms run at the calibrated segment size, the others
-/// unsegmented.
-template <typename AlgT>
-ModelQuery modelQuery(AlgT Alg, unsigned NumProcs, std::uint64_t Bytes,
-                      std::uint64_t SegmentBytes, unsigned KChainFanout) {
-  const unsigned Mask = CollectiveDescriptor<AlgT>::SegmentedMask;
-  const bool Segmented = (Mask >> static_cast<unsigned>(Alg)) & 1u;
-  ModelQuery Query;
-  Query.NumProcs = NumProcs;
-  Query.MessageBytes = Bytes;
-  Query.SegmentBytes = Segmented ? SegmentBytes : 0;
-  Query.KChainFanout = KChainFanout;
-  return Query;
-}
-
 /// Measures one calibration experiment, retrying with reseed and a
 /// MaxReps backoff when the quality policy is enabled and the
 /// measurement does not converge. With the policy disabled this is a
@@ -241,8 +225,8 @@ ExperimentOutcome runCalibrationPoint(const Platform &Plat,
                                       const AdaptiveOptions &BaseAdaptive,
                                       AlgT Alg, std::size_t I) {
   const ModelQuery Query =
-      modelQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
-                 Options.SegmentBytes, Options.KChainFanout);
+      collectiveQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
+                      Options.SegmentBytes, Options.KChainFanout);
   const std::uint64_t AlgorithmStride =
       0x100000ull << static_cast<unsigned>(CollectiveDescriptor<AlgT>::Op);
   AdaptiveOptions Adaptive = BaseAdaptive;
@@ -304,8 +288,8 @@ void assembleAlgorithm(const CalibrationGrid &Grid,
     CostCoefficients Total =
         CollectiveDescriptor<AlgT>::cost(
             Alg,
-            modelQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
-                       Options.SegmentBytes, Options.KChainFanout),
+            collectiveQuery(Alg, Grid.NumProcs, Grid.MessageSizes[I],
+                            Options.SegmentBytes, Options.KChainFanout),
             Gamma) +
         linearGatherCostCoefficients(Grid.NumProcs, Grid.GatherSizes[I]);
     assert(Total.A > 0 && "degenerate experiment coefficients");
@@ -338,8 +322,8 @@ double CollectiveModels<AlgT>::predict(AlgT Alg, unsigned NumProcs,
   const CollectiveAlgorithmCalibration<AlgT> &Params = of(Alg);
   return CollectiveDescriptor<AlgT>::cost(
              Alg,
-             modelQuery(Alg, NumProcs, MessageBytes, SegmentBytes,
-                        KChainFanout),
+             collectiveQuery(Alg, NumProcs, MessageBytes, SegmentBytes,
+                             KChainFanout),
              Gamma)
       .evaluate(Params.Alpha, Params.Beta);
 }

@@ -41,6 +41,7 @@
 #include "cluster/Platform.h"
 #include "coll/Algorithms.h"
 #include "coll/Collective.h"
+#include "coll/OmpiDecision.h"
 #include "model/CostModels.h"
 #include "model/Gamma.h"
 #include "model/Runner.h"
@@ -49,6 +50,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -123,10 +125,11 @@ struct CalibrationOptions {
   bool UseHuber = true;
   /// Robustness policy (screening, retries, quality gates).
   CalibrationQualityOptions Quality;
-  /// Worker threads of the calibration sweeps. 0 (the default)
-  /// consults the MPICSEL_THREADS environment variable, which itself
-  /// defaults to 1 -- i.e. the historical serial pass. Any thread
-  /// count produces bit-identical results: every experiment derives
+  /// Threads of the calibration sweeps. 0 (the default) consults the
+  /// MPICSEL_THREADS environment variable, which itself defaults to 1
+  /// -- i.e. the historical serial pass. The sweeps use at most the
+  /// hardware thread count, whatever is asked. Any thread count
+  /// produces bit-identical results: every experiment derives
   /// its seed from its grid position and the per-algorithm systems
   /// are assembled in serial order (stat/ParallelSweep.h). The thread
   /// count is deliberately excluded from the DecisionCache content
@@ -144,17 +147,43 @@ struct GatherRamp {
   std::uint64_t Max;
 };
 
-/// What one collective contributes to the calibration core; the core
-/// reads nothing else about the op. Specialised per algorithm enum --
-/// broadcast below, the others in model/<Op>Selection.h -- with the
-/// op tag (its ordinal also spaces the experiment seeds), its
-/// algorithms, the default sizes MinBytes..MaxBytes (doubling), the
-/// default gather ramp, a mask of the segmented algorithm ordinals,
-/// and two functions: cost(), the algorithm's implementation-derived
-/// model, and prepare(), its Sect. 4.2 experiment (the op's
-/// prepare<Op> with the linear gather). Both see Query.SegmentBytes =
-/// 0 for an unsegmented algorithm.
+/// A fixed decision rule's pick at one (P, m): an algorithm and, if
+/// the rule sets one, its own segment size (unset: the calibrated one).
+template <typename AlgT> struct FixedDecision {
+  AlgT Algorithm{};
+  std::optional<std::uint64_t> SegmentBytes;
+};
+
+/// What one collective contributes to the calibration core and the
+/// selection oracle (model/Selection.h); they read nothing else about
+/// the op. Specialised per algorithm enum -- broadcast below, the
+/// others in model/<Op>Selection.h -- with the op tag (its ordinal
+/// also spaces the experiment seeds), its algorithms, the default
+/// sizes MinBytes..MaxBytes (doubling), the default gather ramp, a
+/// mask of the segmented algorithm ordinals, and two functions:
+/// cost(), the algorithm's implementation-derived model, and
+/// prepare(), the op's prepare<Op>: with a gather size the Sect. 4.2
+/// experiment, without one the plain collective the oracle measures.
+/// Both see Query.SegmentBytes = 0 for an unsegmented algorithm. Two
+/// hooks are optional: fixedRule(P, m), Open MPI's fixed decision, and
+/// oracleSeed(), the seed of each oracle measurement (without it the
+/// oracle measures under the caller's seed).
 template <typename AlgT> struct CollectiveDescriptor;
+
+/// The model query of \p Alg at one (P, size) point: segmented
+/// algorithms run at \p SegmentBytes, the others unsegmented.
+template <typename AlgT>
+ModelQuery collectiveQuery(AlgT Alg, unsigned NumProcs, std::uint64_t Bytes,
+                           std::uint64_t SegmentBytes, unsigned KChainFanout) {
+  const unsigned Mask = CollectiveDescriptor<AlgT>::SegmentedMask;
+  const bool Segmented = (Mask >> static_cast<unsigned>(Alg)) & 1u;
+  ModelQuery Query;
+  Query.NumProcs = NumProcs;
+  Query.MessageBytes = Bytes;
+  Query.SegmentBytes = Segmented ? SegmentBytes : 0;
+  Query.KChainFanout = KChainFanout;
+  return Query;
+}
 
 /// Broadcast, the paper's collective: the six Open MPI algorithms,
 /// every one but linear segmented.
@@ -177,13 +206,29 @@ template <> struct CollectiveDescriptor<BcastAlgorithm> {
   }
   static Experiment prepare(const Platform &P, BcastAlgorithm Alg,
                             const ModelQuery &Query,
-                            std::uint64_t GatherBytes) {
+                            std::optional<std::uint64_t> GatherBytes) {
     return prepareBcast(P, Query.NumProcs,
                         {.Algorithm = Alg,
                          .MessageBytes = Query.MessageBytes,
                          .SegmentBytes = Query.SegmentBytes,
                          .KChainFanout = Query.KChainFanout},
                         GatherBytes);
+  }
+  /// Open MPI 3.1's rule picks a segment size of its own.
+  static FixedDecision<BcastAlgorithm> fixedRule(unsigned NumProcs,
+                                                 std::uint64_t MessageBytes) {
+    const BcastDecision D = ompiBcastDecisionFixed(NumProcs, MessageBytes);
+    return {D.Algorithm, D.SegmentBytes};
+  }
+  /// Table 3's seeds: \p BaseSeed + m + 0x10000 P, salted by
+  /// 0x111 * algorithm, or by 0xBEEF for the fixed rule's measurement
+  /// at its own segment size.
+  static std::uint64_t oracleSeed(std::uint64_t BaseSeed,
+                                  const ModelQuery &Query, BcastAlgorithm Alg,
+                                  bool FixedRule) {
+    const std::uint64_t Salt =
+        FixedRule ? 0xBEEFull : 0x111ull * static_cast<unsigned>(Alg);
+    return BaseSeed + Salt + Query.MessageBytes + 0x10000ull * Query.NumProcs;
   }
 };
 

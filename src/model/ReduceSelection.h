@@ -88,7 +88,7 @@ template <> struct CollectiveDescriptor<ReduceAlgorithm> {
   }
   static Experiment prepare(const Platform &P, ReduceAlgorithm Alg,
                             const ModelQuery &Query,
-                            std::uint64_t GatherBytes) {
+                            std::optional<std::uint64_t> GatherBytes) {
     return prepareReduce(P, Query.NumProcs,
                          {.Algorithm = Alg,
                           .MessageBytes = Query.MessageBytes,

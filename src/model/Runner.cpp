@@ -25,11 +25,12 @@ static void checkRanks(const Platform &P, unsigned NumProcs) {
 
 namespace {
 
-/// The per-thread replay engine. ParallelSweep gives each worker its
-/// own thread, and a run's result is a pure function of (schedule,
-/// platform, seed, faults), so per-worker engines preserve the
-/// bit-identity of serial and threaded sweeps while letting every
-/// repetition reuse one warm arena.
+/// The per-thread replay engine. A run's result is a pure function of
+/// (schedule, platform, seed, faults), so per-thread engines preserve
+/// the bit-identity of serial and threaded sweeps while letting every
+/// repetition reuse one warm arena. A helper thread that runs sweep
+/// tasks keeps its engine warm between sweeps (DESIGN.md, "Concurrent
+/// first repetitions").
 Engine &workerEngine() {
   thread_local Engine E;
   return E;

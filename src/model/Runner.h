@@ -75,8 +75,8 @@ prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
 /// measure() replays the first MinReps repetitions of each attempt side
 /// by side, on the calling thread and the helpers of
 /// HelperPool::global(), then continues serially; its observations
-/// are the serial loop's, bit for bit. Inside a parallel sweep's
-/// worker every repetition replays on the worker.
+/// are the serial loop's, bit for bit. Inside a parallel sweep's task
+/// every repetition replays on the thread that runs the task.
 class Experiment {
 public:
   /// Prepares the experiment whose schedule \p Build generates over

@@ -78,7 +78,7 @@ template <> struct CollectiveDescriptor<ScatterAlgorithm> {
   }
   static Experiment prepare(const Platform &P, ScatterAlgorithm Alg,
                             const ModelQuery &Query,
-                            std::uint64_t GatherBytes) {
+                            std::optional<std::uint64_t> GatherBytes) {
     return prepareScatter(
         P, Query.NumProcs,
         {.Algorithm = Alg, .BlockBytes = Query.MessageBytes}, GatherBytes);

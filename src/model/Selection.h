@@ -6,17 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Evaluates the three decision procedures the paper compares in
-/// Fig. 5 and Table 3 at one (P, m) point:
+/// The a-posteriori oracle: evaluates the decision procedures the paper
+/// compares in Fig. 5 and Table 3 at one (P, m) point, for any of the
+/// five collectives (the journal version scores every op against this
+/// one oracle):
 ///
 ///  * the *best* algorithm (green): a-posteriori argmin over the
-///    measured times of all six algorithms at the default segment
-///    size;
+///    measured times of all the op's algorithms at the calibrated
+///    segment size;
 ///  * the *model-based* selection (red): the calibrated models'
 ///    argmin, then its measured time;
-///  * the *Open MPI* fixed decision function (blue): the algorithm
-///    and segment size Open MPI 3.1 would pick, then its measured
-///    time.
+///  * the *Open MPI* fixed decision function (blue), for the ops that
+///    have one: the algorithm -- and for broadcast the segment size --
+///    Open MPI 3.1 would pick, then its measured time.
+///
+/// What differs per op -- the experiment, the segmented algorithms,
+/// the fixed rule and the seeds -- is the op's CollectiveDescriptor
+/// (model/Calibration.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +30,6 @@
 #define MPICSEL_MODEL_SELECTION_H
 
 #include "cluster/Platform.h"
-#include "coll/OmpiDecision.h"
 #include "model/Calibration.h"
 
 #include <array>
@@ -32,26 +37,33 @@
 
 namespace mpicsel {
 
-/// The measured landscape and the three selections at one (P, m).
-struct SelectionPoint {
+/// The measured landscape and the selections at one (P, m) of the
+/// collective whose algorithm enum is \p AlgT.
+template <typename AlgT> struct CollectiveSelectionPoint {
+  /// Whether the op has a fixed decision rule (the Ompi* fields).
+  static constexpr bool HasFixedRule =
+      requires(unsigned P, std::uint64_t M) {
+        CollectiveDescriptor<AlgT>::fixedRule(P, M);
+      };
+
   unsigned NumProcs = 0;
   std::uint64_t MessageBytes = 0;
 
-  /// Mean measured time per algorithm at the default segment size.
-  std::array<double, NumBcastAlgorithms> MeasuredTime{};
+  /// Mean measured time per algorithm at the calibrated segment size.
+  std::array<double, CollectiveDescriptor<AlgT>::Algorithms.size()>
+      MeasuredTime{};
 
   /// A-posteriori best algorithm and its time.
-  BcastAlgorithm Best = BcastAlgorithm::Binomial;
+  AlgT Best{};
   double BestTime = 0.0;
 
   /// Model-based selection, its *measured* time and predicted time.
-  BcastAlgorithm ModelChoice = BcastAlgorithm::Binomial;
+  AlgT ModelChoice{};
   double ModelChoiceTime = 0.0;
   double ModelPredictedTime = 0.0;
 
-  /// Open MPI decision (algorithm + its own segment size) and its
-  /// measured time.
-  BcastDecision OmpiChoice;
+  /// Open MPI's decision and its measured time.
+  FixedDecision<AlgT> OmpiChoice;
   double OmpiChoiceTime = 0.0;
 
   /// Performance degradation (T - T_best)/T_best of a selection.
@@ -63,12 +75,20 @@ struct SelectionPoint {
   }
 };
 
-/// Measures all six algorithms at the calibrated segment size,
-/// evaluates both decision procedures and measures their choices.
-SelectionPoint evaluateSelectionPoint(const Platform &P, unsigned NumProcs,
-                                      std::uint64_t MessageBytes,
-                                      const CalibratedModels &Models,
-                                      const AdaptiveOptions &Options = {});
+using SelectionPoint = CollectiveSelectionPoint<BcastAlgorithm>;
+
+/// Measures every algorithm of the op at (\p NumProcs, \p MessageBytes)
+/// -- block bytes for scatter and allgather -- in enum order, at the
+/// calibrated segment size and K-chain fanout, and evaluates the
+/// model-based and fixed decisions against them. The fixed rule's pick
+/// is measured again, after the landscape, only at a segment size of
+/// its own. Explicitly instantiated for the five collectives.
+template <typename AlgT>
+CollectiveSelectionPoint<AlgT>
+evaluateSelectionPoint(const Platform &P, unsigned NumProcs,
+                       std::uint64_t MessageBytes,
+                       const CollectiveModels<AlgT> &Models,
+                       const AdaptiveOptions &Options = {});
 
 } // namespace mpicsel
 

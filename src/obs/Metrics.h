@@ -58,8 +58,8 @@ enum class Counter : unsigned {
   CacheMisses,        ///< decision-cache lookups with no usable entry
   CacheCorrupt,       ///< entries that read OK but failed to parse
   CacheStores,        ///< decision-cache entries written
-  PoolTasks,          ///< thread-pool tasks executed
-  PoolSteals,         ///< tasks executed from another worker's deque
+  PoolTasks,          ///< tasks of sweeps run on more than one seat
+  PoolSteals,         ///< sweep tasks a helper thread ran
   AuditChecks,        ///< model/table audit checks evaluated
   AuditViolations,    ///< audit findings at violation severity
   SelectorFallbacks,  ///< robust selections degraded to the OMPI decision
@@ -82,7 +82,7 @@ constexpr std::size_t NumCounters =
 /// maximum (a plain "last write wins" would be meaningless across
 /// threads).
 enum class Gauge : unsigned {
-  PoolThreads,  ///< widest thread pool constructed
+  PoolThreads,  ///< widest helper pool started (helpers + the caller)
   SweepThreads, ///< widest parallel sweep fan-out requested
   PeakRssKiB,   ///< highest resident-set size observed (KiB, see obs/Rss.h)
   ServeStalenessMs, ///< oldest served decision image observed (ms): recorded

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fans a grid of independent measurement tasks across a work-stealing
-/// thread pool while keeping the results *bit-identical* to the serial
-/// loop. The contract that makes this possible:
+/// Fans a grid of independent measurement tasks across the process-wide
+/// HelperPool (support/ThreadPool.h) while keeping the results
+/// *bit-identical* to the serial loop. The contract that makes this
+/// possible:
 ///
 ///  * every task is a pure function of its index -- in particular each
 ///    task derives its own RNG seed from the index (the calibration
@@ -19,7 +20,10 @@
 ///    in exactly the serial order.
 ///
 /// With one thread (the default everywhere) the sweep degenerates to
-/// the plain historical `for` loop -- no pool is created at all.
+/// the plain historical `for` loop. With more, it takes at most
+/// `Threads` seats of the pool, the caller in seat 0; the hardware
+/// thread count caps them, and a sweep started inside another sweep's
+/// task runs on its caller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +40,10 @@
 namespace mpicsel {
 
 /// Resolves a requested sweep thread count: 0 consults the
-/// MPICSEL_THREADS environment variable (unset/invalid -> 1, "max" ->
-/// hardware concurrency); any other value is taken as-is.
+/// MPICSEL_THREADS environment variable -- a positive integer, or
+/// "max" for the hardware concurrency; unset, empty, malformed, zero
+/// or absurdly large (> 100000) values all mean 1 (serial). Any other
+/// request is taken as-is.
 unsigned resolveSweepThreads(unsigned Requested);
 
 /// Void-task variant: runs \p Task(0..Count-1) for side effects on
@@ -49,8 +55,8 @@ void sweepIndexed(unsigned Threads, std::size_t Count,
 
 /// Runs \p Task(0..Count-1), each producing one ResultT, and returns
 /// the results indexed by task. \p Threads <= 1 runs the serial loop
-/// in index order; more threads fan the tasks over a work-stealing
-/// pool. Either way Results[I] is exactly what the serial loop's I-th
+/// in index order; more threads fan the tasks over the helper pool.
+/// Either way Results[I] is exactly what the serial loop's I-th
 /// iteration computes, provided Task honours the purity contract in
 /// the file comment.
 template <typename ResultT>

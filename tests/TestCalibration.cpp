@@ -17,10 +17,13 @@
 #include "model/ScatterSelection.h"
 #include "model/Selection.h"
 #include "model/TraditionalModels.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -357,6 +360,198 @@ TEST(Selection, SelectBestIsTheArgminOfPredict) {
     for (BcastAlgorithm Alg : AllBcastAlgorithms)
       EXPECT_LE(ChosenTime, M.predict(Alg, 20, MessageBytes) + 1e-15);
   }
+}
+
+namespace {
+
+std::uint64_t runnerExperiments() {
+  return obs::snapshotMetrics().counter(obs::Counter::RunnerExperiments);
+}
+
+/// What the oracle must reproduce at one point, measured directly
+/// through the op's prepare<Op> under the op's seed rule.
+template <typename AlgT> struct DirectOracle {
+  /// The mean of one landscape measurement.
+  std::function<double(AlgT)> Landscape;
+  /// The fixed rule's pick and its time, given the landscape's times
+  /// (measured again at a segment size of its own); empty for an op
+  /// without a fixed rule.
+  std::function<std::pair<AlgT, double>(const std::vector<double> &)> Fixed;
+};
+
+/// Checks evaluateSelectionPoint against \p Direct at (P, m): every
+/// time bit for bit, the best, model and fixed-rule fields, and as many
+/// replays (runner.experiments) as the direct measurements took.
+template <typename AlgT>
+void expectOracleIsTheDirectLoop(const Platform &Plat, unsigned P,
+                                 std::uint64_t M,
+                                 const CollectiveModels<AlgT> &Models,
+                                 const AdaptiveOptions &Options,
+                                 const DirectOracle<AlgT> &Direct) {
+  SCOPED_TRACE(std::string(collectiveOpName(CollectiveDescriptor<AlgT>::Op)) +
+               " m=" + std::to_string(M));
+  const bool MetricsWereOn = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  std::uint64_t Before = runnerExperiments();
+  const CollectiveSelectionPoint<AlgT> Pt =
+      evaluateSelectionPoint(Plat, P, M, Models, Options);
+  const std::uint64_t OracleReplays = runnerExperiments() - Before;
+
+  Before = runnerExperiments();
+  std::vector<double> Times;
+  for (AlgT Alg : CollectiveDescriptor<AlgT>::Algorithms)
+    Times.push_back(Direct.Landscape(Alg));
+  std::pair<AlgT, double> Fixed{};
+  if (Direct.Fixed)
+    Fixed = Direct.Fixed(Times);
+  EXPECT_EQ(OracleReplays, runnerExperiments() - Before);
+  obs::setMetricsEnabled(MetricsWereOn);
+
+  for (std::size_t I = 0; I != Times.size(); ++I)
+    EXPECT_EQ(Pt.MeasuredTime[I], Times[I]) << "algorithm " << I;
+  const auto Best = std::min_element(Times.begin(), Times.end());
+  EXPECT_EQ(static_cast<std::size_t>(Pt.Best), Best - Times.begin());
+  EXPECT_EQ(Pt.BestTime, *Best);
+  const AlgT Model = Models.selectBest(P, M);
+  EXPECT_EQ(Pt.ModelChoice, Model);
+  EXPECT_EQ(Pt.ModelChoiceTime, Times[static_cast<unsigned>(Model)]);
+  EXPECT_EQ(Pt.ModelPredictedTime, Models.predict(Model, P, M));
+  ASSERT_EQ(CollectiveSelectionPoint<AlgT>::HasFixedRule,
+            static_cast<bool>(Direct.Fixed));
+  EXPECT_EQ(Pt.OmpiChoice.Algorithm, Fixed.first);
+  EXPECT_EQ(Pt.OmpiChoiceTime, Fixed.second);
+}
+
+} // namespace
+
+TEST(Selection, OracleIsTheDirectMeasurementLoopOfEveryCollective) {
+  const Platform Plat = smallCluster();
+  const unsigned P = 16;
+  AdaptiveOptions Quick;
+  Quick.MinReps = 3;
+  Quick.MaxReps = 6;
+  Quick.BaseSeed = 77;
+  auto seeded = [&](std::uint64_t Seed) {
+    AdaptiveOptions Options = Quick;
+    Options.BaseSeed = Seed;
+    return Options;
+  };
+  auto measured = [](const Experiment &E, const AdaptiveOptions &Options) {
+    return E.measure(Options).Stats.Mean;
+  };
+
+  // Broadcast salts Table 3's seeds. At 64 KiB Open MPI runs
+  // split-binary at 1 KiB segments, a measurement of its own; at 1 MiB
+  // it runs the chain at the calibrated 8 KiB.
+  const CalibratedModels Bcast = calibrate(Plat, quickOptions(12));
+  for (std::uint64_t M : {std::uint64_t(64 * 1024), std::uint64_t(1 << 20)}) {
+    auto bcast = [&](BcastAlgorithm Alg, std::uint64_t Segment,
+                     std::uint64_t Salt) {
+      BcastConfig Config;
+      Config.Algorithm = Alg;
+      Config.MessageBytes = M;
+      Config.SegmentBytes = Alg == BcastAlgorithm::Linear ? 0 : Segment;
+      Config.KChainFanout = Bcast.KChainFanout;
+      return measured(prepareBcast(Plat, P, Config),
+                      seeded(Quick.BaseSeed + Salt + M + 0x10000ull * P));
+    };
+    expectOracleIsTheDirectLoop<BcastAlgorithm>(
+        Plat, P, M, Bcast, Quick,
+        {[&](BcastAlgorithm Alg) {
+           return bcast(Alg, Bcast.SegmentBytes,
+                        0x111ull * static_cast<unsigned>(Alg));
+         },
+         [&](const std::vector<double> &Times) {
+           const BcastDecision D = ompiBcastDecisionFixed(P, M);
+           EXPECT_EQ(D.SegmentBytes != Bcast.SegmentBytes, M == 64 * 1024);
+           return std::pair{D.Algorithm,
+                            D.SegmentBytes != Bcast.SegmentBytes
+                                ? bcast(D.Algorithm, D.SegmentBytes, 0xBEEF)
+                                : Times[static_cast<unsigned>(D.Algorithm)]};
+         }});
+  }
+
+  // The other ops measure under the caller's seed.
+  const std::uint64_t Block = 4096, Vector = 256 * 1024;
+  CalibrationOptions BlockOptions = quickOptions(12);
+  BlockOptions.MessageSizes = {1024, 4096, 16384, 65536};
+  const ReduceModels Reduce = calibrateReduce(Plat, quickOptions(12));
+  expectOracleIsTheDirectLoop<ReduceAlgorithm>(
+      Plat, P, Vector, Reduce, Quick,
+      {[&](ReduceAlgorithm Alg) {
+         ReduceConfig Config;
+         Config.Algorithm = Alg;
+         Config.MessageBytes = Vector;
+         Config.SegmentBytes =
+             Alg == ReduceAlgorithm::Linear ? 0 : Reduce.SegmentBytes;
+         return measured(prepareReduce(Plat, P, Config), Quick);
+       },
+       {}});
+  const ScatterModels Scatter = calibrateScatter(Plat, BlockOptions);
+  expectOracleIsTheDirectLoop<ScatterAlgorithm>(
+      Plat, P, Block, Scatter, Quick,
+      {[&](ScatterAlgorithm Alg) {
+         ScatterConfig Config;
+         Config.Algorithm = Alg;
+         Config.BlockBytes = Block;
+         return measured(prepareScatter(Plat, P, Config), Quick);
+       },
+       {}});
+  const AllgatherModels Allgather = calibrateAllgather(Plat, BlockOptions);
+  expectOracleIsTheDirectLoop<AllgatherAlgorithm>(
+      Plat, P, Block, Allgather, Quick,
+      {[&](AllgatherAlgorithm Alg) {
+         AllgatherConfig Config;
+         Config.Algorithm = Alg;
+         Config.BlockBytes = Block;
+         return measured(prepareAllgather(Plat, P, Config), Quick);
+       },
+       [&](const std::vector<double> &Times) {
+         const AllgatherAlgorithm Alg = ompiAllgatherDecisionFixed(P, Block);
+         return std::pair{Alg, Times[static_cast<unsigned>(Alg)]};
+       }});
+  const AllreduceModels Allreduce = calibrateAllreduce(Plat, quickOptions(12));
+  expectOracleIsTheDirectLoop<AllreduceAlgorithm>(
+      Plat, P, Vector, Allreduce, Quick,
+      {[&](AllreduceAlgorithm Alg) {
+         AllreduceConfig Config;
+         Config.Algorithm = Alg;
+         Config.MessageBytes = Vector;
+         Config.SegmentBytes = Alg == AllreduceAlgorithm::ReduceBcast
+                                   ? Allreduce.SegmentBytes
+                                   : 0;
+         return measured(prepareAllreduce(Plat, P, Config), Quick);
+       },
+       [&](const std::vector<double> &Times) {
+         const AllreduceAlgorithm Alg = ompiAllreduceDecisionFixed(P, Vector);
+         return std::pair{Alg, Times[static_cast<unsigned>(Alg)]};
+       }});
+}
+
+TEST(Selection, OracleMeasuresTheKChainAtTheCalibratedFanout) {
+  const Platform Plat = smallCluster();
+  const unsigned P = 16;
+  const std::uint64_t M = 256 * 1024;
+  CalibratedModels Models = calibrate(Plat, quickOptions(12));
+  Models.KChainFanout = 3;
+  AdaptiveOptions Quick;
+  Quick.MinReps = 3;
+  Quick.MaxReps = 6;
+  auto kchain = [&](unsigned Fanout) {
+    BcastConfig Config;
+    Config.Algorithm = BcastAlgorithm::KChain;
+    Config.MessageBytes = M;
+    Config.SegmentBytes = Models.SegmentBytes;
+    Config.KChainFanout = Fanout;
+    AdaptiveOptions Options = Quick;
+    Options.BaseSeed += 0x111ull * static_cast<unsigned>(Config.Algorithm) +
+                        M + 0x10000ull * P;
+    return prepareBcast(Plat, P, Config).measure(Options).Stats.Mean;
+  };
+  const SelectionPoint Pt = evaluateSelectionPoint(Plat, P, M, Models, Quick);
+  ASSERT_NE(kchain(3), kchain(4));
+  EXPECT_EQ(Pt.MeasuredTime[static_cast<unsigned>(BcastAlgorithm::KChain)],
+            kchain(3));
 }
 
 //===----------------------------------------------------------------------===//

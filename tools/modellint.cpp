@@ -24,7 +24,7 @@
 // makes the exit status 1 (warnings are listed but do not gate), so
 // the tool can guard CI. Usage errors exit 2.
 //
-// --jobs N fans the per-P grid columns over a work-stealing pool
+// --jobs N fans the per-P grid columns over the helper pool
 // (stat/ParallelSweep.h) with results merged in grid order, so the
 // report and exit status are identical for any job count.
 //

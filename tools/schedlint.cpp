@@ -18,7 +18,7 @@
 // communicator size (51) to exercise the tree builders' remainder
 // handling.
 //
-// --jobs N fans the grid cells over a work-stealing thread pool
+// --jobs N fans the grid cells over the helper thread pool
 // (stat/ParallelSweep.h): each cell accumulates into its own Sweep
 // and the results are merged in grid order, so the findings table
 // and the exit status are identical for any job count.
