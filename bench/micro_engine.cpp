@@ -425,11 +425,12 @@ int main(int Argc, char **Argv) {
   for (const BenchCase &Case : benchCases()) {
     ScheduleBuilder B(Case.NumProcs);
     const std::vector<OpId> Exit = appendBcast(B, Case.Config);
-    CompiledSchedule CS = compileSchedule(B.take());
+    const Schedule S = B.take();
+    CompiledSchedule CS = compileSchedule(S);
     const std::size_t NumOps = CS.numOps();
 
     // Bit-identity probe at a seed outside the timing loops.
-    ExecutionResult LegacyProbe = runScheduleLegacy(CS.Source, Plat, 9001);
+    ExecutionResult LegacyProbe = runScheduleLegacy(S, Plat, 9001);
     Engine E;
     ExecutionResult CompiledProbe = E.run(CS, Plat, 9001);
     const std::uint64_t ProbeEvents = E.eventsProcessed();

@@ -75,24 +75,11 @@ double Experiment::replay(std::uint64_t Seed, Engine &E) const {
   // Every simulated measurement in the process funnels through here,
   // whichever engine executes it.
   obs::bump(obs::Counter::RunnerExperiments);
-  // Under EngineMode::Legacy the compiled schedule's source replays
-  // through the legacy interpreter instead -- one env variable
-  // (MPICSEL_ENGINE=legacy) flips the whole measurement stack for
-  // differential testing.
-  double Latest = 0.0;
-  if (engineMode() == EngineMode::Legacy) {
-    const ExecutionResult R =
-        runScheduleLegacy(Schedule->Compiled.Source, *Plat, Seed);
-    if (!R.Completed)
-      fatalError(strFormat("%s schedule deadlocked: ", Label) + R.Diagnostic);
-    for (OpId Id : Schedule->Exit)
-      Latest = std::max(Latest, R.doneTime(Id));
-    return Latest / TimeDivisor;
-  }
   const ExecutionResult &R =
       E.run(Schedule->Compiled, *Plat, Seed, nullptr, leanReplay());
   if (!R.Completed)
     fatalError(strFormat("%s schedule deadlocked: ", Label) + R.Diagnostic);
+  double Latest = 0.0;
   for (double Done : R.ExitTimes)
     Latest = std::max(Latest, Done);
   return Latest / TimeDivisor;
@@ -126,9 +113,8 @@ AdaptiveResult Experiment::measure(const AdaptiveOptions &Options) const {
       [this](std::span<const std::uint64_t> Seeds, std::span<double> Out) {
         HelperPool &Pool = HelperPool::global();
         std::vector<Engine> HelperEngines(Pool.seats(Seeds.size()) - 1);
-        if (engineMode() == EngineMode::Compiled)
-          for (Engine &E : HelperEngines)
-            E.reserve(Schedule->Compiled, *Plat, leanReplay());
+        for (Engine &E : HelperEngines)
+          E.reserve(Schedule->Compiled, *Plat, leanReplay());
         Pool.run(Seeds.size(), [&](std::size_t I, unsigned Seat) {
           Out[I] = replay(Seeds[I], Seat == 0 ? workerEngine()
                                               : HelperEngines[Seat - 1]);

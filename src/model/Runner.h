@@ -65,12 +65,12 @@ prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
 /// released when the last copy of the Experiment goes away.
 ///
 /// run() is the library's one replay path. It replays on the calling
-/// thread's warm Engine, or through the legacy interpreter under
-/// EngineMode::Legacy, with the same pre-flight verification as
-/// runSchedule. The observation is the latest completion time over the
-/// schedule's exit ops, divided by \p Divisor (the call count of a
-/// train, 2 for a ping-pong's one-way time). The platform is held by
-/// reference and must outlive the experiment.
+/// thread's warm Engine, without the per-op timeline, with the same
+/// pre-flight verification as runSchedule. The observation is the
+/// latest completion time over the schedule's exit ops, divided by
+/// \p Divisor (the call count of a train, 2 for a ping-pong's one-way
+/// time). The platform is held by reference and must outlive the
+/// experiment.
 ///
 /// measure() replays the first MinReps repetitions of each attempt side
 /// by side, on the calling thread and the helpers of

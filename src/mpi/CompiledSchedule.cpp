@@ -21,29 +21,11 @@ std::uint64_t packChannelKey(unsigned Src, unsigned Dst, int Tag) {
 
 } // namespace
 
-CompiledSchedule mpicsel::compileSchedule(Schedule S) {
+CompiledSchedule mpicsel::compileSchedule(const Schedule &S) {
   const std::uint32_t NumOps = static_cast<std::uint32_t>(S.Ops.size());
 
   CompiledSchedule CS;
   CS.RankCount = S.RankCount;
-
-  // Struct-of-arrays op fields.
-  CS.Kind.resize(NumOps);
-  CS.OpRank.resize(NumOps);
-  CS.OpPeer.resize(NumOps);
-  CS.OpBytes.resize(NumOps);
-  CS.OpTag.resize(NumOps);
-  CS.OpDuration.resize(NumOps);
-  for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    assert(O.Rank < S.RankCount && "op rank out of range");
-    CS.Kind[Id] = O.Kind;
-    CS.OpRank[Id] = O.Rank;
-    CS.OpPeer[Id] = O.Peer;
-    CS.OpBytes[Id] = O.Bytes;
-    CS.OpTag[Id] = O.Tag;
-    CS.OpDuration[Id] = O.Duration;
-  }
 
   // CSR dependencies (forward) and in-degrees; roots by *static*
   // dependency count -- the engine's activation gate.
@@ -85,40 +67,36 @@ CompiledSchedule mpicsel::compileSchedule(Schedule S) {
         CS.SuccList[Cursor[Dep]++] = Id;
   }
 
-  // Per-rank op index.
-  CS.RankOpOffsets.assign(S.RankCount + 1, 0);
-  for (OpId Id = 0; Id != NumOps; ++Id)
-    ++CS.RankOpOffsets[CS.OpRank[Id] + 1];
-  for (unsigned Rank = 0; Rank != S.RankCount; ++Rank)
-    CS.RankOpOffsets[Rank + 1] += CS.RankOpOffsets[Rank];
-  CS.RankOps.resize(NumOps);
-  {
-    std::vector<std::uint32_t> Cursor(CS.RankOpOffsets.begin(),
-                                      CS.RankOpOffsets.end() - 1);
-    for (OpId Id = 0; Id != NumOps; ++Id)
-      CS.RankOps[Cursor[CS.OpRank[Id]]++] = Id;
-  }
-
-  // Match channels: dense indices assigned by first appearance in op
-  // order. A send uses its own (rank, peer, tag); a receive maps to
-  // the matching send direction (peer, rank, tag).
-  CS.ChannelOf.assign(NumOps, CompiledSchedule::NoChannel);
+  // Op rows and match channels: dense indices assigned by first
+  // appearance in op order. A send uses its own (rank, peer, tag); a
+  // receive maps to the matching send direction (peer, rank, tag).
+  CS.Hot.resize(NumOps);
+  CS.OpTag.resize(NumOps);
   std::unordered_map<std::uint64_t, std::uint32_t> ChannelIndex;
   std::vector<std::uint32_t> SendCount, RecvCount;
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    if (CS.Kind[Id] == OpKind::Compute)
+    const Op &O = S.Ops[Id];
+    assert(O.Rank < S.RankCount && "op rank out of range");
+    CompiledOp &H = CS.Hot[Id];
+    H.Bytes = O.Bytes;
+    H.Duration = O.Duration;
+    H.Rank = O.Rank;
+    H.Peer = O.Peer;
+    H.Channel = CompiledSchedule::NoChannel;
+    H.Kind = O.Kind;
+    CS.OpTag[Id] = O.Tag;
+    if (O.Kind == OpKind::Compute)
       continue;
-    const bool IsSend = CS.Kind[Id] == OpKind::Send;
-    const std::uint64_t Key =
-        IsSend ? packChannelKey(CS.OpRank[Id], CS.OpPeer[Id], CS.OpTag[Id])
-               : packChannelKey(CS.OpPeer[Id], CS.OpRank[Id], CS.OpTag[Id]);
+    const bool IsSend = O.Kind == OpKind::Send;
+    const std::uint64_t Key = IsSend ? packChannelKey(O.Rank, O.Peer, O.Tag)
+                                     : packChannelKey(O.Peer, O.Rank, O.Tag);
     auto [It, Inserted] = ChannelIndex.try_emplace(
         Key, static_cast<std::uint32_t>(ChannelIndex.size()));
     if (Inserted) {
       SendCount.push_back(0);
       RecvCount.push_back(0);
     }
-    CS.ChannelOf[Id] = It->second;
+    H.Channel = It->second;
     if (IsSend) {
       ++SendCount[It->second];
       ++CS.NumSends;
@@ -135,20 +113,5 @@ CompiledSchedule mpicsel::compileSchedule(Schedule S) {
     CS.ChannelSendOffsets[C + 1] = CS.ChannelSendOffsets[C] + SendCount[C];
     CS.ChannelRecvOffsets[C + 1] = CS.ChannelRecvOffsets[C] + RecvCount[C];
   }
-
-  // Hot rows: the SoA columns plus the channel index, one fetch per
-  // op for the replay loop.
-  CS.Hot.resize(NumOps);
-  for (OpId Id = 0; Id != NumOps; ++Id) {
-    CompiledOp &H = CS.Hot[Id];
-    H.Bytes = CS.OpBytes[Id];
-    H.Duration = CS.OpDuration[Id];
-    H.Rank = CS.OpRank[Id];
-    H.Peer = CS.OpPeer[Id];
-    H.Channel = CS.ChannelOf[Id];
-    H.Kind = CS.Kind[Id];
-  }
-
-  CS.Source = std::move(S);
   return CS;
 }

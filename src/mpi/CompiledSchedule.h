@@ -10,13 +10,14 @@
 /// The builder-facing IR (mpi/Schedule.h) optimises for readability --
 /// one Op struct per operation, each with its own Deps vector -- which
 /// scatters the engine's hot loop across the heap. Compilation packs
-/// the same DAG into struct-of-arrays op fields plus CSR
-/// (compressed-sparse-row) dependency, successor and per-rank index
-/// arrays, and pre-resolves the (source, destination, tag) match
-/// channels into dense indices with exact per-channel queue capacities.
-/// The engine (sim/Engine.h) then replays a compiled schedule without
-/// touching the heap at all, and the static verifier reads the same
-/// CSR arrays, so the verified artifact is the executed artifact.
+/// each op into one 32-byte row plus its tag, the DAG into CSR
+/// (compressed-sparse-row) dependency and successor arrays, and
+/// pre-resolves the (source, destination, tag) match channels into
+/// dense indices with exact per-channel queue capacities. The engine
+/// (sim/Engine.h) then replays a compiled schedule without touching the
+/// heap at all, and the static verifier reads the same rows and CSR
+/// arrays, so the verified artifact is the executed artifact. The
+/// source Schedule is not retained.
 ///
 /// Compilation only *re-lays-out* the schedule: op order, dependency
 /// order and successor order are preserved exactly, which is what keeps
@@ -37,8 +38,7 @@ namespace mpicsel {
 
 /// The per-op fields the replay loop needs to activate one op, packed
 /// into a single 32-byte row: processing an op costs one cache fetch
-/// instead of one read per SoA column. Redundant with the columns in
-/// CompiledSchedule (the verifier and tools read those).
+/// instead of one read per field.
 struct CompiledOp {
   std::uint64_t Bytes = 0;
   double Duration = 0.0;
@@ -52,6 +52,18 @@ struct CompiledOp {
 };
 static_assert(sizeof(CompiledOp) == 32, "hot row must stay one half-line");
 
+/// One op with the fields of mpi/Schedule.h's Op, its dependencies
+/// viewed in place rather than copied.
+struct OpView {
+  OpKind Kind;
+  unsigned Rank;
+  unsigned Peer;
+  std::uint64_t Bytes;
+  int Tag;
+  double Duration;
+  std::span<const OpId> Deps;
+};
+
 /// A Schedule in execution-ready form. Immutable after compilation;
 /// safe to share across threads (and shared process-wide by the
 /// interning cache, see mpi/ScheduleIntern.h).
@@ -61,15 +73,14 @@ struct CompiledSchedule {
 
   unsigned RankCount = 0;
 
-  /// \name Struct-of-arrays op fields, indexed by OpId.
-  /// @{
-  std::vector<OpKind> Kind;
-  std::vector<std::uint32_t> OpRank;
-  std::vector<std::uint32_t> OpPeer;
-  std::vector<std::uint64_t> OpBytes;
+  /// Per-op rows, indexed by OpId -- what the engine's replay loop
+  /// reads.
+  std::vector<CompiledOp> Hot;
+
+  /// Per-op MPI tags, indexed by OpId: the one cold column. The match
+  /// channels already encode the tag, so replay never reads it; the
+  /// verifier and deadlock diagnostics do.
   std::vector<std::int32_t> OpTag;
-  std::vector<double> OpDuration;
-  /// @}
 
   /// \name CSR dependency edges (op -> the same-rank ops it waits on).
   /// DepList[DepOffsets[Id] .. DepOffsets[Id+1]) preserves the order of
@@ -97,23 +108,15 @@ struct CompiledSchedule {
   /// roots the engine activates at t = 0.
   std::vector<OpId> Roots;
 
-  /// \name Per-rank op index (CSR): RankOps[RankOpOffsets[R] ..
-  /// RankOpOffsets[R+1]) lists rank R's ops in ascending id order.
-  /// @{
-  std::vector<std::uint32_t> RankOpOffsets;
-  std::vector<OpId> RankOps;
-  /// @}
-
   /// \name Match channels.
-  /// Every Send/Recv resolves to a dense channel index for its
-  /// (source, destination, tag) FIFO -- the send direction, so a send
-  /// and its matching receive share the index. Indices are assigned by
-  /// first appearance in ascending op id order (deterministic).
-  /// ChannelSendOffsets/ChannelRecvOffsets are prefix sums of the
-  /// per-channel send/recv counts: exact capacities for the engine's
-  /// bump-pointer message and posted-receive queues.
+  /// Every Send/Recv resolves to a dense channel index (Hot[Id].Channel)
+  /// for its (source, destination, tag) FIFO -- the send direction, so
+  /// a send and its matching receive share the index. Indices are
+  /// assigned by first appearance in ascending op id order
+  /// (deterministic). ChannelSendOffsets/ChannelRecvOffsets are prefix
+  /// sums of the per-channel send/recv counts: exact capacities for the
+  /// engine's bump-pointer message and posted-receive queues.
   /// @{
-  std::vector<std::uint32_t> ChannelOf;
   std::uint32_t NumChannels = 0;
   std::vector<std::uint32_t> ChannelSendOffsets;
   std::vector<std::uint32_t> ChannelRecvOffsets;
@@ -123,17 +126,8 @@ struct CompiledSchedule {
   std::uint32_t NumSends = 0;
   std::uint32_t NumRecvs = 0;
 
-  /// Hot per-op rows (same information as the SoA columns plus the
-  /// channel index), indexed by OpId -- what the engine's replay loop
-  /// actually reads.
-  std::vector<CompiledOp> Hot;
-
-  /// The schedule this was compiled from, retained for diagnostics,
-  /// the legacy differential path and re-compilation checks.
-  Schedule Source;
-
   std::uint32_t numOps() const {
-    return static_cast<std::uint32_t>(Kind.size());
+    return static_cast<std::uint32_t>(Hot.size());
   }
 
   /// Dependencies of \p Id, in Op::Deps order.
@@ -150,18 +144,19 @@ struct CompiledSchedule {
             SuccOffsets[Id + 1] - SuccOffsets[Id]};
   }
 
-  /// Ops of \p Rank in ascending id order.
-  std::span<const OpId> opsOfRank(unsigned Rank) const {
-    assert(Rank < RankCount && "rank out of range");
-    return {RankOps.data() + RankOpOffsets[Rank],
-            RankOpOffsets[Rank + 1] - RankOpOffsets[Rank]};
+  /// Op \p Id as the builder IR spells it, read from its row, its tag
+  /// and its dependency row.
+  OpView op(OpId Id) const {
+    const CompiledOp &H = Hot[Id];
+    return {H.Kind, H.Rank, H.Peer, H.Bytes, OpTag[Id], H.Duration,
+            depsOf(Id)};
   }
 };
 
 /// Lowers \p S into flat arrays. Asserts the same structural
 /// invariants ScheduleBuilder establishes (deps are same-rank
 /// back-references); run validateSchedule first for untrusted input.
-CompiledSchedule compileSchedule(Schedule S);
+CompiledSchedule compileSchedule(const Schedule &S);
 
 } // namespace mpicsel
 

@@ -15,8 +15,6 @@ const char *obs::counterName(Counter C) {
     return "engine.arena_warmups";
   case Counter::EngineArenaReuses:
     return "engine.arena_reuses";
-  case Counter::EngineLegacyRuns:
-    return "engine.legacy_runs";
   case Counter::StreamReplays:
     return "stream.replays";
   case Counter::StreamEvents:

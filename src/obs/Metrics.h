@@ -44,7 +44,6 @@ enum class Counter : unsigned {
   EngineEvents,       ///< events popped by the compiled replay loop
   EngineArenaWarmups, ///< replays that had to grow the run-state arena
   EngineArenaReuses,  ///< replays served entirely from a warm arena
-  EngineLegacyRuns,   ///< runs through the legacy interpreter oracle
   StreamReplays,      ///< streaming (closed-form) replays completed
   StreamEvents,       ///< events popped by the streaming replay loop
   RunnerExperiments,  ///< simulated collective experiments (all callers)

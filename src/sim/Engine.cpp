@@ -515,7 +515,6 @@ ExecutionResult mpicsel::runScheduleLegacy(const Schedule &S,
 
   Executor Exec(S, P, Seed, Faults);
   ExecutionResult Result = Exec.run();
-  obs::bump(obs::Counter::EngineLegacyRuns);
 
   if (Preflight)
     crossCheckPreflight(Result, Report);
@@ -968,15 +967,16 @@ std::uint64_t CompiledExecutor::run() {
     for (OpId Id = 0; Id != NumOps; ++Id) {
       if (Result.Timings[Id].Done)
         continue;
-      if (Stuck++ < MaxListed)
+      if (Stuck++ < MaxListed) {
+        const OpView O = CS.op(Id);
         Detail += strFormat(
             "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id,
-            CS.OpRank[Id],
-            CS.Kind[Id] == OpKind::Send
+            O.Rank,
+            O.Kind == OpKind::Send
                 ? "send"
-                : (CS.Kind[Id] == OpKind::Recv ? "recv" : "compute"),
-            CS.OpPeer[Id], CS.OpTag[Id],
-            static_cast<unsigned long long>(CS.OpBytes[Id]));
+                : (O.Kind == OpKind::Recv ? "recv" : "compute"),
+            O.Peer, O.Tag, static_cast<unsigned long long>(O.Bytes));
+      }
     }
     if (Stuck > MaxListed)
       Detail += strFormat("\n  ... and %u more", Stuck - MaxListed);
@@ -1030,35 +1030,9 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
   return State->Result;
 }
 
-namespace {
-
-EngineMode envEngineMode() {
-  const char *Value = std::getenv("MPICSEL_ENGINE");
-  if (Value && std::string(Value) == "legacy")
-    return EngineMode::Legacy;
-  return EngineMode::Compiled;
-}
-
-std::atomic<EngineMode> &engineModeFlag() {
-  static std::atomic<EngineMode> Mode{envEngineMode()};
-  return Mode;
-}
-
-} // namespace
-
-EngineMode mpicsel::engineMode() {
-  return engineModeFlag().load(std::memory_order_relaxed);
-}
-
-void mpicsel::setEngineMode(EngineMode Mode) {
-  engineModeFlag().store(Mode, std::memory_order_relaxed);
-}
-
 ExecutionResult mpicsel::runSchedule(const Schedule &S, const Platform &P,
                                      std::uint64_t Seed,
                                      const FaultSchedule *Faults) {
-  if (engineMode() == EngineMode::Legacy)
-    return runScheduleLegacy(S, P, Seed, Faults);
   // One-shot compile + replay. Loops that re-execute one schedule
   // should compile once (or intern, mpi/ScheduleIntern.h) and drive a
   // long-lived Engine directly; this facade keeps the historical

@@ -122,22 +122,6 @@ ExecutionResult runScheduleLegacy(const Schedule &S, const Platform &P,
                                   std::uint64_t Seed = 0,
                                   const FaultSchedule *Faults = nullptr);
 
-/// Which machinery runSchedule dispatches to.
-enum class EngineMode : std::uint8_t {
-  /// Compile the schedule and replay it through Engine (default).
-  Compiled,
-  /// The original per-Op interpreter.
-  Legacy,
-};
-
-/// The process-wide engine mode. The initial value is taken from the
-/// MPICSEL_ENGINE environment variable ("legacy" selects the legacy
-/// interpreter); anything else, or no variable, selects Compiled.
-EngineMode engineMode();
-
-/// Overrides the process-wide engine mode (differential tests).
-void setEngineMode(EngineMode Mode);
-
 /// Per-run knobs of the compiled replay.
 struct ReplayOptions {
   /// Record one OpTiming row per op in ExecutionResult::Timings (32

@@ -148,16 +148,17 @@ class Analyzer {
 public:
   Analyzer(const Schedule &Sched, const ScheduleContract *Contr,
            const VerifyOptions &Options)
-      : S(Sched), Contract(Contr), Opts(Options) {}
+      : S(&Sched), RankCount(Sched.RankCount),
+        NumOps(static_cast<OpId>(Sched.Ops.size())), Contract(Contr),
+        Opts(Options) {}
 
-  /// Compiled-schedule analysis: every dependency read goes through
-  /// the CSR arrays, so the artifact the engine executes is the
-  /// artifact this verifies (op fields still come from the retained
-  /// source schedule -- compilation copies them field for field).
+  /// Compiled-schedule analysis: every op is read from the rows and
+  /// CSR arrays the engine executes, so the artifact the engine
+  /// executes is the artifact this verifies.
   Analyzer(const CompiledSchedule &Compiled, const ScheduleContract *Contr,
            const VerifyOptions &Options)
-      : S(Compiled.Source), CS(&Compiled), Contract(Contr),
-        Opts(Options) {}
+      : CS(&Compiled), RankCount(Compiled.RankCount),
+        NumOps(Compiled.numOps()), Contract(Contr), Opts(Options) {}
 
   VerifyReport run();
 
@@ -184,16 +185,19 @@ private:
   /// edges. Consumes from the shared budget.
   bool reaches(OpId From, std::span<const OpId> Targets);
 
-  /// Dependencies of \p Id: the CSR row when analysing a compiled
-  /// schedule, the builder-IR vector otherwise.
-  std::span<const OpId> deps(OpId Id) const {
+  /// Op \p Id: the compiled rows when analysing a compiled schedule,
+  /// the builder IR otherwise.
+  OpView op(OpId Id) const {
     if (CS)
-      return CS->depsOf(Id);
-    return S.Ops[Id].Deps;
+      return CS->op(Id);
+    const Op &O = S->Ops[Id];
+    return {O.Kind, O.Rank, O.Peer, O.Bytes, O.Tag, O.Duration, O.Deps};
   }
 
-  const Schedule &S;
+  const Schedule *S = nullptr;
   const CompiledSchedule *CS = nullptr;
+  unsigned RankCount;
+  OpId NumOps;
   const ScheduleContract *Contract;
   const VerifyOptions &Opts;
   VerifyReport Report;
@@ -234,33 +238,32 @@ void Analyzer::finding(Severity Sev, CheckKind Check, OpId Id, unsigned Rank,
 }
 
 bool Analyzer::checkStructure() {
-  if (S.RankCount == 0) {
+  if (RankCount == 0) {
     finding(Severity::Error, CheckKind::Structure, InvalidOpId,
             VerifyFinding::InvalidRank, "schedule has zero ranks");
     return false;
   }
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   Malformed.assign(NumOps, false);
   Dependents.assign(NumOps, {});
 
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    if (O.Rank >= S.RankCount) {
+    const OpView O = op(Id);
+    if (O.Rank >= RankCount) {
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("rank %u outside the %u-rank communicator", O.Rank,
-                        S.RankCount));
+                        RankCount));
       Malformed[Id] = true;
     }
-    if (O.Kind != OpKind::Compute && O.Peer >= S.RankCount) {
+    if (O.Kind != OpKind::Compute && O.Peer >= RankCount) {
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("peer %u outside the %u-rank communicator", O.Peer,
-                        S.RankCount));
+                        RankCount));
       Malformed[Id] = true;
     }
     if (O.Kind == OpKind::Compute && O.Duration < 0)
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("negative compute duration %g", O.Duration));
-    for (OpId Dep : deps(Id)) {
+    for (OpId Dep : O.Deps) {
       if (Dep >= NumOps) {
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 strFormat("dependency on nonexistent op %u", Dep));
@@ -270,11 +273,11 @@ bool Analyzer::checkStructure() {
       if (Dep == Id)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 "op depends on itself");
-      if (!Malformed[Id] && S.Ops[Dep].Rank != O.Rank)
+      if (!Malformed[Id] && op(Dep).Rank != O.Rank)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 strFormat("cross-rank dependency on op %u of rank %u (MPI "
                           "processes wait only on their own requests)",
-                          Dep, S.Ops[Dep].Rank));
+                          Dep, op(Dep).Rank));
       Dependents[Dep].push_back(Id);
     }
   }
@@ -284,7 +287,7 @@ bool Analyzer::checkStructure() {
   // mutated schedules can contain forward edges and thus cycles.
   std::vector<std::uint32_t> Pending(NumOps, 0);
   for (OpId Id = 0; Id != NumOps; ++Id)
-    for (OpId Dep : deps(Id))
+    for (OpId Dep : op(Id).Deps)
       if (Dep < NumOps)
         ++Pending[Id];
   std::deque<OpId> Queue;
@@ -303,16 +306,15 @@ bool Analyzer::checkStructure() {
   if (Ordered != NumOps)
     for (OpId Id = 0; Id != NumOps; ++Id)
       if (Pending[Id] != 0)
-        finding(Severity::Error, CheckKind::Structure, Id, S.Ops[Id].Rank,
+        finding(Severity::Error, CheckKind::Structure, Id, op(Id).Rank,
                 "op is part of a dependency cycle");
   return true;
 }
 
 void Analyzer::buildChannels() {
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   PosOf.assign(NumOps, {});
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
+    const OpView O = op(Id);
     if (O.Kind == OpKind::Compute || Malformed[Id])
       continue;
     ChannelKey Key = O.Kind == OpKind::Send
@@ -332,7 +334,7 @@ void Analyzer::buildChannels() {
 }
 
 void Analyzer::checkMatching() {
-  MatchOf.assign(S.Ops.size(), InvalidOpId);
+  MatchOf.assign(NumOps, InvalidOpId);
   for (auto &[Key, Chan] : Channels) {
     const auto [Src, Dst, Tag] = Key;
     std::size_t Paired = std::min(Chan.Sends.size(), Chan.Recvs.size());
@@ -340,12 +342,12 @@ void Analyzer::checkMatching() {
       OpId SendId = Chan.Sends[K], RecvId = Chan.Recvs[K];
       MatchOf[SendId] = RecvId;
       MatchOf[RecvId] = SendId;
-      if (S.Ops[SendId].Bytes != S.Ops[RecvId].Bytes)
+      if (op(SendId).Bytes != op(RecvId).Bytes)
         finding(Severity::Error, CheckKind::Matching, RecvId, Dst,
                 strFormat("recv of %llu bytes matches send op %u of %llu "
                           "bytes (%u -> %u, tag %d, message #%zu)",
-                          (unsigned long long)S.Ops[RecvId].Bytes, SendId,
-                          (unsigned long long)S.Ops[SendId].Bytes, Src, Dst,
+                          (unsigned long long)op(RecvId).Bytes, SendId,
+                          (unsigned long long)op(SendId).Bytes, Src, Dst,
                           Tag, K));
     }
     for (std::size_t K = Paired; K < Chan.Sends.size(); ++K)
@@ -399,7 +401,7 @@ bool Analyzer::reaches(OpId From, std::span<const OpId> Targets) {
     for (OpId Next : Dependents[Id])
       if (follow(Next))
         return true;
-    const Op &O = S.Ops[Id];
+    const OpView O = op(Id);
     if (O.Kind == OpKind::Send && MatchOf[Id] != InvalidOpId &&
         follow(MatchOf[Id]))
       return true;
@@ -415,8 +417,8 @@ bool Analyzer::reaches(OpId From, std::span<const OpId> Targets) {
 }
 
 bool Analyzer::postingOrdered(OpId A, OpId B) {
-  std::span<const OpId> DepsA = deps(A);
-  std::span<const OpId> DepsB = deps(B);
+  std::span<const OpId> DepsA = op(A).Deps;
+  std::span<const OpId> DepsB = op(B).Deps;
   if (DepsA.empty())
     return true; // A is posted at t = 0.
   if (DepsB.empty())
@@ -458,8 +460,8 @@ void Analyzer::checkAmbiguity() {
     auto checkRun = [&](const std::vector<OpId> &Run, const char *What,
                         unsigned Rank) {
       for (std::size_t K = 0; K + 1 < Run.size(); ++K) {
-        const Op &A = S.Ops[Run[K]];
-        const Op &B = S.Ops[Run[K + 1]];
+        const OpView A = op(Run[K]);
+        const OpView B = op(Run[K + 1]);
         if (A.Bytes == B.Bytes)
           continue; // Reordering equal sizes never changes outcomes.
         // The proof may walk the channel's FIFO edges below this
@@ -494,14 +496,13 @@ void Analyzer::checkAmbiguity() {
 }
 
 void Analyzer::checkDeadlock() {
-  const OpId NumOps = static_cast<OpId>(S.Ops.size());
   // An op completes iff its valid dependencies complete and, for a
   // matched recv, its send completes; unmatched recvs never do.
   // Monotone fixpoint via Kahn over the dependency + match graph.
   std::vector<std::uint32_t> Waits(NumOps, 0);
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    for (OpId Dep : deps(Id))
+    const OpView O = op(Id);
+    for (OpId Dep : O.Deps)
       if (Dep < NumOps)
         ++Waits[Id];
     if (O.Kind == OpKind::Recv && !Malformed[Id])
@@ -524,7 +525,7 @@ void Analyzer::checkDeadlock() {
       --Waits[Next];
       release(Next);
     }
-    if (S.Ops[Id].Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
+    if (op(Id).Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
       OpId RecvId = MatchOf[Id];
       --Waits[RecvId];
       release(RecvId);
@@ -538,7 +539,7 @@ void Analyzer::checkDeadlock() {
     return;
 
   finding(Severity::Error, CheckKind::Deadlock, Report.NeverCompleting[0],
-          S.Ops[Report.NeverCompleting[0]].Rank,
+          op(Report.NeverCompleting[0]).Rank,
           strFormat("guaranteed deadlock: %zu of %u ops can never complete",
                     Report.NeverCompleting.size(), NumOps));
 
@@ -547,9 +548,9 @@ void Analyzer::checkDeadlock() {
   // matched send is itself stuck.
   unsigned Named = 0;
   for (OpId Id : Report.NeverCompleting) {
-    const Op &O = S.Ops[Id];
+    const OpView O = op(Id);
     bool DepsOk = true;
-    for (OpId Dep : deps(Id))
+    for (OpId Dep : O.Deps)
       DepsOk &= Dep < NumOps && Completes[Dep];
     if (!DepsOk)
       continue; // Failure inherited through program order.
@@ -583,12 +584,12 @@ void Analyzer::checkDeadlock() {
     OnTrail[Cur] = true;
     Trail.push_back(Cur);
     OpId Blocker = InvalidOpId;
-    for (OpId Dep : deps(Cur))
+    for (OpId Dep : op(Cur).Deps)
       if (Dep < NumOps && !Completes[Dep]) {
         Blocker = Dep;
         break;
       }
-    if (Blocker == InvalidOpId && S.Ops[Cur].Kind == OpKind::Recv &&
+    if (Blocker == InvalidOpId && op(Cur).Kind == OpKind::Recv &&
         MatchOf[Cur] != InvalidOpId && !Completes[MatchOf[Cur]])
       Blocker = MatchOf[Cur];
     if (Blocker == InvalidOpId)
@@ -601,20 +602,20 @@ void Analyzer::checkDeadlock() {
     In |= Id == Cur;
     if (!In)
       continue;
-    const Op &O = S.Ops[Id];
+    const OpView O = op(Id);
     Cycle += strFormat("op %u (rank %u %s", Id, O.Rank, opKindName(O.Kind));
     if (O.Kind != OpKind::Compute)
       Cycle += strFormat(" peer=%u tag=%d", O.Peer, O.Tag);
     Cycle += ") waits for ";
   }
   Cycle += strFormat("op %u", Cur);
-  finding(Severity::Error, CheckKind::Deadlock, Cur, S.Ops[Cur].Rank,
+  finding(Severity::Error, CheckKind::Deadlock, Cur, op(Cur).Rank,
           "wait-for cycle: " + Cycle);
 }
 
 void Analyzer::checkContract() {
   const ScheduleContract &C = *Contract;
-  const unsigned P = S.RankCount;
+  const unsigned P = RankCount;
   auto covers = [&](const auto &Vec) { return Vec.size() == P; };
   auto sized = [&](const auto &Vec, const char *What) {
     if (Vec.empty() || covers(Vec))
@@ -629,8 +630,8 @@ void Analyzer::checkContract() {
 
   std::vector<std::uint64_t> Recv(P, 0), Sent(P, 0);
   std::vector<std::uint32_t> RecvN(P, 0), SentN(P, 0);
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
-    const Op &O = S.Ops[Id];
+  for (OpId Id = 0; Id != NumOps; ++Id) {
+    const OpView O = op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind == OpKind::Recv) {
@@ -703,7 +704,7 @@ void Analyzer::checkContract() {
     std::size_t Paired = std::min(Chan.Sends.size(), Chan.Recvs.size());
     bool Payload = false;
     for (std::size_t K = 0; K != Paired && !Payload; ++K)
-      Payload = S.Ops[Chan.Sends[K]].Bytes > 0;
+      Payload = op(Chan.Sends[K]).Bytes > 0;
     if (!Payload)
       continue;
     unsigned Src = std::get<0>(Key), Dst = std::get<1>(Key);
@@ -740,8 +741,8 @@ void Analyzer::checkContract() {
 }
 
 void Analyzer::checkLints() {
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
-    const Op &O = S.Ops[Id];
+  for (OpId Id = 0; Id != NumOps; ++Id) {
+    const OpView O = op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind != OpKind::Compute && O.Peer == O.Rank)
@@ -749,7 +750,7 @@ void Analyzer::checkLints() {
               strFormat("self-%s: rank %u messages itself (not modelled; "
                         "real MPI would need buffering guarantees)",
                         opKindName(O.Kind), O.Rank));
-    if (O.Kind == OpKind::Compute && O.Duration == 0.0 && deps(Id).empty() &&
+    if (O.Kind == OpKind::Compute && O.Duration == 0.0 && O.Deps.empty() &&
         Dependents[Id].empty())
       finding(Severity::Lint, CheckKind::Lint, Id, O.Rank,
               "dead op: zero-duration compute with no dependencies and no "

@@ -138,9 +138,10 @@ VerifyReport verifySchedule(const Schedule &S,
                             const VerifyOptions &Options = {});
 
 /// Same analysis over a compiled schedule (mpi/CompiledSchedule.h):
-/// all dependency reads go through the CSR arrays the engine executes,
-/// so the compiled layout itself is what gets verified. This is the
-/// overload the engine's pre-flight and tools/schedlint use.
+/// every op is read from the rows and CSR arrays the engine executes,
+/// so the compiled layout itself is what gets verified, with the same
+/// report the builder-IR overload gives. This is the overload the
+/// engine's pre-flight and tools/schedlint use.
 VerifyReport verifySchedule(const CompiledSchedule &CS,
                             const ScheduleContract *Contract = nullptr,
                             const VerifyOptions &Options = {});

@@ -32,7 +32,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace mpicsel;
@@ -262,7 +264,7 @@ TEST(CompiledSchedule, AllCollectivesBitIdenticalToLegacy) {
   for (const CatalogEntry &Entry : buildCatalogue()) {
     CompiledSchedule CS = compileSchedule(Entry.S);
     for (std::uint64_t Seed : Seeds) {
-      ExecutionResult Legacy = runScheduleLegacy(CS.Source, P, Seed);
+      ExecutionResult Legacy = runScheduleLegacy(Entry.S, P, Seed);
       const ExecutionResult &Compiled = E.run(CS, P, Seed);
       ASSERT_TRUE(Legacy.Completed) << Entry.Name;
       expectBitIdentical(Legacy, Compiled,
@@ -287,14 +289,15 @@ TEST(CompiledSchedule, DeepHeapWithTiesBitIdenticalToLegacy) {
   C.MessageBytes = 4 << 20;
   C.SegmentBytes = 8 << 10;
   appendBcast(B, C);
-  const CompiledSchedule CS = compileSchedule(B.take());
+  const Schedule S = B.take();
+  const CompiledSchedule CS = compileSchedule(S);
 
   Engine E;
   for (double Sigma : {0.02, 0.0}) {
     Platform P = makeGrisou();
     P.NoiseSigma = Sigma;
     const std::string Context = "sigma " + std::to_string(Sigma);
-    ExecutionResult Legacy = runScheduleLegacy(CS.Source, P, 7);
+    ExecutionResult Legacy = runScheduleLegacy(S, P, 7);
     const ExecutionResult &Compiled = E.run(CS, P, 7);
     ASSERT_TRUE(Legacy.Completed) << Context;
     expectBitIdentical(Legacy, Compiled, Context);
@@ -349,24 +352,25 @@ TEST(CompiledSchedule, FaultScenariosBitIdenticalToLegacy) {
   ARC.ComputeSecondsPerByte = 4e-10;
   appendAllreduce(AllreduceB, ARC);
 
-  std::vector<CompiledSchedule> Shapes;
-  Shapes.push_back(compileSchedule(BcastB.take()));
-  Shapes.push_back(compileSchedule(SplitB.take()));
-  Shapes.push_back(compileSchedule(ReduceB.take()));
-  Shapes.push_back(compileSchedule(AllgatherB.take()));
-  Shapes.push_back(compileSchedule(AllreduceB.take()));
+  std::vector<Schedule> Shapes;
+  Shapes.push_back(BcastB.take());
+  Shapes.push_back(SplitB.take());
+  Shapes.push_back(ReduceB.take());
+  Shapes.push_back(AllgatherB.take());
+  Shapes.push_back(AllreduceB.take());
 
   Engine E;
-  for (const FaultSchedule &Faults : faultScenarios())
-    for (const CompiledSchedule &CS : Shapes)
+  for (const Schedule &S : Shapes) {
+    const CompiledSchedule CS = compileSchedule(S);
+    for (const FaultSchedule &Faults : faultScenarios())
       for (std::uint64_t Seed : Seeds) {
-        ExecutionResult Legacy =
-            runScheduleLegacy(CS.Source, P, Seed, &Faults);
+        ExecutionResult Legacy = runScheduleLegacy(S, P, Seed, &Faults);
         const ExecutionResult &Compiled = E.run(CS, P, Seed, &Faults);
         ASSERT_TRUE(Legacy.Completed) << Faults.name();
         expectBitIdentical(Legacy, Compiled,
                            Faults.name() + " seed " + std::to_string(Seed));
       }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -381,14 +385,15 @@ TEST(CompiledSchedule, EightThreadSweepMatchesSerial) {
   C.MessageBytes = 64 * 1024;
   C.SegmentBytes = 8 * 1024;
   appendBcast(B, C);
-  const CompiledSchedule CS = compileSchedule(B.take());
+  const Schedule S = B.take();
+  const CompiledSchedule CS = compileSchedule(S);
 
   constexpr std::size_t NumSeeds = 32;
 
   // Serial oracle: the legacy interpreter, one run per seed.
   std::vector<ExecutionResult> Serial(NumSeeds);
   for (std::size_t I = 0; I != NumSeeds; ++I)
-    Serial[I] = runScheduleLegacy(CS.Source, P, I + 1);
+    Serial[I] = runScheduleLegacy(S, P, I + 1);
 
   // MPICSEL_THREADS=8 is how the sweeps request their worker count;
   // resolve it exactly as model/ does, then replay the same seeds over
@@ -411,25 +416,8 @@ TEST(CompiledSchedule, EightThreadSweepMatchesSerial) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch, deadlock parity, arena reuse, structure.
+// Deadlock parity, arena reuse, structure.
 //===----------------------------------------------------------------------===//
-
-TEST(CompiledSchedule, RunScheduleDispatchesBothModes) {
-  Platform P = testPlatform();
-  ScheduleBuilder B(16);
-  appendBarrier(B, 0);
-  Schedule S = B.take();
-
-  const EngineMode Saved = engineMode();
-  setEngineMode(EngineMode::Legacy);
-  ExecutionResult Legacy = runSchedule(S, P, 5);
-  setEngineMode(EngineMode::Compiled);
-  ExecutionResult Compiled = runSchedule(S, P, 5);
-  setEngineMode(Saved);
-
-  ASSERT_TRUE(Legacy.Completed);
-  expectBitIdentical(Legacy, Compiled, "runSchedule dispatch");
-}
 
 TEST(CompiledSchedule, DeadlockParityWithLegacy) {
   Platform P = testPlatform();
@@ -438,9 +426,10 @@ TEST(CompiledSchedule, DeadlockParityWithLegacy) {
   ScheduleBuilder B(2);
   B.addRecv(1, 0, 100, 0);
   B.addCompute(0, 1e-6);
-  CompiledSchedule CS = compileSchedule(B.take());
+  const Schedule S = B.take();
+  const CompiledSchedule CS = compileSchedule(S);
 
-  ExecutionResult Legacy = runScheduleLegacy(CS.Source, P, 3);
+  ExecutionResult Legacy = runScheduleLegacy(S, P, 3);
   Engine E;
   const ExecutionResult &Compiled = E.run(CS, P, 3);
 
@@ -487,52 +476,81 @@ TEST(CompiledSchedule, FlatIrMirrorsSourceSchedule) {
   C.MessageBytes = 64 * 1024;
   C.SegmentBytes = 8 * 1024;
   appendBcast(B, C);
-  CompiledSchedule CS = compileSchedule(B.take());
-  const Schedule &S = CS.Source;
+  const Schedule S = B.take();
+  const CompiledSchedule CS = compileSchedule(S);
 
+  // What the compiled form must reproduce, derived from the source:
+  // successors in release order (ascending dependent id, deps in list
+  // order) and channels numbered by first appearance in op order, the
+  // send direction shared by a send and its receive.
   ASSERT_EQ(CS.numOps(), S.Ops.size());
+  std::vector<std::vector<OpId>> Succs(S.Ops.size());
+  std::map<std::tuple<unsigned, unsigned, int>, std::uint32_t> ChannelIds;
+  std::vector<std::uint32_t> ChannelSends, ChannelRecvs;
   std::uint32_t Sends = 0, Recvs = 0, Roots = 0;
   for (OpId Id = 0; Id != CS.numOps(); ++Id) {
     const Op &O = S.Ops[Id];
-    // SoA columns, hot rows and the source op must agree field by
-    // field.
-    EXPECT_EQ(CS.Kind[Id], O.Kind);
-    EXPECT_EQ(CS.OpRank[Id], O.Rank);
-    EXPECT_EQ(CS.OpBytes[Id], O.Bytes);
-    EXPECT_EQ(CS.Hot[Id].Kind, O.Kind);
-    EXPECT_EQ(CS.Hot[Id].Rank, O.Rank);
-    EXPECT_EQ(CS.Hot[Id].Bytes, O.Bytes);
-    EXPECT_EQ(CS.Hot[Id].Duration, CS.OpDuration[Id]);
-    EXPECT_EQ(CS.Hot[Id].Channel, CS.ChannelOf[Id]);
+    for (OpId Dep : O.Deps)
+      Succs[Dep].push_back(Id);
+    // The hot row and the tag carry the source op field by field, and
+    // op() reads them back with the dependency row.
+    const CompiledOp &H = CS.Hot[Id];
+    EXPECT_EQ(H.Kind, O.Kind);
+    EXPECT_EQ(H.Rank, O.Rank);
+    EXPECT_EQ(H.Peer, O.Peer);
+    EXPECT_EQ(H.Bytes, O.Bytes);
+    EXPECT_EQ(H.Duration, O.Duration);
+    EXPECT_EQ(CS.OpTag[Id], O.Tag);
+    const OpView V = CS.op(Id);
+    EXPECT_TRUE(V.Kind == O.Kind && V.Rank == O.Rank && V.Peer == O.Peer &&
+                V.Bytes == O.Bytes && V.Tag == O.Tag &&
+                V.Duration == O.Duration)
+        << "op " << Id;
     // Dependency order is preserved exactly (the bit-identity hinge).
-    auto Deps = CS.depsOf(Id);
-    ASSERT_EQ(Deps.size(), O.Deps.size());
-    for (std::size_t I = 0; I != Deps.size(); ++I)
-      EXPECT_EQ(Deps[I], O.Deps[I]);
+    EXPECT_TRUE(std::ranges::equal(CS.depsOf(Id), O.Deps)) << "op " << Id;
+    EXPECT_TRUE(std::ranges::equal(V.Deps, O.Deps)) << "op " << Id;
     EXPECT_EQ(CS.InDegree[Id], O.Deps.size());
     if (O.Deps.empty())
       ++Roots;
-    if (O.Kind == OpKind::Send) {
+    if (O.Kind == OpKind::Compute) {
+      EXPECT_EQ(H.Channel, CompiledSchedule::NoChannel);
+      continue;
+    }
+    const bool IsSend = O.Kind == OpKind::Send;
+    const auto Key = IsSend ? std::make_tuple(O.Rank, O.Peer, O.Tag)
+                            : std::make_tuple(O.Peer, O.Rank, O.Tag);
+    const auto [It, Inserted] = ChannelIds.try_emplace(
+        Key, static_cast<std::uint32_t>(ChannelIds.size()));
+    if (Inserted) {
+      ChannelSends.push_back(0);
+      ChannelRecvs.push_back(0);
+    }
+    EXPECT_EQ(H.Channel, It->second) << "op " << Id;
+    if (IsSend) {
+      ++ChannelSends[It->second];
       ++Sends;
-      EXPECT_NE(CS.ChannelOf[Id], CompiledSchedule::NoChannel);
-    } else if (O.Kind == OpKind::Recv) {
-      ++Recvs;
-      EXPECT_NE(CS.ChannelOf[Id], CompiledSchedule::NoChannel);
     } else {
-      EXPECT_EQ(CS.ChannelOf[Id], CompiledSchedule::NoChannel);
+      ++ChannelRecvs[It->second];
+      ++Recvs;
     }
   }
   EXPECT_EQ(CS.NumSends, Sends);
   EXPECT_EQ(CS.NumRecvs, Recvs);
   EXPECT_EQ(CS.Roots.size(), Roots);
+  for (OpId Id = 0; Id != CS.numOps(); ++Id)
+    EXPECT_TRUE(std::ranges::equal(CS.succsOf(Id), Succs[Id]))
+        << "op " << Id;
   // Channel capacities are exact prefix sums of the per-channel
   // send/recv populations.
+  ASSERT_EQ(CS.NumChannels, ChannelIds.size());
   ASSERT_EQ(CS.ChannelSendOffsets.size(), CS.NumChannels + 1);
-  EXPECT_EQ(CS.ChannelSendOffsets[CS.NumChannels], Sends);
-  EXPECT_EQ(CS.ChannelRecvOffsets[CS.NumChannels], Recvs);
-  // Successor edges are the exact transpose of the dependency edges.
-  std::size_t SuccEdges = 0;
-  for (OpId Id = 0; Id != CS.numOps(); ++Id)
-    SuccEdges += CS.succsOf(Id).size();
-  EXPECT_EQ(SuccEdges, CS.DepList.size());
+  ASSERT_EQ(CS.ChannelRecvOffsets.size(), CS.NumChannels + 1);
+  EXPECT_EQ(CS.ChannelSendOffsets[0], 0u);
+  EXPECT_EQ(CS.ChannelRecvOffsets[0], 0u);
+  for (std::uint32_t Chan = 0; Chan != CS.NumChannels; ++Chan) {
+    EXPECT_EQ(CS.ChannelSendOffsets[Chan + 1] - CS.ChannelSendOffsets[Chan],
+              ChannelSends[Chan]);
+    EXPECT_EQ(CS.ChannelRecvOffsets[Chan + 1] - CS.ChannelRecvOffsets[Chan],
+              ChannelRecvs[Chan]);
+  }
 }

@@ -201,8 +201,6 @@ TEST(Metrics, EveryNameIsNonEmptyAndDotSeparated) {
 
 TEST(Metrics, RunnerExperimentsCountEveryReplayOfEveryCollective) {
   ObservabilityReset Reset;
-  const EngineMode SavedMode = engineMode();
-  setEngineMode(EngineMode::Compiled);
   obs::setMetricsEnabled(true);
   Platform Plat = smallCluster();
   const obs::MetricsSnapshot Before = obs::snapshotMetrics();
@@ -259,7 +257,6 @@ TEST(Metrics, RunnerExperimentsCountEveryReplayOfEveryCollective) {
   EXPECT_EQ(After.counter(obs::Counter::CalibExperiments) -
                 Before.counter(obs::Counter::CalibExperiments),
             9u);
-  setEngineMode(SavedMode);
 }
 
 //===----------------------------------------------------------------------===//

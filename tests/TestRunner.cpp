@@ -1,4 +1,4 @@
-//===- tests/TestRunner.cpp - The one replay path vs runSchedule ----------===//
+//===- tests/TestRunner.cpp - The one replay path vs the interpreter ------===//
 //
 // Part of the mpicsel project: model-based selection of MPI collective
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
@@ -10,12 +10,12 @@
 // change the cost only. For each collective and experiment kind
 // (plain, and followed by the Sect. 4.2 linear gather), a
 // measurement's observations must equal those of building the schedule
-// afresh and calling runSchedule once per repetition over the same
-// seed stream, and those of the serial path a parallel sweep's worker
-// takes -- fault-free, under a fault scenario, through the legacy
-// interpreter and with pre-flight verification on. The runners also
-// share one rank-count check, and a deadlocking experiment dies with
-// runSchedule's diagnostic.
+// afresh and running it through the reference interpreter
+// (runScheduleLegacy) once per repetition over the same seed stream,
+// and those of the serial path a parallel sweep's worker takes --
+// fault-free, under a fault scenario and with pre-flight verification
+// on. The runners also share one rank-count check, and a deadlocking
+// experiment dies with runSchedule's diagnostic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +73,8 @@ struct Case {
   /// The library's measurement.
   std::function<AdaptiveResult(const Platform &, const AdaptiveOptions &)>
       Measure;
-  /// The same experiment, built independently for one-shot runSchedule
-  /// calls.
+  /// The same experiment, built independently for the reference
+  /// interpreter.
   std::function<ReferenceSchedule(const Platform &)> Build;
 };
 
@@ -247,7 +247,7 @@ const std::vector<Case> &catalogue() {
 }
 
 /// The engine configurations every case is checked under.
-enum class Mode { FaultFree, Faulted, Legacy, Preflight };
+enum class Mode { FaultFree, Faulted, Preflight };
 
 const char *modeName(Mode M) {
   switch (M) {
@@ -255,32 +255,26 @@ const char *modeName(Mode M) {
     return "fault_free";
   case Mode::Faulted:
     return "degraded_link";
-  case Mode::Legacy:
-    return "legacy";
   case Mode::Preflight:
     return "preflight";
   }
   return "?";
 }
 
-/// RAII: applies one Mode process-wide (engine mode, pre-flight flag,
-/// fault schedule) and restores the previous state, metrics off.
+/// RAII: applies one Mode process-wide (pre-flight flag, fault
+/// schedule) and restores the previous state, metrics off.
 class ScopedMode {
 public:
   explicit ScopedMode(Mode M)
-      : SavedEngine(engineMode()),
-        SavedPreflight(preflightVerificationEnabled()),
+      : SavedPreflight(preflightVerificationEnabled()),
         Faults(M == Mode::Faulted ? makeFaultScenario("degraded-link")
                                   : FaultSchedule()) {
-    setEngineMode(M == Mode::Legacy ? EngineMode::Legacy
-                                    : EngineMode::Compiled);
     setPreflightVerification(M == Mode::Preflight);
     if (M == Mode::Faulted)
       Injection = std::make_unique<ScopedFaultInjection>(Faults);
   }
   ~ScopedMode() {
     Injection.reset();
-    setEngineMode(SavedEngine);
     setPreflightVerification(SavedPreflight);
     obs::setMetricsEnabled(false);
   }
@@ -288,7 +282,6 @@ public:
   ScopedMode &operator=(const ScopedMode &) = delete;
 
 private:
-  EngineMode SavedEngine;
   bool SavedPreflight;
   FaultSchedule Faults;
   std::unique_ptr<ScopedFaultInjection> Injection;
@@ -315,23 +308,21 @@ TEST_P(UnifiedReplayPath, ObservationsMatchRunSchedulePerRepetition) {
   const obs::MetricsSnapshot After = obs::snapshotMetrics();
   ASSERT_EQ(Measured.Observations.size(), Reps);
 
-  // The measurement replayed through the executor the mode selects,
-  // once per repetition.
+  // The measurement replayed once per repetition.
   auto delta = [&](obs::Counter Counter) {
     return After.counter(Counter) - Before.counter(Counter);
   };
   EXPECT_EQ(delta(obs::Counter::RunnerExperiments), Reps);
-  EXPECT_EQ(delta(obs::Counter::EngineLegacyRuns),
-            M == Mode::Legacy ? Reps : 0u);
-  EXPECT_EQ(delta(obs::Counter::EngineReplays),
-            M == Mode::Legacy ? 0u : Reps);
+  EXPECT_EQ(delta(obs::Counter::EngineReplays), Reps);
 
-  // The reference: a fresh schedule and one runSchedule per
-  // repetition, seeded as measureAdaptively seeds its repetitions.
+  // The reference: a fresh schedule and one run of the reference
+  // interpreter per repetition, seeded as measureAdaptively seeds its
+  // repetitions.
   SplitMix64 Seeds(Options.BaseSeed);
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     ReferenceSchedule Ref = C.Build(P);
-    const ExecutionResult R = runSchedule(Ref.first, P, Seeds.next());
+    const ExecutionResult R =
+        runScheduleLegacy(Ref.first, P, Seeds.next());
     ASSERT_TRUE(R.Completed) << R.Diagnostic;
     double Expected = 0.0;
     for (OpId Id : Ref.second)
@@ -344,7 +335,7 @@ INSTANTIATE_TEST_SUITE_P(
     EveryCollective, UnifiedReplayPath,
     ::testing::Combine(::testing::Range<std::size_t>(0, catalogue().size()),
                        ::testing::Values(Mode::FaultFree, Mode::Faulted,
-                                         Mode::Legacy, Mode::Preflight)),
+                                         Mode::Preflight)),
     [](const ::testing::TestParamInfo<UnifiedReplayPath::ParamType> &Info) {
       return catalogue()[std::get<0>(Info.param)].Name + "_" +
              modeName(std::get<1>(Info.param));

@@ -19,6 +19,11 @@
 //     must agree on whether the schedule deadlocks and on which ops
 //     never complete.
 //
+// Every schedule of both halves that compileSchedule accepts is also
+// verified compiled, and the two reports must agree finding for
+// finding: the engine's pre-flight and schedlint verify the compiled
+// form.
+//
 //===----------------------------------------------------------------------===//
 
 #include "cluster/Platform.h"
@@ -28,12 +33,14 @@
 #include "coll/Gather.h"
 #include "coll/Reduce.h"
 #include "coll/Scatter.h"
+#include "mpi/CompiledSchedule.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 using namespace mpicsel;
 
@@ -45,6 +52,31 @@ bool findsOp(const VerifyReport &R, CheckKind Check, OpId Id) {
                      [&](const VerifyFinding &F) {
                        return F.Check == Check && F.Id == Id;
                      });
+}
+
+/// Verifies \p S both as built and compiled, expects the two reports to
+/// agree finding for finding, and returns the one as built. The
+/// compiled overload reads the rows the engine executes, so this pins
+/// that compilation loses nothing the verifier needs.
+VerifyReport verifyBothForms(const Schedule &S,
+                             const ScheduleContract *Contract = nullptr,
+                             const VerifyOptions &Options = {}) {
+  VerifyReport Built = verifySchedule(S, Contract, Options);
+  const VerifyReport Compiled =
+      verifySchedule(compileSchedule(S), Contract, Options);
+  EXPECT_EQ(Built.NeverCompleting, Compiled.NeverCompleting);
+  EXPECT_EQ(Built.Findings.size(), Compiled.Findings.size())
+      << Built.str() << "vs compiled\n"
+      << Compiled.str();
+  for (std::size_t I = 0;
+       I < std::min(Built.Findings.size(), Compiled.Findings.size()); ++I) {
+    const VerifyFinding &A = Built.Findings[I], &B = Compiled.Findings[I];
+    EXPECT_TRUE(std::tie(A.Sev, A.Check, A.Id, A.Rank, A.Message) ==
+                std::tie(B.Sev, B.Check, B.Id, B.Rank, B.Message))
+        << "finding " << I << ": " << A.str() << " vs compiled "
+        << B.str();
+  }
+  return Built;
 }
 
 /// Runs \p S in the engine and checks the static verdict matches the
@@ -79,7 +111,7 @@ TEST(VerifyClean, AllBcastAlgorithms) {
         appendBcast(B, Config);
         Schedule S = B.take();
         ScheduleContract C = bcastContract(Config, P);
-        VerifyReport Report = verifySchedule(S, &C);
+        VerifyReport Report = verifyBothForms(S, &C);
         EXPECT_TRUE(Report.Findings.empty())
             << bcastAlgorithmName(Alg) << " P=" << P << " seg=" << Seg
             << ":\n"
@@ -97,7 +129,7 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendLinearGather(B, Config);
       Schedule S = B.take();
       ScheduleContract C = gatherContract(Config, P);
-      VerifyReport Report = verifySchedule(S, &C);
+      VerifyReport Report = verifyBothForms(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "gather:\n" << Report.str();
     }
     for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
@@ -108,7 +140,7 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendScatter(B, Config);
       Schedule S = B.take();
       ScheduleContract C = scatterContract(Config, P);
-      VerifyReport Report = verifySchedule(S, &C);
+      VerifyReport Report = verifyBothForms(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "scatter:\n" << Report.str();
     }
     for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
@@ -119,14 +151,14 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendReduce(B, Config);
       Schedule S = B.take();
       ScheduleContract C = reduceContract(Config, P);
-      VerifyReport Report = verifySchedule(S, &C);
+      VerifyReport Report = verifyBothForms(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "reduce:\n" << Report.str();
     }
     ScheduleBuilder B(P);
     appendBarrier(B, /*Tag=*/0);
     Schedule S = B.take();
     ScheduleContract C = barrierContract(P);
-    VerifyReport Report = verifySchedule(S, &C);
+    VerifyReport Report = verifyBothForms(S, &C);
     EXPECT_TRUE(Report.Findings.empty()) << "barrier:\n" << Report.str();
   }
 }
@@ -146,7 +178,7 @@ TEST(VerifyClean, LastSegmentSmallerNeedsNoAmbiguityWarning) {
     ScheduleBuilder B(8);
     appendBcast(B, Config);
     Schedule S = B.take();
-    VerifyReport Report = verifySchedule(S);
+    VerifyReport Report = verifyBothForms(S);
     EXPECT_TRUE(Report.Findings.empty())
         << bcastAlgorithmName(Alg) << ":\n"
         << Report.str();
@@ -184,7 +216,7 @@ TEST(VerifyDefect, DroppedRecvLeavesSendUnmatched) {
   S.Ops[Dropped].Kind = OpKind::Compute;
   S.Ops[Dropped].Bytes = 0;
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Sender)) << Report.str();
   EXPECT_FALSE(Report.deadlocks());
   expectEngineAgrees(S, Report);
@@ -211,7 +243,7 @@ TEST(VerifyDefect, SwappedTagDeadlocks) {
   ASSERT_NE(Retagged, InvalidOpId);
   S.Ops[Retagged].Tag += 99;
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Retagged))
       << Report.str();
   EXPECT_TRUE(Report.deadlocks());
@@ -228,7 +260,7 @@ TEST(VerifyDefect, DoubleRecvSingleSendDeadlocks) {
   OpId Extra = B.addRecv(1, 0, 100, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Extra)) << Report.str();
   EXPECT_TRUE(Report.deadlocks());
   EXPECT_EQ(Report.NeverCompleting, std::vector<OpId>{Extra});
@@ -243,7 +275,7 @@ TEST(VerifyDefect, SizeMismatchIsAMatchingError) {
   OpId R = B.addRecv(1, 0, 200, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, R)) << Report.str();
 }
 
@@ -259,6 +291,8 @@ TEST(VerifyDefect, InjectedDependencyCycle) {
   C.Deps = {0};
   S.Ops = {A, C};
 
+  // compileSchedule asserts back-references, so this one is verified
+  // only as built.
   VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Structure, 0)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Structure, 1)) << Report.str();
@@ -279,7 +313,7 @@ TEST(VerifyDefect, CrossRankWaitCycle) {
   B.addSend(1, 0, 64, 0, D1);
   Schedule S = B.take();
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(Report.deadlocks());
   EXPECT_EQ(Report.NeverCompleting.size(), 4u);
   bool CycleNamed = std::any_of(
@@ -306,7 +340,7 @@ TEST(VerifyDefect, AmbiguousMatchWarnsOnUnprovableOrder) {
   OpId Free = B.addRecv(2, 0, 200, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::AmbiguousMatch, Free))
       << Report.str();
   EXPECT_FALSE(Report.deadlocks());
@@ -326,7 +360,7 @@ TEST(VerifyDefect, ContractViolationWrongBytes) {
   BcastConfig Claimed = Built;
   Claimed.MessageBytes = 2000;
   ScheduleContract C = bcastContract(Claimed, 4);
-  VerifyReport Report = verifySchedule(S, &C);
+  VerifyReport Report = verifyBothForms(S, &C);
   unsigned Flagged = 0;
   for (const VerifyFinding &F : Report.Findings)
     if (F.Check == CheckKind::Contract && F.Rank != VerifyFinding::InvalidRank)
@@ -348,7 +382,7 @@ TEST(VerifyDefect, ContractViolationFlow) {
   ScheduleContract C = ScheduleContract::unchecked("flow-test", 3);
   C.Root = 0;
   C.Flow = FlowRequirement::RootToAll;
-  VerifyReport Report = verifySchedule(S, &C);
+  VerifyReport Report = verifyBothForms(S, &C);
   unsigned Flagged = 0;
   for (const VerifyFinding &F : Report.Findings)
     if (F.Check == CheckKind::Contract)
@@ -372,7 +406,7 @@ TEST(VerifyDefect, SelfMessageAndDeadOpLints) {
   Dead.Rank = 1;
   S.Ops = {Send, Recv, Dead};
 
-  VerifyReport Report = verifySchedule(S);
+  VerifyReport Report = verifyBothForms(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 0)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 1)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 2)) << Report.str();
@@ -380,7 +414,7 @@ TEST(VerifyDefect, SelfMessageAndDeadOpLints) {
   // With lints off the same schedule is clean.
   VerifyOptions Opts;
   Opts.Lints = false;
-  EXPECT_TRUE(verifySchedule(S, nullptr, Opts).Findings.empty());
+  EXPECT_TRUE(verifyBothForms(S, nullptr, Opts).Findings.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,7 +488,7 @@ TEST(VerifyRegression, RingAllreduceUnevenBlocksIsCleanAtScale) {
   appendAllreduce(B, Config);
   Schedule S = B.take();
   const ScheduleContract C = allreduceContract(Config, 33);
-  VerifyReport Report = verifySchedule(S, &C);
+  VerifyReport Report = verifyBothForms(S, &C);
   EXPECT_TRUE(Report.Findings.empty()) << Report.str();
 }
 
@@ -471,6 +505,6 @@ TEST(VerifyRegression, DeepSegmentedPipelineOrderingProvesWithinBudget) {
   appendBcast(B, Config);
   Schedule S = B.take();
   const ScheduleContract C = bcastContract(Config, 8);
-  VerifyReport Report = verifySchedule(S, &C);
+  VerifyReport Report = verifyBothForms(S, &C);
   EXPECT_TRUE(Report.Findings.empty()) << Report.str();
 }

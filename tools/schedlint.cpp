@@ -25,10 +25,10 @@
 //
 // Every grid point is compiled exactly once and that one
 // CompiledSchedule serves every analysis pass: the static verifier
-// reads its CSR dependency arrays directly (the compiled-schedule
-// verifySchedule overload) and the fault pass replays it in a
-// per-worker Engine -- what gets verified is byte-for-byte what gets
-// executed.
+// reads its op rows and CSR dependency arrays directly (the
+// compiled-schedule verifySchedule overload) and the fault pass
+// replays it in a per-worker Engine -- what gets verified is
+// byte-for-byte what gets executed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +69,7 @@ struct Sweep {
   explicit Sweep(bool ListCleanRows) : ListClean(ListCleanRows) {}
 
   /// Verifies the compiled form of one grid point against \p C (via
-  /// its CSR dependency arrays) and records the outcome.
+  /// its op rows and CSR dependency arrays) and records the outcome.
   void check(const CompiledSchedule &CS, const ScheduleContract &C,
              unsigned P) {
     ++Schedules;
