@@ -111,6 +111,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
   // MPICSEL_SERVE=<path>: serve any image already at <path>, then
   // republish (and rewrite the image) on every repair below.
   serve::installServeFromEnv();
@@ -296,5 +297,6 @@ int main(int Argc, char **Argv) {
        (Repair.AlgorithmsGivenUp == 0 && Recovered && QuarantinedAfter == 0));
   if (!StoryHolds)
     std::printf("\nWARNING: the recovery story did not hold; see metrics.\n");
+  Report.workCounts();
   return Report.writeIfRequested(JsonPath) && StoryHolds ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
 //
 // Measures the replay throughput of the compiled schedule engine
-// (sim/Engine.h) against the legacy per-Op interpreter on the
+// (sim/Engine.h) against the legacy interpreter on the
 // schedules the calibration sweeps replay thousands of times, and
 // proves three properties the compiled path claims:
 //
@@ -19,13 +19,17 @@
 //    replaced below to count through bench::countAllocation(), so the
 //    claim is enforced, not assumed.
 //
+// It also measures the layer before replay: building each schedule and
+// compiling it by move, with the heap allocations that takes and the
+// heap bytes the compiled schedule keeps.
+//
 // The deterministic facts (op and event counts, identity flags,
-// allocation counts) land in the gated `metrics` section of the --json
-// record; host-dependent throughput (ns/op, ns/event, speedup) goes to
-// `timings`. One exception: the deep-heap case also reports its
-// compiled ns/event as a metric, max-bounded by the `budgets` of the
-// committed baseline, so an O(n) event queue or a per-event
-// allocation fails CI instead of passing as a slower timing.
+// allocation counts, schedule bytes) land in the gated `metrics`
+// section of the --json record; host-dependent throughput (ns/op,
+// ns/event, speedup) goes to `timings`. One exception: the deep-heap
+// case also reports its compiled ns/event as a metric, max-bounded by
+// the `budgets` of the committed baseline, so an O(n) event queue or a
+// per-event allocation fails CI instead of passing as a slower timing.
 //
 // With --scale the binary instead runs the large-P streaming suite
 // (bench name micro_engine_scale): a P=100k streamed broadcast replay
@@ -147,6 +151,57 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
+}
+
+/// Heap bytes \p CS keeps, summed over its containers' capacities.
+std::size_t scheduleBytes(const CompiledSchedule &CS) {
+  auto bytes = [](const auto &V) {
+    return V.capacity() * sizeof(*V.data());
+  };
+  return bytes(CS.Rows) + bytes(CS.Tags) + bytes(CS.DepOffsets) +
+         bytes(CS.DepList) + bytes(CS.SuccOffsets) + bytes(CS.SuccList) +
+         bytes(CS.InDegree) + bytes(CS.Roots) + bytes(CS.ChannelSendOffsets) +
+         bytes(CS.ChannelRecvOffsets);
+}
+
+/// Builds per case; the build layer reports the fastest.
+constexpr unsigned BuildReps = 7;
+
+/// One case's schedule as the build layer produced it.
+struct BuiltCase {
+  CompiledSchedule CS;
+  std::vector<OpId> Exit;
+  /// Heap allocations from the builder's construction to the compiled
+  /// schedule (the same for every build).
+  std::uint64_t Allocs = 0;
+  /// Fastest build (generate + take) and compile (by move) of BuildReps.
+  double BuildNsPerOp = 0.0;
+  double CompileNsPerOp = 0.0;
+};
+
+/// Builds \p Case's schedule and compiles it by move, BuildReps times.
+BuiltCase buildCase(const BenchCase &Case) {
+  BuiltCase Out;
+  double BuildSeconds = 0.0, CompileSeconds = 0.0;
+  for (unsigned Rep = 0; Rep != BuildReps; ++Rep) {
+    Out.CS = {}; // Free the previous build outside the timed window.
+    const std::uint64_t AllocsBefore = allocationCount();
+    const auto Start = std::chrono::steady_clock::now();
+    ScheduleBuilder B(Case.NumProcs);
+    Out.Exit = appendBcast(B, Case.Config);
+    Schedule S = B.take();
+    const auto Built = std::chrono::steady_clock::now();
+    Out.CS = compileSchedule(std::move(S));
+    const double Compile = secondsSince(Built);
+    Out.Allocs = allocationCount() - AllocsBefore;
+    const double Build = std::chrono::duration<double>(Built - Start).count();
+    BuildSeconds = Rep == 0 ? Build : std::min(BuildSeconds, Build);
+    CompileSeconds = Rep == 0 ? Compile : std::min(CompileSeconds, Compile);
+  }
+  const double Ops = Out.CS.numOps();
+  Out.BuildNsPerOp = BuildSeconds * 1e9 / Ops;
+  Out.CompileNsPerOp = CompileSeconds * 1e9 / Ops;
+  return Out;
 }
 
 /// Exact (bitwise ==) comparison of two runs' timelines.
@@ -418,16 +473,35 @@ int main(int Argc, char **Argv) {
                  "lean identical", "replay allocs", "lean allocs"});
   Results.setTitle("legacy interpreter vs compiled replay");
 
+  Table BuildLayer({"case", "ops", "build ns/op", "compile ns/op",
+                    "build allocs", "schedule bytes", "B/op"});
+  BuildLayer.setTitle(
+      strFormat("schedule build and compile (best of %u)", BuildReps));
+
   bool AllIdentical = true;
   bool AllLeanIdentical = true;
   bool AllAllocFree = true;
 
   for (const BenchCase &Case : benchCases()) {
-    ScheduleBuilder B(Case.NumProcs);
-    const std::vector<OpId> Exit = appendBcast(B, Case.Config);
-    const Schedule S = B.take();
-    CompiledSchedule CS = compileSchedule(S);
+    const BuiltCase Built = buildCase(Case);
+    const CompiledSchedule &CS = Built.CS;
+    // The interpreter reads the same rows and derives its own tables.
+    const Schedule &S = CS;
+    const std::vector<OpId> &Exit = Built.Exit;
     const std::size_t NumOps = CS.numOps();
+    const std::size_t Bytes = scheduleBytes(CS);
+    BuildLayer.addRow(
+        {Case.Name, strFormat("%zu", NumOps),
+         strFormat("%.1f", Built.BuildNsPerOp),
+         strFormat("%.1f", Built.CompileNsPerOp),
+         strFormat("%llu", static_cast<unsigned long long>(Built.Allocs)),
+         strFormat("%zu", Bytes),
+         strFormat("%.1f", static_cast<double>(Bytes) / NumOps)});
+    Report.metric(Case.Name + "_build_allocs",
+                  static_cast<double>(Built.Allocs));
+    Report.metric(Case.Name + "_schedule_bytes", static_cast<double>(Bytes));
+    Report.timing(Case.Name + "_build_ns_per_op", Built.BuildNsPerOp);
+    Report.timing(Case.Name + "_compile_ns_per_op", Built.CompileNsPerOp);
 
     // Bit-identity probe at a seed outside the timing loops.
     ExecutionResult LegacyProbe = runScheduleLegacy(S, Plat, 9001);
@@ -557,6 +631,8 @@ int main(int Argc, char **Argv) {
   }
 
   Results.print();
+  std::printf("\n");
+  BuildLayer.print();
   std::printf("\nEvery case must replay bit-identically to the legacy "
               "interpreter, observe the same\nlatest exit completion "
               "without the timeline, and replay allocation-free\nafter "

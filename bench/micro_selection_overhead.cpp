@@ -138,7 +138,7 @@ void BM_SimulateBinomialBcast(benchmark::State &State) {
     Config.SegmentBytes = 8192;
     appendBcast(B, Config);
     Schedule S = B.take();
-    Ops += S.Ops.size();
+    Ops += S.numOps();
     benchmark::DoNotOptimize(runSchedule(S, P, 1));
   }
   State.counters["sched_ops/s"] = benchmark::Counter(

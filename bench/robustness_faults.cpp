@@ -115,6 +115,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
 
   Platform Plat = PlatformName == "gros" ? makeGros() : makeGrisou();
   unsigned NumProcs = NumProcsFlag > 0
@@ -243,5 +244,6 @@ int main(int Argc, char **Argv) {
   std::printf("\nA robust pipeline should stay near the oracle on every "
               "scenario; the raw pipeline\nis expected to degrade once the "
               "calibration campaign is contaminated.\n");
+  Report.workCounts();
   return Report.writeIfRequested(JsonPath) ? 0 : 1;
 }

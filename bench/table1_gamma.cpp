@@ -50,6 +50,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
 
   banner("Table 1: estimated gamma(P) on Grisou and Gros");
 
@@ -99,5 +100,6 @@ int main(int Argc, char **Argv) {
   Report.metric("fit_slope_gros", Gros.Gamma.fit().Slope);
   Report.metric("fit_rmse_grisou", Grisou.Gamma.fit().Rmse);
   Report.metric("fit_rmse_gros", Gros.Gamma.fit().Rmse);
+  Report.workCounts();
   return Report.writeIfRequested(JsonPath) ? 0 : 1;
 }

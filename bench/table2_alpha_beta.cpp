@@ -74,6 +74,7 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return Cli.helpRequested() ? 0 : 1;
   obs::initObservability(MetricsPath);
+  BenchReporter::countWork();
 
   banner("Table 2: algorithm-specific alpha and beta");
 
@@ -108,5 +109,6 @@ int main(int Argc, char **Argv) {
       "several times the tree algorithms' because its point-to-point\n"
       "transfers serialise at the root -- which is what makes\n"
       "per-algorithm estimation necessary.\n");
+  Report.workCounts();
   return Report.writeIfRequested(JsonPath) ? 0 : 1;
 }

@@ -77,7 +77,7 @@ int main(int Argc, char **Argv) {
               "%s.\nTimeline written to %s (load in chrome://tracing).\n",
               bcastAlgorithmName(*Algorithm),
               formatBytes(MessageBytes).c_str(),
-              static_cast<long long>(NumProcs), S.Ops.size(),
+              static_cast<long long>(NumProcs), std::size_t{S.numOps()},
               formatSeconds(R.Makespan).c_str(), OutPath.c_str());
   return 0;
 }

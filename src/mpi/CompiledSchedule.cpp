@@ -1,8 +1,11 @@
-//===- mpi/CompiledSchedule.cpp - Flat schedule IR ------------------------===//
+//===- mpi/CompiledSchedule.cpp - Execution-ready schedules ---------------===//
 
 #include "mpi/CompiledSchedule.h"
 
-#include <cassert>
+#include "support/Error.h"
+#include "support/Format.h"
+
+#include <algorithm>
 #include <unordered_map>
 
 using namespace mpicsel;
@@ -19,84 +22,90 @@ std::uint64_t packChannelKey(unsigned Src, unsigned Dst, int Tag) {
                                     0xffffffu);
 }
 
+[[noreturn]] void rejectOp(OpId Id, const char *Why, unsigned Value) {
+  fatalError(strFormat("compileSchedule: op %u: %s %u", Id, Why, Value));
+}
+
 } // namespace
 
 CompiledSchedule mpicsel::compileSchedule(const Schedule &S) {
-  const std::uint32_t NumOps = static_cast<std::uint32_t>(S.Ops.size());
+  return compileSchedule(Schedule(S));
+}
 
+CompiledSchedule mpicsel::compileSchedule(Schedule &&S) {
   CompiledSchedule CS;
-  CS.RankCount = S.RankCount;
+  static_cast<Schedule &>(CS) = std::move(S);
+  if (!CS.consistent())
+    fatalError("compileSchedule: the schedule's op rows, tags and "
+               "dependency offsets disagree");
+  const std::uint32_t NumOps = CS.numOps();
+  const std::uint32_t NumDeps = static_cast<std::uint32_t>(CS.DepList.size());
 
-  // CSR dependencies (forward) and in-degrees; roots by *static*
-  // dependency count -- the engine's activation gate.
-  CS.DepOffsets.resize(NumOps + 1);
+  // Structure the replay relies on, checked in every build type: ranks
+  // and peers inside the communicator, dependencies on earlier ops of
+  // the same rank. Alongside, the in-degrees, the roots by *static*
+  // dependency count (the engine's activation gate) and the successor
+  // counts.
   CS.InDegree.resize(NumOps);
-  std::uint32_t NumDeps = 0;
+  CS.SuccOffsets.assign(NumOps + 1, 0);
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    CS.DepOffsets[Id] = NumDeps;
-    const std::vector<OpId> &Deps = S.Ops[Id].Deps;
+    const OpRow &Row = CS.Rows[Id];
+    if (Row.Rank >= CS.RankCount)
+      rejectOp(Id, "rank outside the communicator:", Row.Rank);
+    if (Row.Kind != OpKind::Compute && Row.Peer >= CS.RankCount)
+      rejectOp(Id, "peer outside the communicator:", Row.Peer);
+    const std::span<const OpId> Deps = CS.depsOf(Id);
     CS.InDegree[Id] = static_cast<std::uint32_t>(Deps.size());
-    NumDeps += CS.InDegree[Id];
     if (Deps.empty())
       CS.Roots.push_back(Id);
-  }
-  CS.DepOffsets[NumOps] = NumDeps;
-  CS.DepList.reserve(NumDeps);
-  for (OpId Id = 0; Id != NumOps; ++Id)
-    for (OpId Dep : S.Ops[Id].Deps) {
-      assert(Dep < Id && "dependency on a not-yet-created op");
-      assert(S.Ops[Dep].Rank == S.Ops[Id].Rank &&
-             "dependencies must stay within one rank");
-      CS.DepList.push_back(Dep);
+    for (OpId Dep : Deps) {
+      if (Dep >= Id)
+        rejectOp(Id, "dependency on a later op or itself:", Dep);
+      if (CS.Rows[Dep].Rank != Row.Rank)
+        rejectOp(Id, "dependency on another rank's op:", Dep);
+      ++CS.SuccOffsets[Dep + 1];
     }
+  }
 
   // CSR successors. The fill order -- ascending dependent id, deps in
   // list order -- reproduces the legacy engine's Dependents build, so
   // finishing an op releases its dependents in the identical sequence.
-  CS.SuccOffsets.assign(NumOps + 1, 0);
-  for (OpId Dep : CS.DepList)
-    ++CS.SuccOffsets[Dep + 1];
+  // The fill advances each op's offset to its successor row's end,
+  // which is where the next op's row starts; one shift restores the
+  // starts.
   for (OpId Id = 0; Id != NumOps; ++Id)
     CS.SuccOffsets[Id + 1] += CS.SuccOffsets[Id];
   CS.SuccList.resize(NumDeps);
-  {
-    std::vector<std::uint32_t> Cursor(CS.SuccOffsets.begin(),
-                                      CS.SuccOffsets.end() - 1);
-    for (OpId Id = 0; Id != NumOps; ++Id)
-      for (OpId Dep : S.Ops[Id].Deps)
-        CS.SuccList[Cursor[Dep]++] = Id;
+  for (OpId Id = 0; Id != NumOps; ++Id)
+    for (OpId Dep : CS.depsOf(Id))
+      CS.SuccList[CS.SuccOffsets[Dep]++] = Id;
+  if (NumOps != 0) {
+    std::copy_backward(CS.SuccOffsets.begin(), CS.SuccOffsets.end() - 2,
+                       CS.SuccOffsets.end() - 1);
+    CS.SuccOffsets[0] = 0;
   }
 
-  // Op rows and match channels: dense indices assigned by first
-  // appearance in op order. A send uses its own (rank, peer, tag); a
-  // receive maps to the matching send direction (peer, rank, tag).
-  CS.Hot.resize(NumOps);
-  CS.OpTag.resize(NumOps);
+  // Match channels: dense indices assigned by first appearance in op
+  // order. A send uses its own (rank, peer, tag); a receive maps to the
+  // matching send direction (peer, rank, tag).
   std::unordered_map<std::uint64_t, std::uint32_t> ChannelIndex;
   std::vector<std::uint32_t> SendCount, RecvCount;
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    assert(O.Rank < S.RankCount && "op rank out of range");
-    CompiledOp &H = CS.Hot[Id];
-    H.Bytes = O.Bytes;
-    H.Duration = O.Duration;
-    H.Rank = O.Rank;
-    H.Peer = O.Peer;
-    H.Channel = CompiledSchedule::NoChannel;
-    H.Kind = O.Kind;
-    CS.OpTag[Id] = O.Tag;
-    if (O.Kind == OpKind::Compute)
+    OpRow &Row = CS.Rows[Id];
+    Row.Channel = CompiledSchedule::NoChannel;
+    if (Row.Kind == OpKind::Compute)
       continue;
-    const bool IsSend = O.Kind == OpKind::Send;
-    const std::uint64_t Key = IsSend ? packChannelKey(O.Rank, O.Peer, O.Tag)
-                                     : packChannelKey(O.Peer, O.Rank, O.Tag);
+    const bool IsSend = Row.Kind == OpKind::Send;
+    const int Tag = CS.Tags[Id];
+    const std::uint64_t Key = IsSend ? packChannelKey(Row.Rank, Row.Peer, Tag)
+                                     : packChannelKey(Row.Peer, Row.Rank, Tag);
     auto [It, Inserted] = ChannelIndex.try_emplace(
         Key, static_cast<std::uint32_t>(ChannelIndex.size()));
     if (Inserted) {
       SendCount.push_back(0);
       RecvCount.push_back(0);
     }
-    H.Channel = It->second;
+    Row.Channel = It->second;
     if (IsSend) {
       ++SendCount[It->second];
       ++CS.NumSends;

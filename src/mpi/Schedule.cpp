@@ -10,57 +10,70 @@
 
 using namespace mpicsel;
 
-OpId ScheduleBuilder::append(Op NewOp) {
-  assert(NewOp.Rank < RankCount && "op rank out of range");
-  for ([[maybe_unused]] OpId Dep : NewOp.Deps) {
-    assert(Dep < Ops.size() && "dependency on a not-yet-created op");
-    assert(Ops[Dep].Rank == NewOp.Rank &&
+bool Schedule::consistent() const {
+  const OpId NumOps = numOps();
+  if (DepOffsets.empty()) // Default-constructed: no ops at all.
+    return NumOps == 0 && Tags.empty() && DepList.empty();
+  if (Tags.size() != NumOps || DepOffsets.size() != NumOps + std::size_t{1} ||
+      DepOffsets.front() != 0 || DepOffsets.back() != DepList.size())
+    return false;
+  for (OpId Id = 0; Id != NumOps; ++Id)
+    if (DepOffsets[Id + 1] < DepOffsets[Id])
+      return false;
+  return true;
+}
+
+ScheduleBuilder::ScheduleBuilder(unsigned NumRanks) {
+  assert(NumRanks >= 1 && "a schedule needs at least one rank");
+  S.RankCount = NumRanks;
+  S.DepOffsets.push_back(0);
+}
+
+void ScheduleBuilder::reserveOps(std::size_t Count) {
+  const std::size_t Total = S.Rows.size() + Count;
+  S.Rows.reserve(Total);
+  S.Tags.reserve(Total);
+  S.DepOffsets.reserve(Total + 1);
+}
+
+OpId ScheduleBuilder::append(OpKind Kind, unsigned Rank, unsigned Peer,
+                             std::uint64_t Bytes, int Tag, double Duration,
+                             std::span<const OpId> Deps) {
+  assert(Rank < S.RankCount && "op rank out of range");
+  const OpId Id = S.numOps();
+  for ([[maybe_unused]] OpId Dep : Deps) {
+    assert(Dep < Id && "dependency on a not-yet-created op");
+    assert(S.Rows[Dep].Rank == Rank &&
            "dependencies must stay within one rank (MPI processes wait "
            "only on their own requests)");
   }
-  Ops.push_back(std::move(NewOp));
-  return static_cast<OpId>(Ops.size() - 1);
+  S.Rows.push_back({Bytes, Duration, Rank, Peer, Schedule::NoChannel, Kind});
+  S.Tags.push_back(Tag);
+  S.DepList.insert(S.DepList.end(), Deps.begin(), Deps.end());
+  S.DepOffsets.push_back(static_cast<std::uint32_t>(S.DepList.size()));
+  return Id;
 }
 
 OpId ScheduleBuilder::addSend(unsigned Rank, unsigned Peer,
                               std::uint64_t Bytes, int Tag,
                               std::span<const OpId> Deps) {
-  assert(Peer < RankCount && "send peer out of range");
+  assert(Peer < S.RankCount && "send peer out of range");
   assert(Peer != Rank && "self-sends are not modelled");
-  Op NewOp;
-  NewOp.Kind = OpKind::Send;
-  NewOp.Rank = Rank;
-  NewOp.Peer = Peer;
-  NewOp.Bytes = Bytes;
-  NewOp.Tag = Tag;
-  NewOp.Deps.assign(Deps.begin(), Deps.end());
-  return append(std::move(NewOp));
+  return append(OpKind::Send, Rank, Peer, Bytes, Tag, 0.0, Deps);
 }
 
 OpId ScheduleBuilder::addRecv(unsigned Rank, unsigned Peer,
                               std::uint64_t Bytes, int Tag,
                               std::span<const OpId> Deps) {
-  assert(Peer < RankCount && "recv peer out of range");
+  assert(Peer < S.RankCount && "recv peer out of range");
   assert(Peer != Rank && "self-receives are not modelled");
-  Op NewOp;
-  NewOp.Kind = OpKind::Recv;
-  NewOp.Rank = Rank;
-  NewOp.Peer = Peer;
-  NewOp.Bytes = Bytes;
-  NewOp.Tag = Tag;
-  NewOp.Deps.assign(Deps.begin(), Deps.end());
-  return append(std::move(NewOp));
+  return append(OpKind::Recv, Rank, Peer, Bytes, Tag, 0.0, Deps);
 }
 
 OpId ScheduleBuilder::addCompute(unsigned Rank, double Seconds,
                                  std::span<const OpId> Deps) {
   assert(Seconds >= 0 && "negative computation time");
-  Op NewOp;
-  NewOp.Kind = OpKind::Compute;
-  NewOp.Rank = Rank;
-  NewOp.Duration = Seconds;
-  NewOp.Deps.assign(Deps.begin(), Deps.end());
-  return append(std::move(NewOp));
+  return append(OpKind::Compute, Rank, 0, 0, 0, Seconds, Deps);
 }
 
 OpId ScheduleBuilder::addJoin(unsigned Rank, std::span<const OpId> Deps) {
@@ -68,11 +81,15 @@ OpId ScheduleBuilder::addJoin(unsigned Rank, std::span<const OpId> Deps) {
 }
 
 Schedule ScheduleBuilder::take() {
-  Schedule S;
-  S.RankCount = RankCount;
-  S.Ops = std::move(Ops);
-  Ops.clear();
-  return S;
+  // Generators reserve their rows in closed form, but DepList grows by
+  // doubling. A compiled schedule keeps this array for as long as its
+  // measurement runs, so trim it to exactly its edges here.
+  S.DepList.shrink_to_fit();
+  Schedule Out = std::move(S);
+  S = Schedule();
+  S.RankCount = Out.RankCount;
+  S.DepOffsets.push_back(0);
+  return Out;
 }
 
 bool mpicsel::validateSchedule(const Schedule &S, std::string *WhyNot) {
@@ -84,20 +101,23 @@ bool mpicsel::validateSchedule(const Schedule &S, std::string *WhyNot) {
 
   if (S.RankCount == 0)
     return fail("schedule has zero ranks");
+  if (!S.consistent())
+    return fail("schedule arrays are inconsistent");
+  const OpId NumOps = S.numOps();
 
   // Pair sends and receives per (src, dst, tag) channel in FIFO order.
   using ChannelKey = std::tuple<unsigned, unsigned, int>;
   std::map<ChannelKey, std::deque<OpId>> PendingSends;
   std::map<ChannelKey, std::deque<OpId>> PendingRecvs;
 
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
-    const Op &O = S.Ops[Id];
+  for (OpId Id = 0; Id != NumOps; ++Id) {
+    const OpView O = S.op(Id);
     if (O.Rank >= S.RankCount)
       return fail(strFormat("op %u: rank %u out of range", Id, O.Rank));
     for (OpId Dep : O.Deps) {
       if (Dep >= Id)
         return fail(strFormat("op %u: forward/self dependency on %u", Id, Dep));
-      if (S.Ops[Dep].Rank != O.Rank)
+      if (S.Rows[Dep].Rank != O.Rank)
         return fail(strFormat("op %u: cross-rank dependency on %u", Id, Dep));
     }
     if (O.Kind == OpKind::Compute)
@@ -113,11 +133,11 @@ bool mpicsel::validateSchedule(const Schedule &S, std::string *WhyNot) {
       if (!Recvs.empty()) {
         OpId RecvId = Recvs.front();
         Recvs.pop_front();
-        if (S.Ops[RecvId].Bytes != O.Bytes)
+        if (S.Rows[RecvId].Bytes != O.Bytes)
           return fail(strFormat("send op %u (%llu bytes) matches recv op %u "
                                 "(%llu bytes): size mismatch",
                                 Id, (unsigned long long)O.Bytes, RecvId,
-                                (unsigned long long)S.Ops[RecvId].Bytes));
+                                (unsigned long long)S.Rows[RecvId].Bytes));
       } else {
         PendingSends[Key].push_back(Id);
       }
@@ -127,11 +147,11 @@ bool mpicsel::validateSchedule(const Schedule &S, std::string *WhyNot) {
       if (!Sends.empty()) {
         OpId SendId = Sends.front();
         Sends.pop_front();
-        if (S.Ops[SendId].Bytes != O.Bytes)
+        if (S.Rows[SendId].Bytes != O.Bytes)
           return fail(strFormat("recv op %u (%llu bytes) matches send op %u "
                                 "(%llu bytes): size mismatch",
                                 Id, (unsigned long long)O.Bytes, SendId,
-                                (unsigned long long)S.Ops[SendId].Bytes));
+                                (unsigned long long)S.Rows[SendId].Bytes));
       } else {
         PendingRecvs[Key].push_back(Id);
       }

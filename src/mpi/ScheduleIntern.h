@@ -89,7 +89,7 @@ public:
       return Hit;
     BuiltSchedule B = Build();
     auto Entry = std::make_shared<InternedSchedule>(InternedSchedule{
-        compileSchedule(B.S), std::move(B.Exit)});
+        compileSchedule(std::move(B.S)), std::move(B.Exit)});
     return insert(Key, std::move(Entry));
   }
 

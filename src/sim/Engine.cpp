@@ -192,7 +192,7 @@ void Executor::finishOp(OpId Id, double Now) {
 }
 
 void Executor::activateOp(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   Result.Timings[Id].ReadyTime = Now;
   switch (O.Kind) {
   case OpKind::Send:
@@ -208,7 +208,7 @@ void Executor::activateOp(OpId Id, double Now) {
 }
 
 void Executor::startSend(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   // CPU: the software cost of initiating the send. Acquisition
   // happens now (activation order = FIFO on the CPU).
   double CpuStart = std::max(Now, CpuFree[O.Rank]);
@@ -220,7 +220,7 @@ void Executor::startSend(OpId Id, double Now) {
 }
 
 void Executor::onTxAcquire(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   const LinkParams &Link = P.linkBetween(O.Rank, O.Peer);
   bool Intra = P.sameNode(O.Rank, O.Peer);
   unsigned SrcNode = P.nodeOf(O.Rank);
@@ -276,7 +276,7 @@ void Executor::onTxAcquire(OpId Id, double Now) {
 }
 
 void Executor::onMsgArrival(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   const LinkParams &Link = P.linkBetween(O.Rank, O.Peer);
   bool Intra = P.sameNode(O.Rank, O.Peer);
   unsigned DstNode = P.nodeOf(O.Peer);
@@ -302,7 +302,7 @@ void Executor::onMsgArrival(OpId Id, double Now) {
 }
 
 void Executor::startCompute(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   double CpuStart = std::max(Now, CpuFree[O.Rank]);
   double CpuDone = CpuStart + O.Duration * cpuFactor(O.Rank, CpuStart);
   CpuFree[O.Rank] = CpuDone;
@@ -316,7 +316,7 @@ void Executor::startCompute(OpId Id, double Now) {
 }
 
 void Executor::postRecv(OpId Id, double Now) {
-  const Op &O = S.op(Id);
+  const OpView O = S.op(Id);
   MatchChannel &Channel = Channels[channelKey(O.Peer, O.Rank, O.Tag)];
   if (!Channel.ArrivedMsgs.empty()) {
     auto [AvailTime, Bytes] = Channel.ArrivedMsgs.front();
@@ -329,7 +329,7 @@ void Executor::postRecv(OpId Id, double Now) {
 }
 
 void Executor::completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
-  const Op &O = S.op(RecvId);
+  const OpView O = S.op(RecvId);
   assert(O.Bytes == Bytes && "matched message size mismatch");
   double CpuStart = std::max(Now, CpuFree[O.Rank]);
   double CpuDone =
@@ -341,7 +341,7 @@ void Executor::completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
 }
 
 ExecutionResult Executor::run() {
-  const std::uint32_t NumOps = static_cast<std::uint32_t>(S.Ops.size());
+  const std::uint32_t NumOps = S.numOps();
   Result.Timings.assign(NumOps, OpTiming());
   Result.BytesReceived.assign(S.RankCount, 0);
   Result.BytesSent.assign(S.RankCount, 0);
@@ -350,9 +350,9 @@ ExecutionResult Executor::run() {
   PendingDeps.assign(NumOps, 0);
   Dependents.assign(NumOps, {});
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const Op &O = S.Ops[Id];
-    PendingDeps[Id] = static_cast<std::uint32_t>(O.Deps.size());
-    for (OpId Dep : O.Deps)
+    const std::span<const OpId> Deps = S.depsOf(Id);
+    PendingDeps[Id] = static_cast<std::uint32_t>(Deps.size());
+    for (OpId Dep : Deps)
       Dependents[Dep].push_back(Id);
   }
 
@@ -367,7 +367,7 @@ ExecutionResult Executor::run() {
   // root finishing inline during this loop already releases (and
   // activates) its dependents, whose counters then read zero.
   for (OpId Id = 0; Id != NumOps; ++Id)
-    if (S.Ops[Id].Deps.empty())
+    if (S.depsOf(Id).empty())
       activateOp(Id, 0.0);
 
   while (!Heap.empty()) {
@@ -384,7 +384,7 @@ ExecutionResult Executor::run() {
       finishOp(E.Id, E.Time);
       break;
     case EventKind::MsgAvailable: {
-      const Op &SendOp = S.op(E.Id);
+      const OpView SendOp = S.op(E.Id);
       MatchChannel &Channel =
           Channels[channelKey(SendOp.Rank, SendOp.Peer, SendOp.Tag)];
       if (!Channel.PostedRecvs.empty()) {
@@ -415,7 +415,7 @@ ExecutionResult Executor::run() {
       if (Result.Timings[Id].Done)
         continue;
       if (Stuck++ < MaxListed) {
-        const Op &O = S.Ops[Id];
+        const OpView O = S.op(Id);
         Detail += strFormat(
             "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id,
             O.Rank,
@@ -474,6 +474,19 @@ const FaultSchedule *resolveFaultSchedule(const FaultSchedule *Faults) {
   return Faults;
 }
 
+/// The static pre-flight: verifies \p S and ends the run with the
+/// report if its structure is broken (ranks, peers or dependencies the
+/// engine cannot replay). Other findings are returned for the
+/// cross-check after the run.
+VerifyReport preflight(const Schedule &S) {
+  VerifyReport Report = verifySchedule(S);
+  for (const VerifyFinding &F : Report.Findings)
+    if (F.Sev == Severity::Error && F.Check == CheckKind::Structure)
+      fatalError(strFormat("schedule failed pre-flight verification:\n%s",
+                           Report.str().c_str()));
+  return Report;
+}
+
 /// Cross-checks the static pre-flight verdict against what actually
 /// happened. The static analysis is exact for this IR (sends are
 /// buffered), so any disagreement is a bug in the engine or the
@@ -499,8 +512,8 @@ ExecutionResult mpicsel::runScheduleLegacy(const Schedule &S,
                                            const Platform &P,
                                            std::uint64_t Seed,
                                            const FaultSchedule *Faults) {
-  for ([[maybe_unused]] const Op &O : S.Ops)
-    assert(O.Rank < S.RankCount && "schedule rank outside platform");
+  for ([[maybe_unused]] const OpRow &Row : S.Rows)
+    assert(Row.Rank < S.RankCount && "schedule rank outside platform");
   assert(S.RankCount <= P.maxProcs() &&
          "schedule does not fit on the platform");
 
@@ -511,7 +524,7 @@ ExecutionResult mpicsel::runScheduleLegacy(const Schedule &S,
   const bool Preflight = preflightVerificationEnabled();
   VerifyReport Report;
   if (Preflight)
-    Report = verifySchedule(S);
+    Report = preflight(S);
 
   Executor Exec(S, P, Seed, Faults);
   ExecutionResult Result = Exec.run();
@@ -681,7 +694,7 @@ private:
   void activateOp(OpId Id, double Now) {
     if (Record)
       RS.Result.Timings[Id].ReadyTime = Now;
-    const CompiledOp &O = CS.Hot[Id];
+    const OpRow &O = CS.Rows[Id];
     switch (O.Kind) {
     case OpKind::Send:
       startSend(Id, O, Now);
@@ -695,7 +708,7 @@ private:
     }
   }
 
-  void startSend(OpId Id, const CompiledOp &O, double Now) {
+  void startSend(OpId Id, const OpRow &O, double Now) {
     double CpuStart = std::max(Now, RS.CpuFree[O.Rank]);
     double CpuDone = CpuStart + P.SendOverhead * noise(CpuStart) *
                                     cpuFactor(O.Rank, CpuStart);
@@ -706,7 +719,7 @@ private:
   }
 
   void onTxAcquire(OpId Id, double Now) {
-    const CompiledOp &O = CS.Hot[Id];
+    const OpRow &O = CS.Rows[Id];
     const unsigned SrcNode = RS.NodeOfRank[O.Rank];
     const bool Intra = SrcNode == RS.NodeOfRank[O.Peer];
     const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
@@ -756,7 +769,7 @@ private:
   }
 
   void onMsgArrival(OpId Id, double Now) {
-    const CompiledOp &O = CS.Hot[Id];
+    const OpRow &O = CS.Rows[Id];
     const unsigned DstNode = RS.NodeOfRank[O.Peer];
     const bool Intra = RS.NodeOfRank[O.Rank] == DstNode;
     const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
@@ -780,7 +793,7 @@ private:
     pushEvent(RxDone, EventKind::MsgAvailable, Id);
   }
 
-  void startCompute(OpId Id, const CompiledOp &O, double Now) {
+  void startCompute(OpId Id, const OpRow &O, double Now) {
     double CpuStart = std::max(Now, RS.CpuFree[O.Rank]);
     double CpuDone = CpuStart + O.Duration * cpuFactor(O.Rank, CpuStart);
     RS.CpuFree[O.Rank] = CpuDone;
@@ -794,20 +807,20 @@ private:
     pushEvent(CpuDone, EventKind::OpDone, Id);
   }
 
-  void postRecv(OpId Id, const CompiledOp &O, double Now) {
+  void postRecv(OpId Id, const OpRow &O, double Now) {
     const std::uint32_t C = O.Channel;
     if (RS.MsgHead[C] != RS.MsgTail[C]) {
       const std::uint32_t Slot = CS.ChannelSendOffsets[C] + RS.MsgHead[C]++;
       assert(RS.MsgAvail[Slot] <= Now && "message matched before it arrived");
-      completeRecv(Id, Now, CS.Hot[RS.MsgSender[Slot]].Bytes);
+      completeRecv(Id, Now, CS.Rows[RS.MsgSender[Slot]].Bytes);
       return;
     }
     RS.PostedRecvQ[CS.ChannelRecvOffsets[C] + RS.RecvTail[C]++] = Id;
   }
 
   void completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
-    assert(CS.Hot[RecvId].Bytes == Bytes && "matched message size mismatch");
-    const unsigned Rank = CS.Hot[RecvId].Rank;
+    assert(CS.Rows[RecvId].Bytes == Bytes && "matched message size mismatch");
+    const unsigned Rank = CS.Rows[RecvId].Rank;
     double CpuStart = std::max(Now, RS.CpuFree[Rank]);
     double CpuDone =
         CpuStart + P.RecvOverhead * noise(CpuStart) * cpuFactor(Rank, CpuStart);
@@ -925,11 +938,11 @@ std::uint64_t CompiledExecutor::run() {
       finishOp(Id, E.Time);
       break;
     case EventKind::MsgAvailable: {
-      const std::uint32_t C = CS.Hot[Id].Channel;
+      const std::uint32_t C = CS.Rows[Id].Channel;
       if (RS.RecvHead[C] != RS.RecvTail[C]) {
         OpId RecvId =
             RS.PostedRecvQ[CS.ChannelRecvOffsets[C] + RS.RecvHead[C]++];
-        completeRecv(RecvId, E.Time, CS.Hot[Id].Bytes);
+        completeRecv(RecvId, E.Time, CS.Rows[Id].Bytes);
       } else {
         const std::uint32_t Slot = CS.ChannelSendOffsets[C] + RS.MsgTail[C]++;
         RS.MsgAvail[Slot] = E.Time;
@@ -1002,17 +1015,23 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
                                    const Platform &P, std::uint64_t Seed,
                                    const FaultSchedule *Faults,
                                    const ReplayOptions &Opts) {
+  // The pre-flight analyses the same rows and CSR arrays the replay
+  // below executes.
+  if (!preflightVerificationEnabled())
+    return replay(CS, P, Seed, Faults, Opts, nullptr);
+  const VerifyReport Report = preflight(CS);
+  return replay(CS, P, Seed, Faults, Opts, &Report);
+}
+
+const ExecutionResult &Engine::replay(const CompiledSchedule &CS,
+                                      const Platform &P, std::uint64_t Seed,
+                                      const FaultSchedule *Faults,
+                                      const ReplayOptions &Opts,
+                                      const VerifyReport *Preflight) {
   assert(CS.RankCount <= P.maxProcs() &&
          "schedule does not fit on the platform");
 
   Faults = resolveFaultSchedule(Faults);
-
-  // The pre-flight analyses the same CSR arrays the replay below
-  // executes (see the CompiledSchedule verifySchedule overload).
-  const bool Preflight = preflightVerificationEnabled();
-  VerifyReport Report;
-  if (Preflight)
-    Report = verifySchedule(CS);
 
   LastEvents = CompiledExecutor(*State, CS, P, Seed, Faults, Opts).run();
   if (!State->Result.Completed && !Opts.RecordTimings) {
@@ -1026,7 +1045,7 @@ const ExecutionResult &Engine::run(const CompiledSchedule &CS,
   }
 
   if (Preflight)
-    crossCheckPreflight(State->Result, Report);
+    crossCheckPreflight(State->Result, *Preflight);
   return State->Result;
 }
 
@@ -1036,7 +1055,13 @@ ExecutionResult mpicsel::runSchedule(const Schedule &S, const Platform &P,
   // One-shot compile + replay. Loops that re-execute one schedule
   // should compile once (or intern, mpi/ScheduleIntern.h) and drive a
   // long-lived Engine directly; this facade keeps the historical
-  // signature for single-shot callers and tests.
+  // signature for single-shot callers and tests. The pre-flight reads
+  // the schedule before compileSchedule does, so a broken structure
+  // ends the run with the verifier's report, not the compiler's first
+  // rejection.
   Engine E;
-  return E.run(compileSchedule(S), P, Seed, Faults);
+  if (!preflightVerificationEnabled())
+    return E.replay(compileSchedule(S), P, Seed, Faults, {}, nullptr);
+  const VerifyReport Report = preflight(S);
+  return E.replay(compileSchedule(S), P, Seed, Faults, {}, &Report);
 }

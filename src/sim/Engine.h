@@ -47,6 +47,8 @@
 
 namespace mpicsel {
 
+struct VerifyReport;
+
 /// Timestamps of one executed operation (seconds of simulated time).
 struct OpTiming {
   /// All dependencies satisfied (and, for receives, message matched).
@@ -107,9 +109,13 @@ struct ExecutionResult {
 ///
 /// When pre-flight verification is enabled (see
 /// setPreflightVerification), the static schedule verifier runs
-/// first and its verdict is cross-checked against the engine's
-/// outcome: a completed run that the verifier proved deadlocked (or
-/// vice versa) is a bug in one of the two and aborts loudly.
+/// first, before compilation. A structure finding (a rank, peer or
+/// dependency the engine cannot replay) ends the run with a fatal
+/// error carrying the verifier's report. Otherwise the verdict is
+/// cross-checked against the engine's outcome: a completed run that
+/// the verifier proved deadlocked (or vice versa) is a bug in one of
+/// the two and aborts loudly. Without the pre-flight, compileSchedule
+/// still rejects a broken structure fatally.
 ExecutionResult runSchedule(const Schedule &S, const Platform &P,
                             std::uint64_t Seed = 0,
                             const FaultSchedule *Faults = nullptr);
@@ -177,6 +183,16 @@ public:
   struct RunState;
 
 private:
+  friend ExecutionResult runSchedule(const Schedule &, const Platform &,
+                                     std::uint64_t, const FaultSchedule *);
+
+  /// run() after its pre-flight: replays \p CS and, given the
+  /// pre-flight's report, cross-checks it against the outcome.
+  const ExecutionResult &replay(const CompiledSchedule &CS, const Platform &P,
+                                std::uint64_t Seed, const FaultSchedule *Faults,
+                                const ReplayOptions &Opts,
+                                const VerifyReport *Preflight);
+
   std::unique_ptr<RunState> State;
   std::uint64_t LastEvents = 0;
 };

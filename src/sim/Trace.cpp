@@ -54,11 +54,11 @@ std::string mpicsel::renderChromeTrace(const Schedule &S,
     }
   }
 
-  for (OpId Id = 0, E = static_cast<OpId>(S.Ops.size()); Id != E; ++Id) {
+  for (OpId Id = 0, E = S.numOps(); Id != E; ++Id) {
     const OpTiming &T = R.Timings[Id];
     if (!T.Done)
       continue;
-    const Op &O = S.Ops[Id];
+    const OpView O = S.op(Id);
     // Chrome tracing wants microseconds; give zero-length joins a
     // sliver of width so they remain clickable.
     double StartUs = T.StartTime * 1e6;

@@ -40,7 +40,6 @@
 
 #include "verify/Verifier.h"
 
-#include "mpi/CompiledSchedule.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -148,17 +147,8 @@ class Analyzer {
 public:
   Analyzer(const Schedule &Sched, const ScheduleContract *Contr,
            const VerifyOptions &Options)
-      : S(&Sched), RankCount(Sched.RankCount),
-        NumOps(static_cast<OpId>(Sched.Ops.size())), Contract(Contr),
-        Opts(Options) {}
-
-  /// Compiled-schedule analysis: every op is read from the rows and
-  /// CSR arrays the engine executes, so the artifact the engine
-  /// executes is the artifact this verifies.
-  Analyzer(const CompiledSchedule &Compiled, const ScheduleContract *Contr,
-           const VerifyOptions &Options)
-      : CS(&Compiled), RankCount(Compiled.RankCount),
-        NumOps(Compiled.numOps()), Contract(Contr), Opts(Options) {}
+      : S(Sched), RankCount(Sched.RankCount), NumOps(Sched.numOps()),
+        Contract(Contr), Opts(Options) {}
 
   VerifyReport run();
 
@@ -185,17 +175,7 @@ private:
   /// edges. Consumes from the shared budget.
   bool reaches(OpId From, std::span<const OpId> Targets);
 
-  /// Op \p Id: the compiled rows when analysing a compiled schedule,
-  /// the builder IR otherwise.
-  OpView op(OpId Id) const {
-    if (CS)
-      return CS->op(Id);
-    const Op &O = S->Ops[Id];
-    return {O.Kind, O.Rank, O.Peer, O.Bytes, O.Tag, O.Duration, O.Deps};
-  }
-
-  const Schedule *S = nullptr;
-  const CompiledSchedule *CS = nullptr;
+  const Schedule &S;
   unsigned RankCount;
   OpId NumOps;
   const ScheduleContract *Contract;
@@ -243,11 +223,17 @@ bool Analyzer::checkStructure() {
             VerifyFinding::InvalidRank, "schedule has zero ranks");
     return false;
   }
+  if (!S.consistent()) {
+    finding(Severity::Error, CheckKind::Structure, InvalidOpId,
+            VerifyFinding::InvalidRank,
+            "op rows, tags and dependency offsets disagree");
+    return false;
+  }
   Malformed.assign(NumOps, false);
   Dependents.assign(NumOps, {});
 
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     if (O.Rank >= RankCount) {
       finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
               strFormat("rank %u outside the %u-rank communicator", O.Rank,
@@ -273,11 +259,16 @@ bool Analyzer::checkStructure() {
       if (Dep == Id)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 "op depends on itself");
-      if (!Malformed[Id] && op(Dep).Rank != O.Rank)
+      else if (Dep > Id)
+        finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
+                strFormat("dependency on later op %u (an op waits only on "
+                          "requests posted before it)",
+                          Dep));
+      if (!Malformed[Id] && S.op(Dep).Rank != O.Rank)
         finding(Severity::Error, CheckKind::Structure, Id, O.Rank,
                 strFormat("cross-rank dependency on op %u of rank %u (MPI "
                           "processes wait only on their own requests)",
-                          Dep, op(Dep).Rank));
+                          Dep, S.op(Dep).Rank));
       Dependents[Dep].push_back(Id);
     }
   }
@@ -287,7 +278,7 @@ bool Analyzer::checkStructure() {
   // mutated schedules can contain forward edges and thus cycles.
   std::vector<std::uint32_t> Pending(NumOps, 0);
   for (OpId Id = 0; Id != NumOps; ++Id)
-    for (OpId Dep : op(Id).Deps)
+    for (OpId Dep : S.op(Id).Deps)
       if (Dep < NumOps)
         ++Pending[Id];
   std::deque<OpId> Queue;
@@ -306,7 +297,7 @@ bool Analyzer::checkStructure() {
   if (Ordered != NumOps)
     for (OpId Id = 0; Id != NumOps; ++Id)
       if (Pending[Id] != 0)
-        finding(Severity::Error, CheckKind::Structure, Id, op(Id).Rank,
+        finding(Severity::Error, CheckKind::Structure, Id, S.op(Id).Rank,
                 "op is part of a dependency cycle");
   return true;
 }
@@ -314,7 +305,7 @@ bool Analyzer::checkStructure() {
 void Analyzer::buildChannels() {
   PosOf.assign(NumOps, {});
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     if (O.Kind == OpKind::Compute || Malformed[Id])
       continue;
     ChannelKey Key = O.Kind == OpKind::Send
@@ -342,12 +333,12 @@ void Analyzer::checkMatching() {
       OpId SendId = Chan.Sends[K], RecvId = Chan.Recvs[K];
       MatchOf[SendId] = RecvId;
       MatchOf[RecvId] = SendId;
-      if (op(SendId).Bytes != op(RecvId).Bytes)
+      if (S.op(SendId).Bytes != S.op(RecvId).Bytes)
         finding(Severity::Error, CheckKind::Matching, RecvId, Dst,
                 strFormat("recv of %llu bytes matches send op %u of %llu "
                           "bytes (%u -> %u, tag %d, message #%zu)",
-                          (unsigned long long)op(RecvId).Bytes, SendId,
-                          (unsigned long long)op(SendId).Bytes, Src, Dst,
+                          (unsigned long long)S.op(RecvId).Bytes, SendId,
+                          (unsigned long long)S.op(SendId).Bytes, Src, Dst,
                           Tag, K));
     }
     for (std::size_t K = Paired; K < Chan.Sends.size(); ++K)
@@ -401,7 +392,7 @@ bool Analyzer::reaches(OpId From, std::span<const OpId> Targets) {
     for (OpId Next : Dependents[Id])
       if (follow(Next))
         return true;
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     if (O.Kind == OpKind::Send && MatchOf[Id] != InvalidOpId &&
         follow(MatchOf[Id]))
       return true;
@@ -417,8 +408,8 @@ bool Analyzer::reaches(OpId From, std::span<const OpId> Targets) {
 }
 
 bool Analyzer::postingOrdered(OpId A, OpId B) {
-  std::span<const OpId> DepsA = op(A).Deps;
-  std::span<const OpId> DepsB = op(B).Deps;
+  std::span<const OpId> DepsA = S.op(A).Deps;
+  std::span<const OpId> DepsB = S.op(B).Deps;
   if (DepsA.empty())
     return true; // A is posted at t = 0.
   if (DepsB.empty())
@@ -460,8 +451,8 @@ void Analyzer::checkAmbiguity() {
     auto checkRun = [&](const std::vector<OpId> &Run, const char *What,
                         unsigned Rank) {
       for (std::size_t K = 0; K + 1 < Run.size(); ++K) {
-        const OpView A = op(Run[K]);
-        const OpView B = op(Run[K + 1]);
+        const OpView A = S.op(Run[K]);
+        const OpView B = S.op(Run[K + 1]);
         if (A.Bytes == B.Bytes)
           continue; // Reordering equal sizes never changes outcomes.
         // The proof may walk the channel's FIFO edges below this
@@ -501,7 +492,7 @@ void Analyzer::checkDeadlock() {
   // Monotone fixpoint via Kahn over the dependency + match graph.
   std::vector<std::uint32_t> Waits(NumOps, 0);
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     for (OpId Dep : O.Deps)
       if (Dep < NumOps)
         ++Waits[Id];
@@ -525,7 +516,7 @@ void Analyzer::checkDeadlock() {
       --Waits[Next];
       release(Next);
     }
-    if (op(Id).Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
+    if (S.op(Id).Kind == OpKind::Send && MatchOf[Id] != InvalidOpId) {
       OpId RecvId = MatchOf[Id];
       --Waits[RecvId];
       release(RecvId);
@@ -539,7 +530,7 @@ void Analyzer::checkDeadlock() {
     return;
 
   finding(Severity::Error, CheckKind::Deadlock, Report.NeverCompleting[0],
-          op(Report.NeverCompleting[0]).Rank,
+          S.op(Report.NeverCompleting[0]).Rank,
           strFormat("guaranteed deadlock: %zu of %u ops can never complete",
                     Report.NeverCompleting.size(), NumOps));
 
@@ -548,7 +539,7 @@ void Analyzer::checkDeadlock() {
   // matched send is itself stuck.
   unsigned Named = 0;
   for (OpId Id : Report.NeverCompleting) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     bool DepsOk = true;
     for (OpId Dep : O.Deps)
       DepsOk &= Dep < NumOps && Completes[Dep];
@@ -584,12 +575,12 @@ void Analyzer::checkDeadlock() {
     OnTrail[Cur] = true;
     Trail.push_back(Cur);
     OpId Blocker = InvalidOpId;
-    for (OpId Dep : op(Cur).Deps)
+    for (OpId Dep : S.op(Cur).Deps)
       if (Dep < NumOps && !Completes[Dep]) {
         Blocker = Dep;
         break;
       }
-    if (Blocker == InvalidOpId && op(Cur).Kind == OpKind::Recv &&
+    if (Blocker == InvalidOpId && S.op(Cur).Kind == OpKind::Recv &&
         MatchOf[Cur] != InvalidOpId && !Completes[MatchOf[Cur]])
       Blocker = MatchOf[Cur];
     if (Blocker == InvalidOpId)
@@ -602,14 +593,14 @@ void Analyzer::checkDeadlock() {
     In |= Id == Cur;
     if (!In)
       continue;
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     Cycle += strFormat("op %u (rank %u %s", Id, O.Rank, opKindName(O.Kind));
     if (O.Kind != OpKind::Compute)
       Cycle += strFormat(" peer=%u tag=%d", O.Peer, O.Tag);
     Cycle += ") waits for ";
   }
   Cycle += strFormat("op %u", Cur);
-  finding(Severity::Error, CheckKind::Deadlock, Cur, op(Cur).Rank,
+  finding(Severity::Error, CheckKind::Deadlock, Cur, S.op(Cur).Rank,
           "wait-for cycle: " + Cycle);
 }
 
@@ -631,7 +622,7 @@ void Analyzer::checkContract() {
   std::vector<std::uint64_t> Recv(P, 0), Sent(P, 0);
   std::vector<std::uint32_t> RecvN(P, 0), SentN(P, 0);
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind == OpKind::Recv) {
@@ -704,7 +695,7 @@ void Analyzer::checkContract() {
     std::size_t Paired = std::min(Chan.Sends.size(), Chan.Recvs.size());
     bool Payload = false;
     for (std::size_t K = 0; K != Paired && !Payload; ++K)
-      Payload = op(Chan.Sends[K]).Bytes > 0;
+      Payload = S.op(Chan.Sends[K]).Bytes > 0;
     if (!Payload)
       continue;
     unsigned Src = std::get<0>(Key), Dst = std::get<1>(Key);
@@ -742,7 +733,7 @@ void Analyzer::checkContract() {
 
 void Analyzer::checkLints() {
   for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = op(Id);
+    const OpView O = S.op(Id);
     if (Malformed[Id])
       continue;
     if (O.Kind != OpKind::Compute && O.Peer == O.Rank)
@@ -778,12 +769,5 @@ VerifyReport mpicsel::verifySchedule(const Schedule &S,
                                      const ScheduleContract *Contract,
                                      const VerifyOptions &Options) {
   Analyzer A(S, Contract, Options);
-  return A.run();
-}
-
-VerifyReport mpicsel::verifySchedule(const CompiledSchedule &CS,
-                                     const ScheduleContract *Contract,
-                                     const VerifyOptions &Options) {
-  Analyzer A(CS, Contract, Options);
   return A.run();
 }

@@ -14,8 +14,9 @@
 /// correctness tools (MUST-style graph analysis, SMPI schedule
 /// validation) do for real MPI programs, specialised to this IR:
 ///
-///  1. *Structure*: ranks and peers inside the communicator,
-///     dependencies in range, same-rank, and acyclic.
+///  1. *Structure*: consistent arrays, ranks and peers inside the
+///     communicator, dependencies in range, on earlier ops of the same
+///     rank, and acyclic.
 ///  2. *Matching*: sends and receives pair up 1:1 per (src, dst, tag)
 ///     channel in posting order with equal byte counts; concurrent
 ///     same-channel operations whose sizes differ and whose posting
@@ -46,8 +47,6 @@
 #include <vector>
 
 namespace mpicsel {
-
-struct CompiledSchedule;
 
 /// How bad a finding is.
 enum class Severity : std::uint8_t {
@@ -132,17 +131,11 @@ struct VerifyOptions {
 
 /// Statically analyses \p S; if \p Contract is non-null additionally
 /// checks the collective's data-movement obligations. Never executes
-/// the schedule.
+/// the schedule. A compiled schedule (mpi/CompiledSchedule.h) is a
+/// Schedule plus derived tables, so the engine's pre-flight and
+/// tools/schedlint pass it here and the verifier reads the very rows
+/// and CSR arrays the engine executes.
 VerifyReport verifySchedule(const Schedule &S,
-                            const ScheduleContract *Contract = nullptr,
-                            const VerifyOptions &Options = {});
-
-/// Same analysis over a compiled schedule (mpi/CompiledSchedule.h):
-/// every op is read from the rows and CSR arrays the engine executes,
-/// so the compiled layout itself is what gets verified, with the same
-/// report the builder-IR overload gives. This is the overload the
-/// engine's pre-flight and tools/schedlint use.
-VerifyReport verifySchedule(const CompiledSchedule &CS,
                             const ScheduleContract *Contract = nullptr,
                             const VerifyOptions &Options = {});
 

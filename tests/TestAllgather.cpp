@@ -111,7 +111,7 @@ TEST(Allgather, FallbacksMatchOpenMpiRestrictions) {
   appendAllgather(B, Config);
   Schedule S = B.take();
   unsigned Sends = 0;
-  for (const Op &O : S.Ops)
+  for (const OpRow &O : S.Rows)
     if (O.Kind == OpKind::Send)
       ++Sends;
   EXPECT_EQ(Sends, 6u * 5u);
@@ -127,7 +127,7 @@ TEST(Allgather, RoundStructurePerAlgorithm) {
     Schedule S = B.take();
     unsigned Sends = 0;
     std::uint64_t Bytes = 0;
-    for (const Op &O : S.Ops)
+    for (const OpRow &O : S.Rows)
       if (O.Kind == OpKind::Send) {
         ++Sends;
         Bytes += O.Bytes;

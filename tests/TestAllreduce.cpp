@@ -114,7 +114,7 @@ TEST(Allreduce, RecursiveDoublingNonPowerOfTwoFoldsExtraRanks) {
   appendAllreduce(B, Config);
   Schedule S = B.take();
   std::vector<unsigned> Sends(5, 0), Recvs(5, 0);
-  for (const Op &O : S.Ops) {
+  for (const OpRow &O : S.Rows) {
     if (O.Kind == OpKind::Send)
       ++Sends[O.Rank];
     if (O.Kind == OpKind::Recv)

@@ -4,8 +4,8 @@
 // algorithms (reproduction of Nuriyev & Lastovetsky, PaCT 2021).
 //
 // The compiled-schedule engine (mpi/CompiledSchedule.h + sim/Engine.h)
-// claims bit-identity with the legacy per-Op interpreter: compilation
-// only re-lays-out the schedule, so every OpTiming, byte counter and
+// claims bit-identity with the legacy interpreter: compilation only
+// adds tables derived from the schedule, so every OpTiming, byte counter and
 // deadlock verdict must match the legacy run exactly -- across every
 // collective generator, under fault injection, for any seed, and from
 // any number of sweep threads. These tests pin that contract with the
@@ -27,6 +27,8 @@
 #include "mpi/ScheduleIntern.h"
 #include "sim/Engine.h"
 #include "stat/ParallelSweep.h"
+
+#include "RawSchedule.h"
 
 #include <gtest/gtest.h>
 
@@ -470,87 +472,125 @@ TEST(CompiledSchedule, ArenaReuseIsDeterministic) {
 }
 
 TEST(CompiledSchedule, FlatIrMirrorsSourceSchedule) {
+  // Compilation keeps the source arrays and derives the replay tables.
+  // Derive those tables once more here, the plain way, over the whole
+  // catalogue: successors in release order (ascending dependent id,
+  // deps in list order), roots and in-degrees, channels numbered by
+  // first appearance in op order with a send and its receive sharing
+  // the send direction, and exact per-channel send/recv offsets.
+  for (const CatalogEntry &Entry : buildCatalogue()) {
+    SCOPED_TRACE(Entry.Name);
+    const Schedule &S = Entry.S;
+    const CompiledSchedule CS = compileSchedule(S);
+    const OpId NumOps = S.numOps();
+    ASSERT_EQ(CS.numOps(), NumOps);
+
+    std::vector<std::vector<OpId>> Succs(NumOps);
+    std::vector<OpId> Roots;
+    std::map<std::tuple<unsigned, unsigned, int>, std::uint32_t> ChannelIds;
+    std::vector<std::uint32_t> ChannelSends, ChannelRecvs;
+    std::uint32_t Sends = 0, Recvs = 0;
+    for (OpId Id = 0; Id != NumOps; ++Id) {
+      const OpView O = S.op(Id);
+      const OpView C = CS.op(Id);
+      EXPECT_TRUE(C.Kind == O.Kind && C.Rank == O.Rank && C.Peer == O.Peer &&
+                  C.Bytes == O.Bytes && C.Tag == O.Tag &&
+                  C.Duration == O.Duration &&
+                  std::ranges::equal(C.Deps, O.Deps))
+          << "op " << Id;
+      for (OpId Dep : O.Deps)
+        Succs[Dep].push_back(Id);
+      if (O.Deps.empty())
+        Roots.push_back(Id);
+      EXPECT_EQ(CS.InDegree[Id], O.Deps.size()) << "op " << Id;
+
+      std::uint32_t Channel = CompiledSchedule::NoChannel;
+      if (O.Kind != OpKind::Compute) {
+        const bool IsSend = O.Kind == OpKind::Send;
+        const auto Key = IsSend ? std::make_tuple(O.Rank, O.Peer, O.Tag)
+                                : std::make_tuple(O.Peer, O.Rank, O.Tag);
+        const auto [It, Inserted] = ChannelIds.try_emplace(
+            Key, static_cast<std::uint32_t>(ChannelIds.size()));
+        if (Inserted) {
+          ChannelSends.push_back(0);
+          ChannelRecvs.push_back(0);
+        }
+        Channel = It->second;
+        ++(IsSend ? ChannelSends : ChannelRecvs)[Channel];
+        ++(IsSend ? Sends : Recvs);
+      }
+      EXPECT_EQ(CS.Rows[Id].Channel, Channel) << "op " << Id;
+    }
+
+    EXPECT_EQ(CS.Roots, Roots);
+    for (OpId Id = 0; Id != NumOps; ++Id)
+      EXPECT_TRUE(std::ranges::equal(CS.succsOf(Id), Succs[Id]))
+          << "op " << Id;
+    EXPECT_EQ(CS.NumSends, Sends);
+    EXPECT_EQ(CS.NumRecvs, Recvs);
+    ASSERT_EQ(CS.NumChannels, ChannelIds.size());
+    std::vector<std::uint32_t> SendOffsets{0}, RecvOffsets{0};
+    for (std::uint32_t Chan = 0; Chan != CS.NumChannels; ++Chan) {
+      SendOffsets.push_back(SendOffsets.back() + ChannelSends[Chan]);
+      RecvOffsets.push_back(RecvOffsets.back() + ChannelRecvs[Chan]);
+    }
+    EXPECT_EQ(CS.ChannelSendOffsets, SendOffsets);
+    EXPECT_EQ(CS.ChannelRecvOffsets, RecvOffsets);
+  }
+}
+
+TEST(CompiledSchedule, CompilingByMoveKeepsTheBuilderStorage) {
+  // The builder's arrays become the compiled schedule's: no op is
+  // copied, and nothing is held twice while the replay tables are
+  // derived.
   ScheduleBuilder B(16);
   BcastConfig C;
-  C.Algorithm = BcastAlgorithm::SplitBinary;
+  C.Algorithm = BcastAlgorithm::Binomial;
   C.MessageBytes = 64 * 1024;
   C.SegmentBytes = 8 * 1024;
   appendBcast(B, C);
-  const Schedule S = B.take();
-  const CompiledSchedule CS = compileSchedule(S);
+  Schedule S = B.take();
+  // take() leaves no slack in the dependency edges, which grow by
+  // doubling while the generator runs.
+  EXPECT_EQ(S.DepList.capacity(), S.DepList.size());
+  const OpRow *Rows = S.Rows.data();
+  const std::int32_t *Tags = S.Tags.data();
+  const std::uint32_t *DepOffsets = S.DepOffsets.data();
+  const OpId *DepList = S.DepList.data();
 
-  // What the compiled form must reproduce, derived from the source:
-  // successors in release order (ascending dependent id, deps in list
-  // order) and channels numbered by first appearance in op order, the
-  // send direction shared by a send and its receive.
-  ASSERT_EQ(CS.numOps(), S.Ops.size());
-  std::vector<std::vector<OpId>> Succs(S.Ops.size());
-  std::map<std::tuple<unsigned, unsigned, int>, std::uint32_t> ChannelIds;
-  std::vector<std::uint32_t> ChannelSends, ChannelRecvs;
-  std::uint32_t Sends = 0, Recvs = 0, Roots = 0;
-  for (OpId Id = 0; Id != CS.numOps(); ++Id) {
-    const Op &O = S.Ops[Id];
-    for (OpId Dep : O.Deps)
-      Succs[Dep].push_back(Id);
-    // The hot row and the tag carry the source op field by field, and
-    // op() reads them back with the dependency row.
-    const CompiledOp &H = CS.Hot[Id];
-    EXPECT_EQ(H.Kind, O.Kind);
-    EXPECT_EQ(H.Rank, O.Rank);
-    EXPECT_EQ(H.Peer, O.Peer);
-    EXPECT_EQ(H.Bytes, O.Bytes);
-    EXPECT_EQ(H.Duration, O.Duration);
-    EXPECT_EQ(CS.OpTag[Id], O.Tag);
-    const OpView V = CS.op(Id);
-    EXPECT_TRUE(V.Kind == O.Kind && V.Rank == O.Rank && V.Peer == O.Peer &&
-                V.Bytes == O.Bytes && V.Tag == O.Tag &&
-                V.Duration == O.Duration)
-        << "op " << Id;
-    // Dependency order is preserved exactly (the bit-identity hinge).
-    EXPECT_TRUE(std::ranges::equal(CS.depsOf(Id), O.Deps)) << "op " << Id;
-    EXPECT_TRUE(std::ranges::equal(V.Deps, O.Deps)) << "op " << Id;
-    EXPECT_EQ(CS.InDegree[Id], O.Deps.size());
-    if (O.Deps.empty())
-      ++Roots;
-    if (O.Kind == OpKind::Compute) {
-      EXPECT_EQ(H.Channel, CompiledSchedule::NoChannel);
-      continue;
-    }
-    const bool IsSend = O.Kind == OpKind::Send;
-    const auto Key = IsSend ? std::make_tuple(O.Rank, O.Peer, O.Tag)
-                            : std::make_tuple(O.Peer, O.Rank, O.Tag);
-    const auto [It, Inserted] = ChannelIds.try_emplace(
-        Key, static_cast<std::uint32_t>(ChannelIds.size()));
-    if (Inserted) {
-      ChannelSends.push_back(0);
-      ChannelRecvs.push_back(0);
-    }
-    EXPECT_EQ(H.Channel, It->second) << "op " << Id;
-    if (IsSend) {
-      ++ChannelSends[It->second];
-      ++Sends;
-    } else {
-      ++ChannelRecvs[It->second];
-      ++Recvs;
-    }
-  }
-  EXPECT_EQ(CS.NumSends, Sends);
-  EXPECT_EQ(CS.NumRecvs, Recvs);
-  EXPECT_EQ(CS.Roots.size(), Roots);
-  for (OpId Id = 0; Id != CS.numOps(); ++Id)
-    EXPECT_TRUE(std::ranges::equal(CS.succsOf(Id), Succs[Id]))
-        << "op " << Id;
-  // Channel capacities are exact prefix sums of the per-channel
-  // send/recv populations.
-  ASSERT_EQ(CS.NumChannels, ChannelIds.size());
-  ASSERT_EQ(CS.ChannelSendOffsets.size(), CS.NumChannels + 1);
-  ASSERT_EQ(CS.ChannelRecvOffsets.size(), CS.NumChannels + 1);
-  EXPECT_EQ(CS.ChannelSendOffsets[0], 0u);
-  EXPECT_EQ(CS.ChannelRecvOffsets[0], 0u);
-  for (std::uint32_t Chan = 0; Chan != CS.NumChannels; ++Chan) {
-    EXPECT_EQ(CS.ChannelSendOffsets[Chan + 1] - CS.ChannelSendOffsets[Chan],
-              ChannelSends[Chan]);
-    EXPECT_EQ(CS.ChannelRecvOffsets[Chan + 1] - CS.ChannelRecvOffsets[Chan],
-              ChannelRecvs[Chan]);
-  }
+  const CompiledSchedule CS = compileSchedule(std::move(S));
+  EXPECT_EQ(CS.Rows.data(), Rows);
+  EXPECT_EQ(CS.Tags.data(), Tags);
+  EXPECT_EQ(CS.DepOffsets.data(), DepOffsets);
+  EXPECT_EQ(CS.DepList.data(), DepList);
+}
+
+// compileSchedule rejects what the engine cannot replay in every build
+// type, naming the op, rather than asserting (a build with NDEBUG would
+// read out of bounds instead).
+TEST(CompiledScheduleDeathTest, RejectsBrokenStructureNamingTheOp) {
+  EXPECT_DEATH(compileSchedule(rawSchedule(1, {{.Deps = {1}}, {}})),
+               "op 0: dependency on a later op or itself: 1");
+  EXPECT_DEATH(compileSchedule(rawSchedule(1, {{.Deps = {0}}})),
+               "op 0: dependency on a later op or itself: 0");
+  EXPECT_DEATH(
+      compileSchedule(rawSchedule(2, {{}, {.Rank = 1, .Deps = {0}}})),
+      "op 1: dependency on another rank's op: 0");
+  EXPECT_DEATH(compileSchedule(rawSchedule(2, {{.Rank = 2}})),
+               "op 0: rank outside the communicator: 2");
+  EXPECT_DEATH(
+      compileSchedule(rawSchedule(2, {{.Kind = OpKind::Send, .Peer = 5}})),
+      "op 0: peer outside the communicator: 5");
+  Schedule Torn = rawSchedule(2, {{}, {.Rank = 1}});
+  Torn.Tags.pop_back();
+  EXPECT_DEATH(compileSchedule(std::move(Torn)),
+               "op rows, tags and dependency offsets disagree");
+
+  // Without the pre-flight, runSchedule stops in the compiler.
+  const bool Saved = preflightVerificationEnabled();
+  setPreflightVerification(false);
+  EXPECT_DEATH(runSchedule(rawSchedule(2, {{}, {.Rank = 1, .Deps = {0}}}),
+                           testPlatform()),
+               "op 1: dependency on another rank's op: 0");
+  setPreflightVerification(Saved);
 }

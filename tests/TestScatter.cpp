@@ -98,7 +98,7 @@ TEST(Scatter, BinomialMovesFewerMessagesButMoreRelayBytes) {
     Schedule S = B.take();
     unsigned Sends = 0;
     std::uint64_t Bytes = 0;
-    for (const Op &O : S.Ops)
+    for (const OpRow &O : S.Rows)
       if (O.Kind == OpKind::Send) {
         ++Sends;
         Bytes += O.Bytes;

@@ -7,7 +7,11 @@
 
 #include "mpi/Schedule.h"
 
+#include "RawSchedule.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace mpicsel;
 
@@ -22,27 +26,35 @@ TEST(ScheduleBuilder, AppendsOpsWithSequentialIds) {
   EXPECT_EQ(C, 2u);
   Schedule Sched = B.take();
   EXPECT_EQ(Sched.RankCount, 2u);
-  ASSERT_EQ(Sched.Ops.size(), 3u);
-  EXPECT_EQ(Sched.Ops[0].Kind, OpKind::Send);
-  EXPECT_EQ(Sched.Ops[0].Peer, 1u);
-  EXPECT_EQ(Sched.Ops[0].Bytes, 100u);
-  EXPECT_EQ(Sched.Ops[0].Tag, 7);
-  EXPECT_EQ(Sched.Ops[1].Kind, OpKind::Recv);
-  EXPECT_EQ(Sched.Ops[2].Kind, OpKind::Compute);
-  ASSERT_EQ(Sched.Ops[2].Deps.size(), 1u);
-  EXPECT_EQ(Sched.Ops[2].Deps[0], S);
+  ASSERT_EQ(Sched.numOps(), 3u);
+  EXPECT_EQ(Sched.op(0).Kind, OpKind::Send);
+  EXPECT_EQ(Sched.op(0).Peer, 1u);
+  EXPECT_EQ(Sched.op(0).Bytes, 100u);
+  EXPECT_EQ(Sched.op(0).Tag, 7);
+  EXPECT_EQ(Sched.op(1).Kind, OpKind::Recv);
+  EXPECT_EQ(Sched.op(2).Kind, OpKind::Compute);
+  ASSERT_EQ(Sched.op(2).Deps.size(), 1u);
+  EXPECT_EQ(Sched.op(2).Deps[0], S);
+  // The flat arrays stay in step: one tag per row, a CSR offset per op
+  // plus the leading zero, the edges in the order they were added.
+  EXPECT_TRUE(Sched.consistent());
+  EXPECT_EQ(Sched.DepOffsets, (std::vector<std::uint32_t>{0, 0, 0, 1}));
+  EXPECT_EQ(Sched.DepList, std::vector<OpId>{S});
+  for (const OpRow &Row : Sched.Rows)
+    EXPECT_EQ(Row.Channel, Schedule::NoChannel);
 }
 
 TEST(ScheduleBuilder, TakeResetsTheBuilder) {
   ScheduleBuilder B(2);
   B.addSend(0, 1, 1, 0);
   Schedule First = B.take();
-  EXPECT_EQ(First.Ops.size(), 1u);
+  EXPECT_EQ(First.numOps(), 1u);
   EXPECT_EQ(B.numOps(), 0u);
   B.addRecv(1, 0, 1, 0);
   Schedule Second = B.take();
-  EXPECT_EQ(Second.Ops.size(), 1u);
-  EXPECT_EQ(Second.Ops[0].Kind, OpKind::Recv);
+  EXPECT_EQ(Second.numOps(), 1u);
+  EXPECT_EQ(Second.op(0).Kind, OpKind::Recv);
+  EXPECT_TRUE(Second.consistent());
 }
 
 TEST(ScheduleBuilder, JoinIsZeroDurationCompute) {
@@ -51,8 +63,8 @@ TEST(ScheduleBuilder, JoinIsZeroDurationCompute) {
   std::vector<OpId> Deps{A};
   OpId J = B.addJoin(0, Deps);
   Schedule S = B.take();
-  EXPECT_EQ(S.Ops[J].Kind, OpKind::Compute);
-  EXPECT_DOUBLE_EQ(S.Ops[J].Duration, 0.0);
+  EXPECT_EQ(S.op(J).Kind, OpKind::Compute);
+  EXPECT_DOUBLE_EQ(S.op(J).Duration, 0.0);
 }
 
 TEST(ValidateSchedule, AcceptsMatchedPair) {
@@ -119,52 +131,28 @@ TEST(ValidateSchedule, FifoPairsInOrderWithEqualSizes) {
 TEST(ValidateSchedule, DetectsCrossRankDependency) {
   // Construct an invalid schedule by hand (the builder asserts, so it
   // cannot produce one).
-  Schedule S;
-  S.RankCount = 2;
-  Op A;
-  A.Kind = OpKind::Compute;
-  A.Rank = 0;
-  Op B;
-  B.Kind = OpKind::Compute;
-  B.Rank = 1;
-  B.Deps = {0};
-  S.Ops = {A, B};
+  Schedule S = rawSchedule(2, {{.Rank = 0}, {.Rank = 1, .Deps = {0}}});
   std::string Why;
   EXPECT_FALSE(validateSchedule(S, &Why));
   EXPECT_NE(Why.find("cross-rank"), std::string::npos);
 }
 
 TEST(ValidateSchedule, DetectsForwardDependency) {
-  Schedule S;
-  S.RankCount = 1;
-  Op A;
-  A.Kind = OpKind::Compute;
-  A.Rank = 0;
-  A.Deps = {1};
-  Op B;
-  B.Kind = OpKind::Compute;
-  B.Rank = 0;
-  S.Ops = {A, B};
+  Schedule S = rawSchedule(1, {{.Deps = {1}}, {}});
   std::string Why;
   EXPECT_FALSE(validateSchedule(S, &Why));
   EXPECT_NE(Why.find("forward"), std::string::npos);
 }
 
 TEST(ValidateSchedule, DetectsOutOfRangeRankAndPeer) {
-  Schedule S;
-  S.RankCount = 2;
-  Op A;
-  A.Kind = OpKind::Send;
-  A.Rank = 5;
-  A.Peer = 1;
-  S.Ops = {A};
+  Schedule S = rawSchedule(2, {{.Kind = OpKind::Send, .Rank = 5, .Peer = 1}});
   EXPECT_FALSE(validateSchedule(S));
 
-  S.Ops[0].Rank = 0;
-  S.Ops[0].Peer = 9;
+  S.Rows[0].Rank = 0;
+  S.Rows[0].Peer = 9;
   EXPECT_FALSE(validateSchedule(S));
 
-  S.Ops[0].Peer = 0; // Self-message.
+  S.Rows[0].Peer = 0; // Self-message.
   EXPECT_FALSE(validateSchedule(S));
 }
 
@@ -173,4 +161,19 @@ TEST(ValidateSchedule, EmptyScheduleIsInvalidZeroRanks) {
   EXPECT_FALSE(validateSchedule(S));
   S.RankCount = 1;
   EXPECT_TRUE(validateSchedule(S)); // No ops is fine.
+}
+
+TEST(ValidateSchedule, DetectsArraysOutOfStep) {
+  Schedule S = rawSchedule(2, {{}, {.Rank = 1}});
+  ASSERT_TRUE(S.consistent());
+  S.Tags.pop_back();
+  EXPECT_FALSE(S.consistent());
+  std::string Why;
+  EXPECT_FALSE(validateSchedule(S, &Why));
+  EXPECT_NE(Why.find("inconsistent"), std::string::npos) << Why;
+
+  // Offsets that step backwards give op 0 one edge and op 1 minus one.
+  S = rawSchedule(2, {{}, {.Rank = 1}});
+  S.DepOffsets[1] = 1;
+  EXPECT_FALSE(S.consistent());
 }

@@ -212,8 +212,8 @@ void expectEnumerationMatches(const BcastStreamPlan &Plan,
     std::uint64_t Local = 0;
     forEachStreamedOp(Plan, Rank, [&](const StreamedOp &SO) {
       const std::uint64_t Gid = Base + Local;
-      ASSERT_LT(Gid, S.Ops.size()) << Name;
-      const Op &M = S.Ops[Gid];
+      ASSERT_LT(Gid, S.numOps()) << Name;
+      const OpView M = S.op(Gid);
       ASSERT_EQ(M.Kind, SO.Kind) << Name << " op " << Gid;
       ASSERT_EQ(M.Rank, Rank) << Name << " op " << Gid;
       if (SO.Kind != OpKind::Compute) {
@@ -226,13 +226,13 @@ void expectEnumerationMatches(const BcastStreamPlan &Plan,
       Deps.reserve(SO.Deps.size());
       for (std::uint64_t D : SO.Deps)
         Deps.push_back(static_cast<OpId>(Base + D));
-      ASSERT_EQ(M.Deps, Deps) << Name << " op " << Gid;
+      ASSERT_TRUE(std::ranges::equal(M.Deps, Deps)) << Name << " op " << Gid;
       ++Local;
     });
     ASSERT_EQ(Local, Plan.rankPlan(Rank).NumOps) << Name << " rank " << Rank;
     Total += Local;
   }
-  ASSERT_EQ(Total, S.Ops.size()) << Name;
+  ASSERT_EQ(Total, S.numOps()) << Name;
   ASSERT_EQ(Total, Plan.totalOps()) << Name;
 }
 
@@ -300,34 +300,34 @@ TEST(StreamingSchedule, GatherClosedFormLayout) {
 
         for (unsigned J = 0; J != P - 1; ++J) {
           GatherContributorOps Ops = gatherContributorOps(C, P, J);
-          ASSERT_LT(Ops.RootRecv, S.Ops.size());
+          ASSERT_LT(Ops.RootRecv, S.numOps());
           if (Synchronised) {
-            const Op &Ready = S.Ops[Ops.ReadySend];
+            const OpView Ready = S.op(Ops.ReadySend);
             EXPECT_EQ(Ready.Kind, OpKind::Send);
             EXPECT_EQ(Ready.Rank, Root);
             EXPECT_EQ(Ready.Peer, Ops.ContributorRank);
             EXPECT_EQ(Ready.Bytes, 0u);
-            const Op &Got = S.Ops[Ops.GotReady];
+            const OpView Got = S.op(Ops.GotReady);
             EXPECT_EQ(Got.Kind, OpKind::Recv);
             EXPECT_EQ(Got.Rank, Ops.ContributorRank);
             EXPECT_EQ(Got.Peer, Root);
           }
-          const Op &Send = S.Ops[Ops.BlockSend];
+          const OpView Send = S.op(Ops.BlockSend);
           EXPECT_EQ(Send.Kind, OpKind::Send);
           EXPECT_EQ(Send.Rank, Ops.ContributorRank);
           EXPECT_EQ(Send.Peer, Root);
           EXPECT_EQ(Send.Bytes, C.BlockBytes);
-          const Op &Recv = S.Ops[Ops.RootRecv];
+          const OpView Recv = S.op(Ops.RootRecv);
           EXPECT_EQ(Recv.Kind, OpKind::Recv);
           EXPECT_EQ(Recv.Rank, Root);
           EXPECT_EQ(Recv.Peer, Ops.ContributorRank);
           EXPECT_EQ(Recv.Bytes, C.BlockBytes);
         }
         const OpId Join = gatherRootJoin(C, P);
-        ASSERT_EQ(Join + 1, S.Ops.size());
-        EXPECT_EQ(S.Ops[Join].Kind, OpKind::Compute);
-        EXPECT_EQ(S.Ops[Join].Rank, Root);
-        EXPECT_EQ(S.Ops[Join].Deps.size(), P - 1);
+        ASSERT_EQ(Join + 1, S.numOps());
+        EXPECT_EQ(S.op(Join).Kind, OpKind::Compute);
+        EXPECT_EQ(S.op(Join).Rank, Root);
+        EXPECT_EQ(S.op(Join).Deps.size(), P - 1);
       }
     }
   }
@@ -339,19 +339,20 @@ TEST(StreamingSchedule, BarrierClosedFormLayout) {
     appendBarrier(B, 0);
     Schedule S = B.take();
     const unsigned Rounds = barrierNumRounds(P);
-    ASSERT_EQ(S.Ops.size(), static_cast<std::size_t>(Rounds) * P * 3);
+    ASSERT_EQ(std::size_t{S.numOps()},
+              static_cast<std::size_t>(Rounds) * P * 3);
     for (unsigned Round = 0; Round != Rounds; ++Round) {
       for (unsigned Rank = 0; Rank != P; ++Rank) {
         BarrierRoundOps Ops = barrierRoundOps(P, Rank, Round);
-        const Op &Send = S.Ops[Ops.Send];
+        const OpView Send = S.op(Ops.Send);
         EXPECT_EQ(Send.Kind, OpKind::Send);
         EXPECT_EQ(Send.Rank, Rank);
         EXPECT_EQ(Send.Peer, Ops.SendPeer);
-        const Op &Recv = S.Ops[Ops.Recv];
+        const OpView Recv = S.op(Ops.Recv);
         EXPECT_EQ(Recv.Kind, OpKind::Recv);
         EXPECT_EQ(Recv.Rank, Rank);
         EXPECT_EQ(Recv.Peer, Ops.RecvPeer);
-        const Op &Join = S.Ops[Ops.Join];
+        const OpView Join = S.op(Ops.Join);
         EXPECT_EQ(Join.Kind, OpKind::Compute);
         ASSERT_EQ(Join.Deps.size(), 2u);
         EXPECT_EQ(Join.Deps[0], Ops.Send);
@@ -683,13 +684,14 @@ TEST(StreamEngineTest, FootprintStaysSmallAtScale) {
   EXPECT_GT(R.Makespan, 0.0);
 
   // What the materialized path would pin per op just to exist: the
-  // Schedule's op row, the compiled op row, a timing row, a heap slot
-  // and the last-byte clock (dependency vectors and CSR rows come on
+  // op row, its tag and dependency offset, a timing row, a heap slot
+  // and the last-byte clock (the CSR edges and derived tables come on
   // top). The streaming engine must stay far under it (and under an
   // absolute cap that a million-rank run can extrapolate from).
   const std::uint64_t TotalOps = Plan.totalOps();
   const std::size_t MaterializedFloor =
-      TotalOps * (sizeof(Op) + sizeof(CompiledOp) + sizeof(OpTiming) + 16 + 8);
+      TotalOps * (sizeof(OpRow) + sizeof(std::int32_t) +
+                  sizeof(std::uint32_t) + sizeof(OpTiming) + 16 + 8);
   EXPECT_LT(E.footprintBytes(), MaterializedFloor / 4);
   EXPECT_LT(E.footprintBytes(), std::size_t{48} * 1024 * 1024);
   EXPECT_GT(E.eventsProcessed(), TotalOps);

@@ -42,7 +42,7 @@ TEST(Trace, ContainsEveryExecutedOp) {
                        std::string::npos;
        ++Pos)
     ++XEvents;
-  EXPECT_EQ(XEvents, S.Ops.size());
+  EXPECT_EQ(XEvents, S.numOps());
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(Json.find("send->"), std::string::npos);
   EXPECT_NE(Json.find("recv<-"), std::string::npos);

@@ -19,10 +19,9 @@
 //     must agree on whether the schedule deadlocks and on which ops
 //     never complete.
 //
-// Every schedule of both halves that compileSchedule accepts is also
-// verified compiled, and the two reports must agree finding for
-// finding: the engine's pre-flight and schedlint verify the compiled
-// form.
+// A compiled schedule is the builder's schedule plus derived tables,
+// so the one verifySchedule overload reads what the engine's
+// pre-flight and schedlint read.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +32,14 @@
 #include "coll/Gather.h"
 #include "coll/Reduce.h"
 #include "coll/Scatter.h"
-#include "mpi/CompiledSchedule.h"
 #include "sim/Engine.h"
 #include "verify/Verifier.h"
+
+#include "RawSchedule.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
 
 using namespace mpicsel;
 
@@ -54,31 +53,6 @@ bool findsOp(const VerifyReport &R, CheckKind Check, OpId Id) {
                      });
 }
 
-/// Verifies \p S both as built and compiled, expects the two reports to
-/// agree finding for finding, and returns the one as built. The
-/// compiled overload reads the rows the engine executes, so this pins
-/// that compilation loses nothing the verifier needs.
-VerifyReport verifyBothForms(const Schedule &S,
-                             const ScheduleContract *Contract = nullptr,
-                             const VerifyOptions &Options = {}) {
-  VerifyReport Built = verifySchedule(S, Contract, Options);
-  const VerifyReport Compiled =
-      verifySchedule(compileSchedule(S), Contract, Options);
-  EXPECT_EQ(Built.NeverCompleting, Compiled.NeverCompleting);
-  EXPECT_EQ(Built.Findings.size(), Compiled.Findings.size())
-      << Built.str() << "vs compiled\n"
-      << Compiled.str();
-  for (std::size_t I = 0;
-       I < std::min(Built.Findings.size(), Compiled.Findings.size()); ++I) {
-    const VerifyFinding &A = Built.Findings[I], &B = Compiled.Findings[I];
-    EXPECT_TRUE(std::tie(A.Sev, A.Check, A.Id, A.Rank, A.Message) ==
-                std::tie(B.Sev, B.Check, B.Id, B.Rank, B.Message))
-        << "finding " << I << ": " << A.str() << " vs compiled "
-        << B.str();
-  }
-  return Built;
-}
-
 /// Runs \p S in the engine and checks the static verdict matches the
 /// dynamic outcome exactly: same deadlock answer, same set of
 /// never-completing operations.
@@ -87,7 +61,7 @@ void expectEngineAgrees(const Schedule &S, const VerifyReport &Report) {
   ExecutionResult R = runSchedule(S, P);
   EXPECT_EQ(R.Completed, !Report.deadlocks());
   std::vector<OpId> Stuck;
-  for (OpId Id = 0; Id != static_cast<OpId>(S.Ops.size()); ++Id)
+  for (OpId Id = 0; Id != S.numOps(); ++Id)
     if (!R.Timings[Id].Done)
       Stuck.push_back(Id);
   EXPECT_EQ(Stuck, Report.NeverCompleting);
@@ -111,7 +85,7 @@ TEST(VerifyClean, AllBcastAlgorithms) {
         appendBcast(B, Config);
         Schedule S = B.take();
         ScheduleContract C = bcastContract(Config, P);
-        VerifyReport Report = verifyBothForms(S, &C);
+        VerifyReport Report = verifySchedule(S, &C);
         EXPECT_TRUE(Report.Findings.empty())
             << bcastAlgorithmName(Alg) << " P=" << P << " seg=" << Seg
             << ":\n"
@@ -129,7 +103,7 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendLinearGather(B, Config);
       Schedule S = B.take();
       ScheduleContract C = gatherContract(Config, P);
-      VerifyReport Report = verifyBothForms(S, &C);
+      VerifyReport Report = verifySchedule(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "gather:\n" << Report.str();
     }
     for (ScatterAlgorithm Alg : AllScatterAlgorithms) {
@@ -140,7 +114,7 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendScatter(B, Config);
       Schedule S = B.take();
       ScheduleContract C = scatterContract(Config, P);
-      VerifyReport Report = verifyBothForms(S, &C);
+      VerifyReport Report = verifySchedule(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "scatter:\n" << Report.str();
     }
     for (ReduceAlgorithm Alg : AllReduceAlgorithms) {
@@ -151,14 +125,14 @@ TEST(VerifyClean, GatherScatterReduceBarrier) {
       appendReduce(B, Config);
       Schedule S = B.take();
       ScheduleContract C = reduceContract(Config, P);
-      VerifyReport Report = verifyBothForms(S, &C);
+      VerifyReport Report = verifySchedule(S, &C);
       EXPECT_TRUE(Report.Findings.empty()) << "reduce:\n" << Report.str();
     }
     ScheduleBuilder B(P);
     appendBarrier(B, /*Tag=*/0);
     Schedule S = B.take();
     ScheduleContract C = barrierContract(P);
-    VerifyReport Report = verifyBothForms(S, &C);
+    VerifyReport Report = verifySchedule(S, &C);
     EXPECT_TRUE(Report.Findings.empty()) << "barrier:\n" << Report.str();
   }
 }
@@ -178,7 +152,7 @@ TEST(VerifyClean, LastSegmentSmallerNeedsNoAmbiguityWarning) {
     ScheduleBuilder B(8);
     appendBcast(B, Config);
     Schedule S = B.take();
-    VerifyReport Report = verifyBothForms(S);
+    VerifyReport Report = verifySchedule(S);
     EXPECT_TRUE(Report.Findings.empty())
         << bcastAlgorithmName(Alg) << ":\n"
         << Report.str();
@@ -203,20 +177,20 @@ TEST(VerifyDefect, DroppedRecvLeavesSendUnmatched) {
   Schedule S = B.take();
 
   OpId Dropped = InvalidOpId, Sender = InvalidOpId;
-  for (OpId Id = 0; Id != static_cast<OpId>(S.Ops.size()); ++Id)
-    if (S.Ops[Id].Kind == OpKind::Recv && S.Ops[Id].Rank == 3) {
+  for (OpId Id = 0; Id != S.numOps(); ++Id)
+    if (S.Rows[Id].Kind == OpKind::Recv && S.Rows[Id].Rank == 3) {
       Dropped = Id;
       break;
     }
   ASSERT_NE(Dropped, InvalidOpId);
-  for (OpId Id = 0; Id != static_cast<OpId>(S.Ops.size()); ++Id)
-    if (S.Ops[Id].Kind == OpKind::Send && S.Ops[Id].Peer == 3)
+  for (OpId Id = 0; Id != S.numOps(); ++Id)
+    if (S.Rows[Id].Kind == OpKind::Send && S.Rows[Id].Peer == 3)
       Sender = Id;
   ASSERT_NE(Sender, InvalidOpId);
-  S.Ops[Dropped].Kind = OpKind::Compute;
-  S.Ops[Dropped].Bytes = 0;
+  S.Rows[Dropped].Kind = OpKind::Compute;
+  S.Rows[Dropped].Bytes = 0;
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Sender)) << Report.str();
   EXPECT_FALSE(Report.deadlocks());
   expectEngineAgrees(S, Report);
@@ -235,15 +209,15 @@ TEST(VerifyDefect, SwappedTagDeadlocks) {
   Schedule S = B.take();
 
   OpId Retagged = InvalidOpId;
-  for (OpId Id = 0; Id != static_cast<OpId>(S.Ops.size()); ++Id)
-    if (S.Ops[Id].Kind == OpKind::Recv && S.Ops[Id].Rank == 1) {
+  for (OpId Id = 0; Id != S.numOps(); ++Id)
+    if (S.Rows[Id].Kind == OpKind::Recv && S.Rows[Id].Rank == 1) {
       Retagged = Id;
       break;
     }
   ASSERT_NE(Retagged, InvalidOpId);
-  S.Ops[Retagged].Tag += 99;
+  S.Tags[Retagged] += 99;
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Retagged))
       << Report.str();
   EXPECT_TRUE(Report.deadlocks());
@@ -260,7 +234,7 @@ TEST(VerifyDefect, DoubleRecvSingleSendDeadlocks) {
   OpId Extra = B.addRecv(1, 0, 100, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, Extra)) << Report.str();
   EXPECT_TRUE(Report.deadlocks());
   EXPECT_EQ(Report.NeverCompleting, std::vector<OpId>{Extra});
@@ -275,24 +249,18 @@ TEST(VerifyDefect, SizeMismatchIsAMatchingError) {
   OpId R = B.addRecv(1, 0, 200, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Matching, R)) << Report.str();
 }
 
 TEST(VerifyDefect, InjectedDependencyCycle) {
-  // The builder cannot produce forward dependencies, so build the raw
-  // schedule directly: two computes on rank 0 depending on each other.
-  Schedule S;
-  S.RankCount = 1;
-  Op A, C;
-  A.Kind = C.Kind = OpKind::Compute;
-  A.Rank = C.Rank = 0;
-  A.Deps = {1};
-  C.Deps = {0};
-  S.Ops = {A, C};
+  // The builder cannot produce forward dependencies, so lay the raw
+  // schedule out directly: two computes on rank 0 depending on each
+  // other. compileSchedule rejects the forward edge, so this schedule
+  // is verified but never compiled; the pre-flight death test below
+  // runs it.
+  const Schedule S = rawSchedule(1, {{.Deps = {1}}, {.Deps = {0}}});
 
-  // compileSchedule asserts back-references, so this one is verified
-  // only as built.
   VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Structure, 0)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Structure, 1)) << Report.str();
@@ -313,7 +281,7 @@ TEST(VerifyDefect, CrossRankWaitCycle) {
   B.addSend(1, 0, 64, 0, D1);
   Schedule S = B.take();
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(Report.deadlocks());
   EXPECT_EQ(Report.NeverCompleting.size(), 4u);
   bool CycleNamed = std::any_of(
@@ -340,7 +308,7 @@ TEST(VerifyDefect, AmbiguousMatchWarnsOnUnprovableOrder) {
   OpId Free = B.addRecv(2, 0, 200, 0);
   Schedule S = B.take();
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::AmbiguousMatch, Free))
       << Report.str();
   EXPECT_FALSE(Report.deadlocks());
@@ -360,7 +328,7 @@ TEST(VerifyDefect, ContractViolationWrongBytes) {
   BcastConfig Claimed = Built;
   Claimed.MessageBytes = 2000;
   ScheduleContract C = bcastContract(Claimed, 4);
-  VerifyReport Report = verifyBothForms(S, &C);
+  VerifyReport Report = verifySchedule(S, &C);
   unsigned Flagged = 0;
   for (const VerifyFinding &F : Report.Findings)
     if (F.Check == CheckKind::Contract && F.Rank != VerifyFinding::InvalidRank)
@@ -382,7 +350,7 @@ TEST(VerifyDefect, ContractViolationFlow) {
   ScheduleContract C = ScheduleContract::unchecked("flow-test", 3);
   C.Root = 0;
   C.Flow = FlowRequirement::RootToAll;
-  VerifyReport Report = verifyBothForms(S, &C);
+  VerifyReport Report = verifySchedule(S, &C);
   unsigned Flagged = 0;
   for (const VerifyFinding &F : Report.Findings)
     if (F.Check == CheckKind::Contract)
@@ -391,22 +359,14 @@ TEST(VerifyDefect, ContractViolationFlow) {
 }
 
 TEST(VerifyDefect, SelfMessageAndDeadOpLints) {
-  // The builder rejects self-sends, so construct the raw schedule: a
+  // The builder rejects self-sends, so lay the raw schedule out: a
   // rank-0 self-ping plus an orphaned zero-duration compute.
-  Schedule S;
-  S.RankCount = 2;
-  Op Send, Recv, Dead;
-  Send.Kind = OpKind::Send;
-  Send.Rank = Send.Peer = 0;
-  Send.Bytes = 8;
-  Recv.Kind = OpKind::Recv;
-  Recv.Rank = Recv.Peer = 0;
-  Recv.Bytes = 8;
-  Dead.Kind = OpKind::Compute;
-  Dead.Rank = 1;
-  S.Ops = {Send, Recv, Dead};
+  const Schedule S =
+      rawSchedule(2, {{.Kind = OpKind::Send, .Rank = 0, .Peer = 0, .Bytes = 8},
+                      {.Kind = OpKind::Recv, .Rank = 0, .Peer = 0, .Bytes = 8},
+                      {.Kind = OpKind::Compute, .Rank = 1}});
 
-  VerifyReport Report = verifyBothForms(S);
+  VerifyReport Report = verifySchedule(S);
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 0)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 1)) << Report.str();
   EXPECT_TRUE(findsOp(Report, CheckKind::Lint, 2)) << Report.str();
@@ -414,7 +374,7 @@ TEST(VerifyDefect, SelfMessageAndDeadOpLints) {
   // With lints off the same schedule is clean.
   VerifyOptions Opts;
   Opts.Lints = false;
-  EXPECT_TRUE(verifyBothForms(S, nullptr, Opts).Findings.empty());
+  EXPECT_TRUE(verifySchedule(S, nullptr, Opts).Findings.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -467,6 +427,24 @@ TEST(VerifyPreflight, CompletingSchedulesPassPreflight) {
   EXPECT_TRUE(R.Completed) << R.Diagnostic;
 }
 
+// The pre-flight reads a schedule before compileSchedule does, so a
+// broken structure ends the run with the verifier's finding, not with
+// the compiler's rejection or an assertion.
+TEST(VerifyPreflightDeathTest, BrokenStructureEndsTheRunWithTheReport) {
+  bool Saved = preflightVerificationEnabled();
+  setPreflightVerification(true);
+  const Schedule Cycle = rawSchedule(1, {{.Deps = {1}}, {.Deps = {0}}});
+  EXPECT_DEATH(runSchedule(Cycle, makeTestPlatform(1)),
+               "op 1 rank 0: op is part of a dependency cycle");
+  const Schedule Forward = rawSchedule(1, {{.Deps = {1}}, {}});
+  EXPECT_DEATH(runSchedule(Forward, makeTestPlatform(1)),
+               "op 0 rank 0: dependency on later op 1");
+  const Schedule CrossRank = rawSchedule(2, {{}, {.Rank = 1, .Deps = {0}}});
+  EXPECT_DEATH(runSchedule(CrossRank, makeTestPlatform(2)),
+               "op 1 rank 1: cross-rank dependency on op 0 of rank 0");
+  setPreflightVerification(Saved);
+}
+
 //===----------------------------------------------------------------------===//
 // Regressions: shapes that once broke the analyzer itself.
 //===----------------------------------------------------------------------===//
@@ -488,7 +466,7 @@ TEST(VerifyRegression, RingAllreduceUnevenBlocksIsCleanAtScale) {
   appendAllreduce(B, Config);
   Schedule S = B.take();
   const ScheduleContract C = allreduceContract(Config, 33);
-  VerifyReport Report = verifyBothForms(S, &C);
+  VerifyReport Report = verifySchedule(S, &C);
   EXPECT_TRUE(Report.Findings.empty()) << Report.str();
 }
 
@@ -505,6 +483,6 @@ TEST(VerifyRegression, DeepSegmentedPipelineOrderingProvesWithinBudget) {
   appendBcast(B, Config);
   Schedule S = B.take();
   const ScheduleContract C = bcastContract(Config, 8);
-  VerifyReport Report = verifyBothForms(S, &C);
+  VerifyReport Report = verifySchedule(S, &C);
   EXPECT_TRUE(Report.Findings.empty()) << Report.str();
 }

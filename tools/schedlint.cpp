@@ -25,8 +25,8 @@
 //
 // Every grid point is compiled exactly once and that one
 // CompiledSchedule serves every analysis pass: the static verifier
-// reads its op rows and CSR dependency arrays directly (the
-// compiled-schedule verifySchedule overload) and the fault pass
+// reads its op rows and CSR dependency arrays directly (a compiled
+// schedule is a Schedule plus derived tables) and the fault pass
 // replays it in a per-worker Engine -- what gets verified is
 // byte-for-byte what gets executed.
 //
