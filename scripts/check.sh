@@ -157,13 +157,15 @@ for PLATFORM in grisou gros; do
 done
 
 # Observability must be a pure observer: the differential tests
-# assert bit-identity with the journal on, and micro_engine proves
-# the replay loop stays allocation-free while counting. Serial shard:
-# the test processes would race on one journal file under -j.
+# assert bit-identity with the journal on -- the engine differentials
+# (compiled vs legacy, streamed vs compiled) and the FaultGolden pins
+# included -- and micro_engine proves the replay loop stays
+# allocation-free while counting. Serial shard: the test processes
+# would race on one journal file under -j.
 step "metrics-enabled shard (MPICSEL_METRICS on, results unchanged)"
 # Absolute path: ctest runs each test from its own binary directory.
 MPICSEL_METRICS="$PWD/build/metrics-ctest.jsonl" ctest --test-dir build \
-  --output-on-failure -R "Differential|Parallel\." \
+  --output-on-failure -R "Differential|Parallel\.|BitIdentical" \
   --timeout "$CTEST_TIMEOUT"
 ./build/bench/micro_engine --quick \
   --metrics build/metrics-engine.jsonl >/dev/null

@@ -38,9 +38,10 @@ namespace mpicsel {
 /// injection (tx) and drain (rx) sides, and a wire latency that
 /// overlaps across concurrent messages.
 struct LinkParams {
-  /// One-way message latency (seconds) between send-side injection
-  /// completing and the first byte reaching the receiver. Latencies of
-  /// concurrent messages overlap fully.
+  /// One-way wire latency (seconds): a message's first byte reaches the
+  /// receiver this long after its injection starts, its last byte this
+  /// long after injection ends. Latencies of concurrent messages
+  /// overlap fully.
   double Latency = 0.0;
   /// Fixed occupancy of the sender's injection channel per message.
   double TxGapPerMessage = 0.0;

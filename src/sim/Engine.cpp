@@ -4,6 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "sim/EventQueue.h"
+#include "sim/Transport.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -20,25 +21,33 @@ using namespace mpicsel;
 
 namespace {
 
-/// Heap events. Dependency releases are handled inline (they occur at
-/// the same timestamp as the completion that triggered them); only
-/// future effects live on the heap. Channels are acquired at the
-/// moment the contender physically reaches them -- the injection
-/// channel when the CPU hands the message over, the drain channel
-/// when the first byte arrives -- so FIFO order matches physical
-/// arrival order rather than event-processing order.
-enum class EventKind : std::uint8_t {
-  /// A send's CPU work is done; contend for the injection channel.
-  TxAcquire,
-  /// A message's first byte reaches the destination node; contend for
-  /// the drain channel.
-  MsgArrival,
-  /// A message has fully drained and can match a posted receive.
-  MsgAvailable,
-  /// An operation finishes (Send injection done, Compute done, Recv
-  /// completion overhead paid).
-  OpDone,
-};
+/// The deadlock diagnostic of a run of \p S that left some ops not
+/// done in \p Timings. It lists every never-completed op (capped), not
+/// just the first: the shape of the stuck set is usually what
+/// identifies the bug (one stuck rank vs. a cross-rank wait cycle).
+std::string stuckOpsDiagnostic(const Schedule &S,
+                               const std::vector<OpTiming> &Timings) {
+  constexpr unsigned MaxListed = 8;
+  unsigned Stuck = 0;
+  std::string Detail;
+  for (OpId Id = 0; Id != S.numOps(); ++Id) {
+    if (Timings[Id].Done)
+      continue;
+    if (Stuck++ < MaxListed) {
+      const OpView O = S.op(Id);
+      Detail += strFormat(
+          "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id, O.Rank,
+          O.Kind == OpKind::Send
+              ? "send"
+              : (O.Kind == OpKind::Recv ? "recv" : "compute"),
+          O.Peer, O.Tag, static_cast<unsigned long long>(O.Bytes));
+    }
+  }
+  if (Stuck > MaxListed)
+    Detail += strFormat("\n  ... and %u more", Stuck - MaxListed);
+  return strFormat("deadlock: %u of %u ops never completed:%s", Stuck,
+                   static_cast<unsigned>(S.numOps()), Detail.c_str());
+}
 
 struct Event {
   double Time;
@@ -404,34 +413,8 @@ ExecutionResult Executor::run() {
     Result.FaultWindows = Faults->windows(Result.Makespan);
     Result.FaultScenario = Faults->name();
   }
-  if (!Result.Completed) {
-    // List every never-completed operation (capped), not just the
-    // first: the shape of the stuck set is usually what identifies
-    // the bug (one stuck rank vs. a cross-rank wait cycle).
-    constexpr unsigned MaxListed = 8;
-    unsigned Stuck = 0;
-    std::string Detail;
-    for (OpId Id = 0; Id != NumOps; ++Id) {
-      if (Result.Timings[Id].Done)
-        continue;
-      if (Stuck++ < MaxListed) {
-        const OpView O = S.op(Id);
-        Detail += strFormat(
-            "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id,
-            O.Rank,
-            O.Kind == OpKind::Send
-                ? "send"
-                : (O.Kind == OpKind::Recv ? "recv" : "compute"),
-            O.Peer, O.Tag,
-            static_cast<unsigned long long>(O.Bytes));
-      }
-    }
-    if (Stuck > MaxListed)
-      Detail += strFormat("\n  ... and %u more", Stuck - MaxListed);
-    Result.Diagnostic =
-        strFormat("deadlock: %u of %u ops never completed:%s", Stuck,
-                  static_cast<unsigned>(NumOps), Detail.c_str());
-  }
+  if (!Result.Completed)
+    Result.Diagnostic = stuckOpsDiagnostic(S, Result.Timings);
   return std::move(Result);
 }
 
@@ -461,18 +444,6 @@ bool mpicsel::preflightVerificationEnabled() {
 }
 
 namespace {
-
-/// Resolves the effective fault schedule: an explicit argument wins,
-/// otherwise the process-wide one (MPICSEL_FAULTS or
-/// ScopedFaultInjection). An empty schedule degenerates to null so
-/// the fault-free fast path stays bit-identical.
-const FaultSchedule *resolveFaultSchedule(const FaultSchedule *Faults) {
-  if (!Faults)
-    Faults = globalFaultSchedule();
-  if (Faults && Faults->empty())
-    Faults = nullptr;
-  return Faults;
-}
 
 /// The static pre-flight: verifies \p S and ends the run with the
 /// report if its structure is broken (ranks, peers or dependencies the
@@ -570,12 +541,8 @@ struct Engine::RunState {
   ReplayHeap Events;
   std::vector<std::uint32_t> PendingDeps;
 
-  // Resources: free-at times.
-  std::vector<double> CpuFree;   // per rank
-  std::vector<double> NicTxFree; // per node
-  std::vector<double> NicRxFree; // per node
-  std::vector<double> MemTxFree; // per node
-  std::vector<double> MemRxFree; // per node
+  std::vector<double> CpuFree; // per rank
+  TransportClocks Clocks;
 
   /// Platform::nodeOf per rank, computed once per run so the per-
   /// message hot path reads a table instead of dividing.
@@ -584,8 +551,8 @@ struct Engine::RunState {
   /// Last-byte arrival time of each message in flight, per send:
   /// channel C's messages use the slots of its ChannelSendOffsets row
   /// in injection order. Every channel delivers in injection order
-  /// (the non-overtaking clamps of onTxAcquire), so a message's k-th
-  /// arrival on its channel finds the slot of its k-th injection.
+  /// (the non-overtaking clamps of sim/Transport.h), so a message's
+  /// k-th arrival on its channel finds the slot of its k-th injection.
   std::vector<double> LastByteArrival;
   std::vector<std::uint32_t> Injected; // per channel
   std::vector<std::uint32_t> Arrived;  // per channel
@@ -607,11 +574,6 @@ struct Engine::RunState {
   std::vector<std::uint32_t> MsgTail;
   std::vector<std::uint32_t> RecvHead;
   std::vector<std::uint32_t> RecvTail;
-
-  // Per-channel monotonic clocks for the fault path's non-overtaking
-  // clamps (the legacy engine's hash maps, as dense arrays).
-  std::vector<double> ChanLastArrival;
-  std::vector<double> ChanLastAvail;
 
   ExecutionResult Result;
 
@@ -636,9 +598,7 @@ struct Engine::RunState {
     Result.BytesSent.reserve(CS.RankCount);
     PendingDeps.reserve(NumOps);
     CpuFree.reserve(CS.RankCount);
-    for (std::vector<double> *Clock :
-         {&NicTxFree, &NicRxFree, &MemTxFree, &MemRxFree})
-      Clock->reserve(P.NodeCount);
+    Clocks.reserve(P.NodeCount, CS.NumChannels);
     NodeOfRank.reserve(CS.RankCount);
     LastByteArrival.reserve(CS.NumSends);
     if (!Opts.RecordTimings)
@@ -649,46 +609,43 @@ struct Engine::RunState {
     for (std::vector<std::uint32_t> *PerChannel :
          {&Injected, &Arrived, &MsgHead, &MsgTail, &RecvHead, &RecvTail})
       PerChannel->reserve(CS.NumChannels);
-    ChanLastArrival.reserve(CS.NumChannels);
-    ChanLastAvail.reserve(CS.NumChannels);
   }
 };
 
 namespace {
 
-/// The compiled-replay twin of Executor: identical event semantics and
-/// noise-draw order over the flat IR, with all mutable state borrowed
-/// from a reusable Engine::RunState. Readiness is decrement-indegree
-/// over the CSR successor rows; the event queue is the ReplayHeap of
-/// sim/EventQueue.h, keyed on the same (time, sequence) order -- a
-/// strict total order (sequence numbers are unique), so it pops events
-/// in exactly the order the legacy binary heap did.
+/// The compiled replay: the transport law of sim/Transport.h over the
+/// flat IR, with all mutable state borrowed from a reusable
+/// Engine::RunState. Readiness is decrement-indegree over the CSR
+/// successor rows; the event queue is the ReplayHeap of
+/// sim/EventQueue.h, keyed on (time, sequence) -- a strict total order
+/// (sequence numbers are unique), so it pops events in exactly the
+/// order the legacy interpreter's binary heap does.
 class CompiledExecutor {
 public:
   CompiledExecutor(Engine::RunState &State, const CompiledSchedule &Compiled,
                    const Platform &Plat, std::uint64_t Seed,
                    const FaultSchedule *FaultSched, const ReplayOptions &Opts)
-      : RS(State), CS(Compiled), P(Plat), Rng(Seed), RunSeed(Seed),
-        Faults(FaultSched), Record(Opts.RecordTimings),
+      : RS(State), CS(Compiled), P(Plat),
+        Law(State.Clocks, Plat, Seed, FaultSched), Record(Opts.RecordTimings),
         ExitOps(Opts.ExitOps) {}
 
   /// Replays the schedule into RS.Result; returns the events popped.
   std::uint64_t run();
 
 private:
-  double noise(double Now) {
-    double Sigma = P.NoiseSigma;
-    if (Faults)
-      Sigma *= Faults->sigmaMultiplier(Now);
-    return Rng.nextLogNormalFactor(Sigma);
-  }
-
-  double cpuFactor(unsigned Rank, double Now) const {
-    return Faults ? Faults->cpuMultiplier(Rank, Now) : 1.0;
-  }
-
   void pushEvent(double Time, EventKind Kind, OpId Id) {
     RS.Events.push(ReplayEvent{Time, packEventKey(NextSeq++, Kind, Id)});
+  }
+
+  /// The message of send op \p O.
+  Transport::Message message(const OpRow &O) const {
+    return {RS.NodeOfRank[O.Rank], RS.NodeOfRank[O.Peer], O.Bytes, O.Channel};
+  }
+
+  /// The last-byte slot of the \p K-th message on channel \p C.
+  double &lastByte(std::uint32_t C, std::uint32_t K) {
+    return RS.LastByteArrival[CS.ChannelSendOffsets[C] + K];
   }
 
   void activateOp(OpId Id, double Now) {
@@ -709,102 +666,39 @@ private:
   }
 
   void startSend(OpId Id, const OpRow &O, double Now) {
-    double CpuStart = std::max(Now, RS.CpuFree[O.Rank]);
-    double CpuDone = CpuStart + P.SendOverhead * noise(CpuStart) *
-                                    cpuFactor(O.Rank, CpuStart);
-    RS.CpuFree[O.Rank] = CpuDone;
+    const Transport::Span Cpu = Law.sendCpu(RS.CpuFree[O.Rank], O.Rank, Now);
     if (Record)
-      RS.Result.Timings[Id].StartTime = CpuStart;
-    pushEvent(CpuDone, EventKind::TxAcquire, Id);
+      RS.Result.Timings[Id].StartTime = Cpu.Start;
+    pushEvent(Cpu.Done, EventKind::TxAcquire, Id);
   }
 
   void onTxAcquire(OpId Id, double Now) {
     const OpRow &O = CS.Rows[Id];
-    const unsigned SrcNode = RS.NodeOfRank[O.Rank];
-    const bool Intra = SrcNode == RS.NodeOfRank[O.Peer];
-    const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
-
-    double &TxFree =
-        Intra ? RS.MemTxFree[SrcNode] : RS.NicTxFree[SrcNode];
-    double TxStart = std::max(Now, TxFree);
-    double TxOccupancy = Link.txOccupancy(O.Bytes) * noise(TxStart);
-    if (Faults && !Intra)
-      TxOccupancy *= Faults->txGapMultiplier(SrcNode, TxStart);
-    double TxDone = TxStart + TxOccupancy;
-    TxFree = TxDone;
-
-    pushEvent(TxDone, EventKind::OpDone, Id);
+    const Transport::Injection In = Law.inject(message(O), Id, Now);
+    pushEvent(In.TxDone, EventKind::OpDone, Id);
     RS.Result.BytesSent[O.Rank] += O.Bytes;
-    double &LastByte = RS.LastByteArrival[CS.ChannelSendOffsets[O.Channel] +
-                                          RS.Injected[O.Channel]++];
-
-    double Latency = Link.Latency * noise(TxStart);
-    if (Faults && !Intra) {
-      unsigned DstNode = RS.NodeOfRank[O.Peer];
-      Latency *= Faults->latencyMultiplier(SrcNode, DstNode, TxStart);
-      Latency += Faults->messageDelay(RunSeed, Id, TxStart);
-      double &Prev = RS.ChanLastArrival[O.Channel];
-      double Arrival = std::max(TxStart + Latency, Prev);
-      Prev = Arrival;
-      LastByte = Arrival + (TxDone - TxStart);
-      pushEvent(Arrival, EventKind::MsgArrival, Id);
-      return;
-    }
-    // Latency noise alone can invert same-channel first-byte order: a
-    // short message injected right behind a long one may draw a smaller
-    // latency and overtake it, which the strict arrival-order matcher
-    // would pair with the wrong receive. Enforce non-overtaking here
-    // too; the non-inverting case keeps the exact pre-clamp arithmetic
-    // so unaffected runs stay bit-identical.
-    const double Arrival = TxStart + Latency;
-    double &Prev = RS.ChanLastArrival[O.Channel];
-    if (Arrival >= Prev) {
-      Prev = Arrival;
-      LastByte = TxDone + Latency;
-      pushEvent(Arrival, EventKind::MsgArrival, Id);
-      return;
-    }
-    LastByte = Prev + (TxDone - TxStart);
-    pushEvent(Prev, EventKind::MsgArrival, Id);
+    lastByte(O.Channel, RS.Injected[O.Channel]++) = In.LastByte;
+    pushEvent(In.Arrival, EventKind::MsgArrival, Id);
   }
 
   void onMsgArrival(OpId Id, double Now) {
     const OpRow &O = CS.Rows[Id];
-    const unsigned DstNode = RS.NodeOfRank[O.Peer];
-    const bool Intra = RS.NodeOfRank[O.Rank] == DstNode;
-    const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
-
-    double &RxFree =
-        Intra ? RS.MemRxFree[DstNode] : RS.NicRxFree[DstNode];
-    double RxStart = std::max(Now, RxFree);
-    double RxOccupancy = Link.rxOccupancy(O.Bytes) * noise(RxStart);
-    if (Faults && !Intra)
-      RxOccupancy *= Faults->rxGapMultiplier(DstNode, RxStart);
-    const double LastByte =
-        RS.LastByteArrival[CS.ChannelSendOffsets[O.Channel] +
-                           RS.Arrived[O.Channel]++];
-    double RxDone = std::max(RxStart + RxOccupancy, LastByte);
-    RxFree = RxDone;
-    if (Faults) {
-      double &Prev = RS.ChanLastAvail[O.Channel];
-      RxDone = std::max(RxDone, Prev);
-      Prev = RxDone;
-    }
-    pushEvent(RxDone, EventKind::MsgAvailable, Id);
+    const double LastByte = lastByte(O.Channel, RS.Arrived[O.Channel]++);
+    pushEvent(Law.drain(message(O), LastByte, Now), EventKind::MsgAvailable,
+              Id);
   }
 
   void startCompute(OpId Id, const OpRow &O, double Now) {
-    double CpuStart = std::max(Now, RS.CpuFree[O.Rank]);
-    double CpuDone = CpuStart + O.Duration * cpuFactor(O.Rank, CpuStart);
-    RS.CpuFree[O.Rank] = CpuDone;
+    const Transport::Span Cpu =
+        Law.compute(RS.CpuFree[O.Rank], O.Rank, Now, O.Duration);
     if (Record)
-      RS.Result.Timings[Id].StartTime = CpuStart;
-    if (CpuDone == Now) {
+      RS.Result.Timings[Id].StartTime = Cpu.Start;
+    if (Cpu.Done == Now) {
       // Zero-length join: finish inline to avoid flooding the heap.
       finishOp(Id, Now);
       return;
     }
-    pushEvent(CpuDone, EventKind::OpDone, Id);
+    pushEvent(Cpu.Done, EventKind::OpDone, Id);
   }
 
   void postRecv(OpId Id, const OpRow &O, double Now) {
@@ -821,14 +715,11 @@ private:
   void completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
     assert(CS.Rows[RecvId].Bytes == Bytes && "matched message size mismatch");
     const unsigned Rank = CS.Rows[RecvId].Rank;
-    double CpuStart = std::max(Now, RS.CpuFree[Rank]);
-    double CpuDone =
-        CpuStart + P.RecvOverhead * noise(CpuStart) * cpuFactor(Rank, CpuStart);
-    RS.CpuFree[Rank] = CpuDone;
+    const Transport::Span Cpu = Law.recvCpu(RS.CpuFree[Rank], Rank, Now);
     if (Record)
-      RS.Result.Timings[RecvId].StartTime = CpuStart;
+      RS.Result.Timings[RecvId].StartTime = Cpu.Start;
     RS.Result.BytesReceived[Rank] += Bytes;
-    pushEvent(CpuDone, EventKind::OpDone, RecvId);
+    pushEvent(Cpu.Done, EventKind::OpDone, RecvId);
   }
 
   void finishOp(OpId Id, double Now) {
@@ -854,9 +745,7 @@ private:
   Engine::RunState &RS;
   const CompiledSchedule &CS;
   const Platform &P;
-  Xoshiro256 Rng;
-  const std::uint64_t RunSeed;
-  const FaultSchedule *Faults;
+  Transport Law;
   const bool Record;
   const std::span<const OpId> ExitOps;
   std::uint64_t NextSeq = 0;
@@ -883,10 +772,7 @@ std::uint64_t CompiledExecutor::run() {
 
   RS.PendingDeps.assign(CS.InDegree.begin(), CS.InDegree.end());
   RS.CpuFree.assign(CS.RankCount, 0.0);
-  RS.NicTxFree.assign(P.NodeCount, 0.0);
-  RS.NicRxFree.assign(P.NodeCount, 0.0);
-  RS.MemTxFree.assign(P.NodeCount, 0.0);
-  RS.MemRxFree.assign(P.NodeCount, 0.0);
+  RS.Clocks.reset(P.NodeCount, CS.NumChannels, Law.faults() != nullptr);
   RS.NodeOfRank.resize(CS.RankCount);
   for (unsigned Rank = 0; Rank != CS.RankCount; ++Rank)
     RS.NodeOfRank[Rank] = P.nodeOf(Rank);
@@ -912,8 +798,6 @@ std::uint64_t CompiledExecutor::run() {
   RS.MsgTail.assign(CS.NumChannels, 0);
   RS.RecvHead.assign(CS.NumChannels, 0);
   RS.RecvTail.assign(CS.NumChannels, 0);
-  RS.ChanLastArrival.assign(CS.NumChannels, 0.0);
-  RS.ChanLastAvail.assign(CS.NumChannels, 0.0);
 
   // Activate the roots of the DAG at t = 0, in op-id order. Roots are
   // the *statically* dependency-free ops: a zero-duration root
@@ -960,7 +844,7 @@ std::uint64_t CompiledExecutor::run() {
   obs::bump(obs::Counter::EngineEvents, EventsPopped);
 
   Result.Completed = DoneCount == NumOps;
-  if (Faults) {
+  if (const FaultSchedule *Faults = Law.faults()) {
     Result.FaultWindows = Faults->windows(Result.Makespan);
     Result.FaultScenario = Faults->name();
   }
@@ -970,33 +854,8 @@ std::uint64_t CompiledExecutor::run() {
       Result.ExitTimes[I] = Result.Timings[ExitOps[I]].DoneTime;
     }
   // Without the timeline, Engine::run reruns a deadlock to list it.
-  if (!Result.Completed && Record) {
-    // List every never-completed operation (capped), not just the
-    // first: the shape of the stuck set is usually what identifies
-    // the bug (one stuck rank vs. a cross-rank wait cycle).
-    constexpr unsigned MaxListed = 8;
-    unsigned Stuck = 0;
-    std::string Detail;
-    for (OpId Id = 0; Id != NumOps; ++Id) {
-      if (Result.Timings[Id].Done)
-        continue;
-      if (Stuck++ < MaxListed) {
-        const OpView O = CS.op(Id);
-        Detail += strFormat(
-            "\n  op %u on rank %u (%s peer=%u tag=%d bytes=%llu)", Id,
-            O.Rank,
-            O.Kind == OpKind::Send
-                ? "send"
-                : (O.Kind == OpKind::Recv ? "recv" : "compute"),
-            O.Peer, O.Tag, static_cast<unsigned long long>(O.Bytes));
-      }
-    }
-    if (Stuck > MaxListed)
-      Detail += strFormat("\n  ... and %u more", Stuck - MaxListed);
-    Result.Diagnostic =
-        strFormat("deadlock: %u of %u ops never completed:%s", Stuck,
-                  static_cast<unsigned>(NumOps), Detail.c_str());
-  }
+  if (!Result.Completed && Record)
+    Result.Diagnostic = stuckOpsDiagnostic(CS, Result.Timings);
   return EventsPopped;
 }
 

@@ -4,7 +4,6 @@
 
 #include "obs/Metrics.h"
 #include "support/Format.h"
-#include "support/Random.h"
 
 #include <algorithm>
 #include <cassert>
@@ -12,16 +11,6 @@
 using namespace mpicsel;
 
 namespace {
-
-/// Same numbering as sim/Engine.cpp's EventKind; packed into the low
-/// two bits of StreamEvent::Key so (Time, Key) reproduces the legacy
-/// (Time, Seq) tiebreak.
-enum class EventKind : std::uint8_t {
-  TxAcquire,
-  MsgArrival,
-  MsgAvailable,
-  OpDone,
-};
 
 /// What a block-local op index means for a given role.
 struct OpRef {
@@ -94,48 +83,25 @@ std::uint64_t recvLocalOf(const BcastRankPlan &RP, std::uint64_t Seg) {
   }
 }
 
-/// Mirrors resolveFaultSchedule in Engine.cpp: explicit argument wins,
-/// else the process-wide schedule; empty degenerates to null so the
-/// fault-free fast path stays bit-identical.
-const FaultSchedule *resolveFaults(const FaultSchedule *Faults) {
-  if (!Faults)
-    Faults = globalFaultSchedule();
-  if (Faults && Faults->empty())
-    Faults = nullptr;
-  return Faults;
-}
-
 } // namespace
 
 namespace mpicsel {
 
-/// The per-run executor, borrowing all arenas from a StreamEngine.
-/// Handler bodies transcribe sim/Engine.cpp's CompiledExecutor line
-/// for line (same noise-draw sites, same event creation order, same
-/// clamp order); only op lookup differs -- closed-form arithmetic on
-/// (rank, local) instead of the compiled op table.
+/// The per-run executor, borrowing all arenas from a StreamEngine. It
+/// runs the transport law of sim/Transport.h and creates its events in
+/// the compiled engine's order; only op lookup differs -- closed-form
+/// arithmetic on (rank, local) instead of the compiled op table.
 class StreamExecutor {
 public:
   StreamExecutor(StreamEngine &Eng, const BcastStreamPlan &StreamPlan,
                  const Platform &Plat, std::uint64_t Seed,
                  const FaultSchedule *FaultSched, const StreamOptions &Options)
-      : E(Eng), Plan(StreamPlan), P(Plat), Rng(Seed), RunSeed(Seed),
-        Faults(FaultSched), Opts(Options) {}
+      : E(Eng), Plan(StreamPlan), P(Plat),
+        Law(Eng.Clocks, Plat, Seed, FaultSched), Opts(Options) {}
 
   void run();
 
 private:
-  double noise(double Now) {
-    double Sigma = P.NoiseSigma;
-    if (Faults)
-      Sigma *= Faults->sigmaMultiplier(Now);
-    return Rng.nextLogNormalFactor(Sigma);
-  }
-
-  double cpuFactor(unsigned Rank, double Now) const {
-    return Faults ? Faults->cpuMultiplier(Rank, Now) : 1.0;
-  }
-
   void pushEvent(double Time, EventKind Kind, unsigned Rank,
                  std::uint64_t Local, double Payload = 0.0) {
     StreamEvent Ev;
@@ -163,117 +129,80 @@ private:
       E.Result.Timings[globalId(Rank, Local)].StartTime = Now;
   }
 
+  /// A send's segment, receiver and message. The receiving rank names
+  /// the match channel: every rank receives from exactly one parent on
+  /// one tag.
+  struct SendRef {
+    std::uint64_t Seg;
+    unsigned Dst;
+    Transport::Message Msg;
+  };
+
+  SendRef sendOf(unsigned Rank, std::uint64_t Local) const {
+    const OpRef Ref = decodeLocal(Plan.rankPlan(Rank), Plan.NumSegments, Local);
+    assert(Ref.Kind == OpRef::Send);
+    const unsigned Dst = Plan.childOf(Rank, static_cast<unsigned>(Ref.Child));
+    return {Ref.Seg, Dst,
+            {P.nodeOf(Rank), P.nodeOf(Dst), Plan.segmentBytes(Ref.Seg), Dst}};
+  }
+
   void activateSend(unsigned Rank, std::uint64_t Local, double Now) {
     recordReady(Rank, Local, Now);
-    StreamEngine::RankState &St = E.Ranks[Rank];
-    double CpuStart = std::max(Now, St.CpuFree);
-    double CpuDone = CpuStart + P.SendOverhead * noise(CpuStart) *
-                                    cpuFactor(Rank, CpuStart);
-    St.CpuFree = CpuDone;
-    recordStart(Rank, Local, CpuStart);
-    pushEvent(CpuDone, EventKind::TxAcquire, Rank, Local);
+    const Transport::Span Cpu = Law.sendCpu(E.Ranks[Rank].CpuFree, Rank, Now);
+    recordStart(Rank, Local, Cpu.Start);
+    pushEvent(Cpu.Done, EventKind::TxAcquire, Rank, Local);
   }
 
   void onTxAcquire(unsigned Rank, std::uint64_t Local, double Now) {
-    const BcastRankPlan RP = Plan.rankPlan(Rank);
-    const OpRef Ref = decodeLocal(RP, Plan.NumSegments, Local);
-    assert(Ref.Kind == OpRef::Send);
-    const unsigned Peer =
-        Plan.childOf(Rank, static_cast<unsigned>(Ref.Child));
-    const std::uint64_t Bytes = Plan.segmentBytes(Ref.Seg);
-    const unsigned SrcNode = P.nodeOf(Rank);
-    const bool Intra = SrcNode == P.nodeOf(Peer);
-    const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
-
-    double &TxFree = Intra ? E.MemTxFree[SrcNode] : E.NicTxFree[SrcNode];
-    double TxStart = std::max(Now, TxFree);
-    double TxOccupancy = Link.txOccupancy(Bytes) * noise(TxStart);
-    if (Faults && !Intra)
-      TxOccupancy *= Faults->txGapMultiplier(SrcNode, TxStart);
-    double TxDone = TxStart + TxOccupancy;
-    TxFree = TxDone;
-
-    pushEvent(TxDone, EventKind::OpDone, Rank, Local);
-    E.Result.BytesSent[Rank] += Bytes;
-
-    double Latency = Link.Latency * noise(TxStart);
-    if (Faults && !Intra) {
-      unsigned DstNode = P.nodeOf(Peer);
-      Latency *= Faults->latencyMultiplier(SrcNode, DstNode, TxStart);
-      Latency += Faults->messageDelay(
-          RunSeed, static_cast<OpId>(globalId(Rank, Local)), TxStart);
-      double &Prev = E.ChanLastArrival[Peer];
-      double Arrival = std::max(TxStart + Latency, Prev);
-      Prev = Arrival;
-      pushEvent(Arrival, EventKind::MsgArrival, Rank, Local,
-                Arrival + (TxDone - TxStart));
-      return;
-    }
-    pushEvent(TxStart + Latency, EventKind::MsgArrival, Rank, Local,
-              TxDone + Latency);
+    const SendRef Send = sendOf(Rank, Local);
+    // Message-delay faults hash the global send-op id; the op-id bases
+    // exist only for faulted or recorded runs.
+    const OpId MsgId =
+        Law.faults() ? static_cast<OpId>(globalId(Rank, Local)) : 0;
+    const Transport::Injection In = Law.inject(Send.Msg, MsgId, Now);
+    pushEvent(In.TxDone, EventKind::OpDone, Rank, Local);
+    E.Result.BytesSent[Rank] += Send.Msg.Bytes;
+    pushEvent(In.Arrival, EventKind::MsgArrival, Rank, Local, In.LastByte);
   }
 
   void onMsgArrival(unsigned Rank, std::uint64_t Local, double Now,
-                    double LastByteArrival) {
-    const BcastRankPlan RP = Plan.rankPlan(Rank);
-    const OpRef Ref = decodeLocal(RP, Plan.NumSegments, Local);
-    assert(Ref.Kind == OpRef::Send);
-    const unsigned Peer =
-        Plan.childOf(Rank, static_cast<unsigned>(Ref.Child));
-    const std::uint64_t Bytes = Plan.segmentBytes(Ref.Seg);
-    const unsigned DstNode = P.nodeOf(Peer);
-    const bool Intra = P.nodeOf(Rank) == DstNode;
-    const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
-
-    double &RxFree = Intra ? E.MemRxFree[DstNode] : E.NicRxFree[DstNode];
-    double RxStart = std::max(Now, RxFree);
-    double RxOccupancy = Link.rxOccupancy(Bytes) * noise(RxStart);
-    if (Faults && !Intra)
-      RxOccupancy *= Faults->rxGapMultiplier(DstNode, RxStart);
-    double RxDone = std::max(RxStart + RxOccupancy, LastByteArrival);
-    RxFree = RxDone;
-    if (Faults) {
-      double &Prev = E.ChanLastAvail[Peer];
-      RxDone = std::max(RxDone, Prev);
-      Prev = RxDone;
-    }
-    pushEvent(RxDone, EventKind::MsgAvailable, Rank, Local);
+                    double LastByte) {
+    pushEvent(Law.drain(sendOf(Rank, Local).Msg, LastByte, Now),
+              EventKind::MsgAvailable, Rank, Local);
   }
 
-  /// MsgAvailable of send (\p Rank, \p Local): FIFO-match against the
-  /// destination's posted receives, or park the message.
+  /// MsgAvailable of send (\p Rank, \p Local): match the receiver's
+  /// oldest posted receive, or count the message as arrived.
   void onMsgAvailable(unsigned Rank, std::uint64_t Local, double Now) {
-    const BcastRankPlan RP = Plan.rankPlan(Rank);
-    const OpRef Ref = decodeLocal(RP, Plan.NumSegments, Local);
-    assert(Ref.Kind == OpRef::Send);
-    const unsigned Dst =
-        Plan.childOf(Rank, static_cast<unsigned>(Ref.Child));
-    const std::uint64_t Bytes = Plan.segmentBytes(Ref.Seg);
-    StreamEngine::RankState &St = E.Ranks[Dst];
+    const SendRef Send = sendOf(Rank, Local);
+    StreamEngine::RankState &St = E.Ranks[Send.Dst];
+    // The edge delivers in injection order, i.e. in segment order.
+    assert(Send.Seg == St.MatchedMsgs + St.Arrived &&
+           "message available out of segment order");
     if (St.PostedExcess > 0) {
       // The oldest posted receive is match number MatchedMsgs; posts
       // happen in segment order, so its local index is closed-form.
       --St.PostedExcess;
       const std::uint64_t RecvLocal =
-          recvLocalOf(Plan.rankPlan(Dst), St.MatchedMsgs);
+          recvLocalOf(Plan.rankPlan(Send.Dst), St.MatchedMsgs);
       ++St.MatchedMsgs;
-      completeRecv(Dst, RecvLocal, Now, Bytes);
+      completeRecv(Send.Dst, RecvLocal, Now, Send.Msg.Bytes);
       return;
     }
-    enqueueArrival(St, Bytes);
+    ++St.Arrived;
   }
 
   void postRecv(unsigned Rank, std::uint64_t Local, double Now) {
     recordReady(Rank, Local, Now);
     StreamEngine::RankState &St = E.Ranks[Rank];
-    if (St.QueueHead != StreamEngine::NoSlot) {
-      // A message is already waiting; the posting receive is
-      // necessarily the oldest unmatched one.
+    if (St.Arrived > 0) {
+      // A message is already waiting: segment MatchedMsgs, the oldest
+      // one. The posting receive is necessarily the oldest unmatched.
       assert(St.PostedExcess == 0);
-      const std::uint64_t Bytes = dequeueArrival(St);
       assert(recvLocalOf(Plan.rankPlan(Rank), St.MatchedMsgs) == Local &&
              "receive posted out of segment order");
-      ++St.MatchedMsgs;
+      --St.Arrived;
+      const std::uint64_t Bytes = Plan.segmentBytes(St.MatchedMsgs++);
       completeRecv(Rank, Local, Now, Bytes);
       return;
     }
@@ -282,30 +211,23 @@ private:
 
   void completeRecv(unsigned Rank, std::uint64_t RecvLocal, double Now,
                     std::uint64_t Bytes) {
-    StreamEngine::RankState &St = E.Ranks[Rank];
-    double CpuStart = std::max(Now, St.CpuFree);
-    double CpuDone = CpuStart + P.RecvOverhead * noise(CpuStart) *
-                                    cpuFactor(Rank, CpuStart);
-    St.CpuFree = CpuDone;
-    recordStart(Rank, RecvLocal, CpuStart);
+    const Transport::Span Cpu = Law.recvCpu(E.Ranks[Rank].CpuFree, Rank, Now);
+    recordStart(Rank, RecvLocal, Cpu.Start);
     E.Result.BytesReceived[Rank] += Bytes;
-    pushEvent(CpuDone, EventKind::OpDone, Rank, RecvLocal);
+    pushEvent(Cpu.Done, EventKind::OpDone, Rank, RecvLocal);
   }
 
+  /// Joins are zero-duration compute ops.
   void activateJoin(unsigned Rank, std::uint64_t Local, double Now) {
     recordReady(Rank, Local, Now);
-    StreamEngine::RankState &St = E.Ranks[Rank];
-    double CpuStart = std::max(Now, St.CpuFree);
-    // Joins have zero duration; the multiply keeps the arithmetic
-    // bit-identical to startCompute's CpuStart + 0.0 * factor.
-    double CpuDone = CpuStart + 0.0 * cpuFactor(Rank, CpuStart);
-    St.CpuFree = CpuDone;
-    recordStart(Rank, Local, CpuStart);
-    if (CpuDone == Now) {
+    const Transport::Span Cpu =
+        Law.compute(E.Ranks[Rank].CpuFree, Rank, Now, 0.0);
+    recordStart(Rank, Local, Cpu.Start);
+    if (Cpu.Done == Now) {
       finishOp(Rank, Local, Now);
       return;
     }
-    pushEvent(CpuDone, EventKind::OpDone, Rank, Local);
+    pushEvent(Cpu.Done, EventKind::OpDone, Rank, Local);
   }
 
   /// OpDone: record completion and run the role's release rules in
@@ -384,42 +306,10 @@ private:
     }
   }
 
-  void enqueueArrival(StreamEngine::RankState &St, std::uint64_t Bytes) {
-    std::uint32_t Slot;
-    if (E.PoolFreeHead != StreamEngine::NoSlot) {
-      Slot = E.PoolFreeHead;
-      E.PoolFreeHead = E.Pool[Slot].Next;
-    } else {
-      Slot = static_cast<std::uint32_t>(E.Pool.size());
-      E.Pool.emplace_back();
-    }
-    E.Pool[Slot].Bytes = Bytes;
-    E.Pool[Slot].Next = StreamEngine::NoSlot;
-    if (St.QueueTail == StreamEngine::NoSlot)
-      St.QueueHead = Slot;
-    else
-      E.Pool[St.QueueTail].Next = Slot;
-    St.QueueTail = Slot;
-  }
-
-  std::uint64_t dequeueArrival(StreamEngine::RankState &St) {
-    const std::uint32_t Slot = St.QueueHead;
-    assert(Slot != StreamEngine::NoSlot);
-    const std::uint64_t Bytes = E.Pool[Slot].Bytes;
-    St.QueueHead = E.Pool[Slot].Next;
-    if (St.QueueHead == StreamEngine::NoSlot)
-      St.QueueTail = StreamEngine::NoSlot;
-    E.Pool[Slot].Next = E.PoolFreeHead;
-    E.PoolFreeHead = Slot;
-    return Bytes;
-  }
-
   StreamEngine &E;
   const BcastStreamPlan &Plan;
   const Platform &P;
-  Xoshiro256 Rng;
-  const std::uint64_t RunSeed;
-  const FaultSchedule *Faults;
+  Transport Law;
   const StreamOptions Opts;
   std::uint64_t NextSeq = 0;
   std::uint64_t DoneCount = 0;
@@ -442,19 +332,12 @@ void StreamExecutor::run() {
   Result.FaultWindows.clear();
   Result.FaultScenario.clear();
 
+  const FaultSchedule *Faults = Law.faults();
   E.Ranks.assign(RankCount, StreamEngine::RankState());
-  E.NicTxFree.assign(P.NodeCount, 0.0);
-  E.NicRxFree.assign(P.NodeCount, 0.0);
-  E.MemTxFree.assign(P.NodeCount, 0.0);
-  E.MemRxFree.assign(P.NodeCount, 0.0);
-  E.Pool.clear();
-  E.PoolFreeHead = StreamEngine::NoSlot;
+  // One match channel per receiving rank.
+  E.Clocks.reset(P.NodeCount, RankCount, Faults != nullptr);
   E.Events.reset();
 
-  if (Faults) {
-    E.ChanLastArrival.assign(RankCount, 0.0);
-    E.ChanLastAvail.assign(RankCount, 0.0);
-  }
   if (Faults || Opts.RecordTimings) {
     assert(TotalOps <= 0xffffffffu &&
            "op ids overflow OpId; run without faults/timings at this scale");
@@ -537,7 +420,8 @@ const ExecutionResult &StreamEngine::run(const BcastStreamPlan &Plan,
                                          const StreamOptions &Opts) {
   assert(Plan.RankCount <= P.maxProcs() &&
          "plan does not fit on the platform");
-  StreamExecutor Exec(*this, Plan, P, Seed, resolveFaults(Faults), Opts);
+  StreamExecutor Exec(*this, Plan, P, Seed, resolveFaultSchedule(Faults),
+                      Opts);
   Exec.run();
   return Result;
 }
@@ -545,12 +429,7 @@ const ExecutionResult &StreamEngine::run(const BcastStreamPlan &Plan,
 std::size_t StreamEngine::footprintBytes() const {
   std::size_t Bytes = Events.footprintBytes();
   Bytes += Ranks.capacity() * sizeof(RankState);
-  Bytes += (NicTxFree.capacity() + NicRxFree.capacity() +
-            MemTxFree.capacity() + MemRxFree.capacity()) *
-           sizeof(double);
-  Bytes += Pool.capacity() * sizeof(ArrivalSlot);
-  Bytes += (ChanLastArrival.capacity() + ChanLastAvail.capacity()) *
-           sizeof(double);
+  Bytes += Clocks.footprintBytes();
   Bytes += OpBases.capacity() * sizeof(std::uint64_t);
   Bytes += Result.Timings.capacity() * sizeof(OpTiming);
   Bytes += (Result.BytesReceived.capacity() + Result.BytesSent.capacity()) *

@@ -13,7 +13,7 @@
 /// few thousand ranks times a few hundred segments. This engine holds
 /// O(P + active events):
 ///
-///  * per rank, a ~40-byte state machine (CPU clock plus progress
+///  * per rank, a 32-byte state machine (CPU clock plus progress
 ///    counters) replaces the rank's compiled rows: the broadcast
 ///    roles' completions are provably monotone (FIFO channels, a
 ///    monotone CPU clock, one send group in flight per rank), so a
@@ -22,18 +22,20 @@
 ///  * events live in a calendar queue (sim/EventQueue.h) and carry the
 ///    op coordinates (rank, block-local index) and the message's
 ///    last-byte arrival, so no per-op side arrays exist;
-///  * match state is three counters plus a pooled overflow queue per
-///    receiving rank (a rank has exactly one incoming edge in every
-///    streamed broadcast).
+///  * match state is three counters per receiving rank: a rank has
+///    exactly one incoming edge in every streamed broadcast, and the
+///    non-overtaking clamps make every edge deliver in injection (that
+///    is, segment) order, so the k-th message matched is segment k.
 ///
-/// Bit-identity: event creation order, noise-draw sites and channel
-/// FIFO semantics replicate sim/Engine.cpp exactly, so with equal
-/// (plan, platform, seed, faults) the timeline -- makespan, per-op
-/// timestamps, byte counts -- is bit-identical to compiling
-/// appendBcast's schedule and replaying it (pinned by
-/// tests/TestStreamingSchedule.cpp). Fault schedules are supported;
-/// they cost two O(P) clock arrays plus the O(P) op-id base table
-/// (message-delay hashing is keyed by global send-op id).
+/// Bit-identity: both engines run the transport law of
+/// sim/Transport.h, and this one creates its events in the compiled
+/// engine's order, so with equal (plan, platform, seed, faults) the
+/// timeline -- makespan, per-op timestamps, byte counts -- is
+/// bit-identical to compiling appendBcast's schedule and replaying it
+/// (pinned by tests/TestStreamingSchedule.cpp). The clamps cost one
+/// O(P) clock array per run; fault schedules add a second one plus the
+/// O(P) op-id base table (message-delay hashing is keyed by global
+/// send-op id).
 ///
 /// There is no pre-flight verification here: streamed plans are
 /// deadlock-free by construction, and the differential suite checks
@@ -47,6 +49,7 @@
 #include "coll/BcastStream.h"
 #include "sim/Engine.h"
 #include "sim/EventQueue.h"
+#include "sim/Transport.h"
 
 #include <cstdint>
 #include <vector>
@@ -98,40 +101,20 @@ public:
     std::uint32_t SendsDone = 0;   ///< sends completed in the open group
     std::uint32_t MatchedMsgs = 0; ///< completeRecv calls issued
     std::uint32_t PostedExcess = 0; ///< recvs posted but not yet matched
-    std::uint32_t QueueHead = NoSlot; ///< arrived-unmatched FIFO (pool index)
-    std::uint32_t QueueTail = NoSlot;
+    std::uint32_t Arrived = 0;      ///< messages available but not matched
   };
-
-  /// An arrived-but-unmatched message parked until its receive posts.
-  /// Pool-allocated with a free list so capacity is retained across
-  /// runs. Messages on one edge can become available out of order
-  /// under latency noise (the drain clock reorders them), so the
-  /// payload size must be carried, not derived from the match count.
-  struct ArrivalSlot {
-    std::uint64_t Bytes = 0;
-    std::uint32_t Next = NoSlot;
-  };
-
-  static constexpr std::uint32_t NoSlot = 0xffffffffu;
 
 private:
   friend class StreamExecutor;
 
   CalendarQueue Events;
   std::vector<RankState> Ranks;
-  std::vector<double> NicTxFree; // per node
-  std::vector<double> NicRxFree; // per node
-  std::vector<double> MemTxFree; // per node
-  std::vector<double> MemRxFree; // per node
-  std::vector<ArrivalSlot> Pool;
-  std::uint32_t PoolFreeHead = NoSlot;
-
-  // Fault-path state: per-edge non-overtaking clocks (indexed by the
-  // receiving rank) and the global op-id base of every rank's block
-  // (message-delay decisions hash the global send-op id). Sized only
-  // when a fault schedule is active.
-  std::vector<double> ChanLastArrival;
-  std::vector<double> ChanLastAvail;
+  /// Channel clocks; the per-edge clamps are indexed by the receiving
+  /// rank.
+  TransportClocks Clocks;
+  /// The global op-id base of every rank's block, filled only for runs
+  /// with faults (message-delay decisions hash the global send-op id)
+  /// or with the timeline.
   std::vector<std::uint64_t> OpBases;
 
   ExecutionResult Result;
