@@ -27,11 +27,8 @@ std::vector<OpId> mpicsel::appendBarrier(ScheduleBuilder &B, int Tag,
     return Exit;
   }
 
-  // Each of the ceil(log2 P) rounds emits send + recv + join per rank.
-  std::size_t Rounds = 0;
-  for (unsigned Distance = 1; Distance < P; Distance <<= 1)
-    ++Rounds;
-  B.reserveOps(Rounds * P * 3);
+  // Each round emits send + recv + join per rank.
+  B.reserveOps(std::size_t{barrierNumRounds(P)} * P * 3);
 
   // Rounds: each rank's round-k ops depend on its round-(k-1) join.
   for (unsigned Distance = 1; Distance < P; Distance <<= 1) {
@@ -59,30 +56,10 @@ unsigned mpicsel::barrierNumRounds(unsigned RankCount) {
   return Rounds;
 }
 
-BarrierRoundOps mpicsel::barrierRoundOps(unsigned RankCount, unsigned Rank,
-                                         unsigned Round) {
-  assert(RankCount >= 2 && Rank < RankCount);
-  assert(Round < barrierNumRounds(RankCount) && "round out of range");
-  const unsigned Distance = 1u << Round;
-  BarrierRoundOps Ops;
-  Ops.SendPeer = (Rank + Distance) % RankCount;
-  Ops.RecvPeer = (Rank + RankCount - Distance) % RankCount;
-  const OpId Base =
-      static_cast<OpId>(Round) * 3 * RankCount + 3 * Rank;
-  Ops.Send = Base;
-  Ops.Recv = Base + 1;
-  Ops.Join = Base + 2;
-  if (Round > 0)
-    Ops.PrevJoin = Base - 3 * RankCount + 2;
-  return Ops;
-}
-
 ScheduleContract mpicsel::barrierContract(unsigned RankCount) {
   ScheduleContract C = ScheduleContract::unchecked(
       strFormat("barrier(dissemination, P=%u)", RankCount), RankCount);
-  std::uint32_t Rounds = 0;
-  for (unsigned Distance = 1; Distance < RankCount; Distance <<= 1)
-    ++Rounds;
+  const std::uint32_t Rounds = barrierNumRounds(RankCount);
   for (unsigned Rank = 0; Rank != RankCount; ++Rank) {
     C.RecvBytes[Rank] = 0;
     C.SentBytes[Rank] = 0;

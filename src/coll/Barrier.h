@@ -37,26 +37,6 @@ ScheduleContract barrierContract(unsigned RankCount);
 /// Number of dissemination rounds, ceil(log2 P).
 unsigned barrierNumRounds(unsigned RankCount);
 
-/// Closed-form op-id layout of one rank's round in an entry-free
-/// appendBarrier -- the streaming `nodeInfo` form of the barrier,
-/// answered in O(1). Round \p Round of rank \p Rank occupies ids
-/// {3 P Round + 3 Rank + (0 send, 1 recv, 2 join)}; send and recv
-/// depend on the previous round's join, the join on both. Pinned
-/// bit-identical to the materialized schedule by
-/// tests/TestStreamingSchedule.cpp.
-struct BarrierRoundOps {
-  unsigned SendPeer = 0;
-  unsigned RecvPeer = 0;
-  OpId Send = InvalidOpId;
-  OpId Recv = InvalidOpId;
-  OpId Join = InvalidOpId;
-  /// The previous round's join (InvalidOpId in round 0).
-  OpId PrevJoin = InvalidOpId;
-};
-
-BarrierRoundOps barrierRoundOps(unsigned RankCount, unsigned Rank,
-                                unsigned Round);
-
 } // namespace mpicsel
 
 #endif // MPICSEL_COLL_BARRIER_H

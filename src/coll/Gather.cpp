@@ -63,32 +63,6 @@ std::vector<OpId> mpicsel::appendLinearGather(ScheduleBuilder &B,
   return Exit;
 }
 
-GatherContributorOps
-mpicsel::gatherContributorOps(const GatherConfig &Config, unsigned RankCount,
-                              unsigned J) {
-  assert(RankCount >= 2 && J < RankCount - 1 && "contributor out of range");
-  GatherContributorOps Ops;
-  // The J-th non-root rank in ascending rank order.
-  Ops.ContributorRank = J < Config.Root ? J : J + 1;
-  const OpId Stride = Config.Synchronised ? 4 : 2;
-  const OpId Base = static_cast<OpId>(J) * Stride;
-  if (Config.Synchronised) {
-    Ops.ReadySend = Base;
-    Ops.GotReady = Base + 1;
-    Ops.BlockSend = Base + 2;
-    Ops.RootRecv = Base + 3;
-  } else {
-    Ops.BlockSend = Base;
-    Ops.RootRecv = Base + 1;
-  }
-  return Ops;
-}
-
-OpId mpicsel::gatherRootJoin(const GatherConfig &Config, unsigned RankCount) {
-  assert(RankCount >= 2 && "trivial gather has no contributor ops");
-  return static_cast<OpId>(RankCount - 1) * (Config.Synchronised ? 4 : 2);
-}
-
 ScheduleContract mpicsel::gatherContract(const GatherConfig &Config,
                                          unsigned RankCount) {
   assert(Config.Root < RankCount && "gather root outside the communicator");

@@ -53,33 +53,6 @@ std::vector<OpId> appendLinearGather(ScheduleBuilder &B,
 ScheduleContract gatherContract(const GatherConfig &Config,
                                 unsigned RankCount);
 
-/// Closed-form op-id layout of an entry-free appendLinearGather: the
-/// streaming `nodeInfo` form of the gather, answered per contributor
-/// in O(1) without building the schedule. Contributor \p J (0-based)
-/// is the J-th non-root rank in ascending rank order.
-///
-/// Without synchronisation the J-th contributor occupies ids
-/// {2J (send), 2J+1 (root recv)}; with it {4J (root ready send),
-/// 4J+1 (got-ready recv), 4J+2 (send), 4J+3 (root recv)}. The root's
-/// final join is id (P-1)*stride. Pinned bit-identical to the
-/// materialized schedule by tests/TestStreamingSchedule.cpp.
-struct GatherContributorOps {
-  unsigned ContributorRank = 0;
-  /// Root's zero-byte ready send / the contributor's matching recv
-  /// (InvalidOpId when not synchronised).
-  OpId ReadySend = InvalidOpId;
-  OpId GotReady = InvalidOpId;
-  /// The contributor's block send and the root's matching recv.
-  OpId BlockSend = InvalidOpId;
-  OpId RootRecv = InvalidOpId;
-};
-
-GatherContributorOps gatherContributorOps(const GatherConfig &Config,
-                                          unsigned RankCount, unsigned J);
-
-/// Op id of the root's final join over all P-1 block recvs.
-OpId gatherRootJoin(const GatherConfig &Config, unsigned RankCount);
-
 } // namespace mpicsel
 
 #endif // MPICSEL_COLL_GATHER_H

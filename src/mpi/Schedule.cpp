@@ -2,12 +2,6 @@
 
 #include "mpi/Schedule.h"
 
-#include "support/Format.h"
-
-#include <deque>
-#include <map>
-#include <tuple>
-
 using namespace mpicsel;
 
 bool Schedule::consistent() const {
@@ -90,83 +84,4 @@ Schedule ScheduleBuilder::take() {
   S.RankCount = Out.RankCount;
   S.DepOffsets.push_back(0);
   return Out;
-}
-
-bool mpicsel::validateSchedule(const Schedule &S, std::string *WhyNot) {
-  auto fail = [&](std::string Message) {
-    if (WhyNot)
-      *WhyNot = std::move(Message);
-    return false;
-  };
-
-  if (S.RankCount == 0)
-    return fail("schedule has zero ranks");
-  if (!S.consistent())
-    return fail("schedule arrays are inconsistent");
-  const OpId NumOps = S.numOps();
-
-  // Pair sends and receives per (src, dst, tag) channel in FIFO order.
-  using ChannelKey = std::tuple<unsigned, unsigned, int>;
-  std::map<ChannelKey, std::deque<OpId>> PendingSends;
-  std::map<ChannelKey, std::deque<OpId>> PendingRecvs;
-
-  for (OpId Id = 0; Id != NumOps; ++Id) {
-    const OpView O = S.op(Id);
-    if (O.Rank >= S.RankCount)
-      return fail(strFormat("op %u: rank %u out of range", Id, O.Rank));
-    for (OpId Dep : O.Deps) {
-      if (Dep >= Id)
-        return fail(strFormat("op %u: forward/self dependency on %u", Id, Dep));
-      if (S.Rows[Dep].Rank != O.Rank)
-        return fail(strFormat("op %u: cross-rank dependency on %u", Id, Dep));
-    }
-    if (O.Kind == OpKind::Compute)
-      continue;
-    if (O.Peer >= S.RankCount)
-      return fail(strFormat("op %u: peer %u out of range", Id, O.Peer));
-    if (O.Peer == O.Rank)
-      return fail(strFormat("op %u: self-message", Id));
-
-    if (O.Kind == OpKind::Send) {
-      ChannelKey Key{O.Rank, O.Peer, O.Tag};
-      auto &Recvs = PendingRecvs[Key];
-      if (!Recvs.empty()) {
-        OpId RecvId = Recvs.front();
-        Recvs.pop_front();
-        if (S.Rows[RecvId].Bytes != O.Bytes)
-          return fail(strFormat("send op %u (%llu bytes) matches recv op %u "
-                                "(%llu bytes): size mismatch",
-                                Id, (unsigned long long)O.Bytes, RecvId,
-                                (unsigned long long)S.Rows[RecvId].Bytes));
-      } else {
-        PendingSends[Key].push_back(Id);
-      }
-    } else { // Recv
-      ChannelKey Key{O.Peer, O.Rank, O.Tag};
-      auto &Sends = PendingSends[Key];
-      if (!Sends.empty()) {
-        OpId SendId = Sends.front();
-        Sends.pop_front();
-        if (S.Rows[SendId].Bytes != O.Bytes)
-          return fail(strFormat("recv op %u (%llu bytes) matches send op %u "
-                                "(%llu bytes): size mismatch",
-                                Id, (unsigned long long)O.Bytes, SendId,
-                                (unsigned long long)S.Rows[SendId].Bytes));
-      } else {
-        PendingRecvs[Key].push_back(Id);
-      }
-    }
-  }
-
-  for (const auto &[Key, Sends] : PendingSends)
-    if (!Sends.empty())
-      return fail(strFormat("unmatched send op %u (%u -> %u, tag %d)",
-                            Sends.front(), std::get<0>(Key), std::get<1>(Key),
-                            std::get<2>(Key)));
-  for (const auto &[Key, Recvs] : PendingRecvs)
-    if (!Recvs.empty())
-      return fail(strFormat("unmatched recv op %u (%u <- %u, tag %d)",
-                            Recvs.front(), std::get<1>(Key), std::get<0>(Key),
-                            std::get<2>(Key)));
-  return true;
 }

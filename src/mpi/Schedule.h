@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mpicsel {
@@ -197,13 +196,6 @@ private:
 
   Schedule S;
 };
-
-/// Checks structural invariants of \p S: ranks in range, dependencies
-/// are same-rank back-references (this also guarantees acyclicity),
-/// sends and receives pair up exactly by (src, dst, tag) with equal
-/// byte counts in FIFO order. Returns true if valid; otherwise false
-/// and, if \p WhyNot is non-null, stores a diagnostic.
-bool validateSchedule(const Schedule &S, std::string *WhyNot = nullptr);
 
 } // namespace mpicsel
 

@@ -551,7 +551,7 @@ struct Engine::RunState {
   /// Last-byte arrival time of each message in flight, per send:
   /// channel C's messages use the slots of its ChannelSendOffsets row
   /// in injection order. Every channel delivers in injection order
-  /// (the non-overtaking clamps of sim/Transport.h), so a message's
+  /// (the non-overtaking clamp of sim/Transport.h), so a message's
   /// k-th arrival on its channel finds the slot of its k-th injection.
   std::vector<double> LastByteArrival;
   std::vector<std::uint32_t> Injected; // per channel
@@ -772,7 +772,7 @@ std::uint64_t CompiledExecutor::run() {
 
   RS.PendingDeps.assign(CS.InDegree.begin(), CS.InDegree.end());
   RS.CpuFree.assign(CS.RankCount, 0.0);
-  RS.Clocks.reset(P.NodeCount, CS.NumChannels, Law.faults() != nullptr);
+  RS.Clocks.reset(P.NodeCount, CS.NumChannels);
   RS.NodeOfRank.resize(CS.RankCount);
   for (unsigned Rank = 0; Rank != CS.RankCount; ++Rank)
     RS.NodeOfRank[Rank] = P.nodeOf(Rank);

@@ -104,14 +104,9 @@ public:
 private:
   void pushEvent(double Time, EventKind Kind, unsigned Rank,
                  std::uint64_t Local, double Payload = 0.0) {
-    StreamEvent Ev;
-    Ev.Time = Time;
-    Ev.Key = (NextSeq++ << 2) | static_cast<std::uint64_t>(Kind);
-    Ev.Rank = Rank;
-    Ev.Local = static_cast<std::uint32_t>(Local);
-    Ev.Payload = Payload;
     assert(Local <= 0xffffffffu && "rank block outgrew the event encoding");
-    E.Events.push(Ev);
+    E.Events.push({Time, (NextSeq++ << 2) | static_cast<std::uint64_t>(Kind),
+                   Rank, static_cast<std::uint32_t>(Local), Payload});
   }
 
   /// Global op id of (rank, local); only meaningful when OpBases was
@@ -335,7 +330,7 @@ void StreamExecutor::run() {
   const FaultSchedule *Faults = Law.faults();
   E.Ranks.assign(RankCount, StreamEngine::RankState());
   // One match channel per receiving rank.
-  E.Clocks.reset(P.NodeCount, RankCount, Faults != nullptr);
+  E.Clocks.reset(P.NodeCount, RankCount);
   E.Events.reset();
 
   if (Faults || Opts.RecordTimings) {
@@ -373,7 +368,10 @@ void StreamExecutor::run() {
     }
   }
 
+  // Handlers only push, so the queue peaks just before some pop.
+  std::size_t PeakEvents = 0;
   while (!E.Events.empty()) {
+    PeakEvents = std::max(PeakEvents, E.Events.size());
     const StreamEvent Ev = E.Events.pop();
     ++EventsPopped;
     switch (static_cast<EventKind>(Ev.Key & 3)) {
@@ -397,6 +395,7 @@ void StreamExecutor::run() {
   obs::bump(obs::Counter::StreamReplays);
   obs::bump(obs::Counter::StreamEvents, EventsPopped);
   E.LastEvents = EventsPopped;
+  E.PeakEvents = PeakEvents;
 
   Result.Completed = DoneCount == TotalOps;
   if (Faults) {
@@ -427,7 +426,7 @@ const ExecutionResult &StreamEngine::run(const BcastStreamPlan &Plan,
 }
 
 std::size_t StreamEngine::footprintBytes() const {
-  std::size_t Bytes = Events.footprintBytes();
+  std::size_t Bytes = Events.capacity() * sizeof(StreamEvent);
   Bytes += Ranks.capacity() * sizeof(RankState);
   Bytes += Clocks.footprintBytes();
   Bytes += OpBases.capacity() * sizeof(std::uint64_t);

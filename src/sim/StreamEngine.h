@@ -19,12 +19,14 @@
 ///    monotone CPU clock, one send group in flight per rank), so a
 ///    handful of counters decide exactly which op a finished event
 ///    releases next -- in the same order decrement-indegree would;
-///  * events live in a calendar queue (sim/EventQueue.h) and carry the
-///    op coordinates (rank, block-local index) and the message's
-///    last-byte arrival, so no per-op side arrays exist;
+///  * events live in the compiled engine's 4-ary heap
+///    (sim/EventQueue.h), reset without a bound so it grows by doubling
+///    with the wave front, and carry the op coordinates (rank,
+///    block-local index) and the message's last-byte arrival, so no
+///    per-op side arrays exist;
 ///  * match state is three counters per receiving rank: a rank has
 ///    exactly one incoming edge in every streamed broadcast, and the
-///    non-overtaking clamps make every edge deliver in injection (that
+///    non-overtaking clamp makes every edge deliver in injection (that
 ///    is, segment) order, so the k-th message matched is segment k.
 ///
 /// Bit-identity: both engines run the transport law of
@@ -32,10 +34,10 @@
 /// engine's order, so with equal (plan, platform, seed, faults) the
 /// timeline -- makespan, per-op timestamps, byte counts -- is
 /// bit-identical to compiling appendBcast's schedule and replaying it
-/// (pinned by tests/TestStreamingSchedule.cpp). The clamps cost one
-/// O(P) clock array per run; fault schedules add a second one plus the
-/// O(P) op-id base table (message-delay hashing is keyed by global
-/// send-op id).
+/// (pinned by tests/TestStreamingSchedule.cpp). The arrival clamp
+/// costs one O(P) clock array per run; fault schedules add the O(P)
+/// op-id base table (message-delay hashing is keyed by global send-op
+/// id).
 ///
 /// There is no pre-flight verification here: streamed plans are
 /// deadlock-free by construction, and the differential suite checks
@@ -83,7 +85,7 @@ public:
   /// High-water concurrent event count of the most recent run() -- the
   /// "active" in O(active). For the streamed broadcasts this tracks
   /// the propagation wave front, not the op count.
-  std::size_t peakEvents() const { return Events.peakSize(); }
+  std::size_t peakEvents() const { return PeakEvents; }
 
   /// Bytes of heap memory retained by the engine's arenas (capacity,
   /// not size): the streaming-footprint number the scale bench pins
@@ -107,10 +109,10 @@ public:
 private:
   friend class StreamExecutor;
 
-  CalendarQueue Events;
+  EventHeap<StreamEvent> Events;
   std::vector<RankState> Ranks;
-  /// Channel clocks; the per-edge clamps are indexed by the receiving
-  /// rank.
+  /// Channel clocks; the per-edge arrival clamp is indexed by the
+  /// receiving rank.
   TransportClocks Clocks;
   /// The global op-id base of every rank's block, filled only for runs
   /// with faults (message-delay decisions hash the global send-op id)
@@ -119,6 +121,7 @@ private:
 
   ExecutionResult Result;
   std::uint64_t LastEvents = 0;
+  std::size_t PeakEvents = 0;
 };
 
 } // namespace mpicsel

@@ -9,7 +9,7 @@
 /// The transport law of the compiled and the streaming replay, written
 /// once: CPU overheads, injection and drain occupancies, wire latency,
 /// seeded log-normal noise, fault multipliers and the non-overtaking
-/// clamps. An engine keeps only what differs: how it finds an op's
+/// clamp. An engine keeps only what differs: how it finds an op's
 /// rank, nodes, bytes, channel and message id, where it keeps a
 /// message's last-byte time, and its own events, queue and readiness
 /// bookkeeping. Both engines call the same stages in the same order,
@@ -76,31 +76,28 @@ struct TransportClocks {
   // Per match channel, MPI's non-overtaking guarantee: a delayed
   // message holds up everything behind it on its channel, so every
   // channel delivers in injection order. LastArrival clamps first-byte
-  // arrivals; LastAvail clamps availabilities and is sized only under
-  // faults.
-  std::vector<double> LastArrival, LastAvail;
+  // arrivals; drain keeps that order (see Transport::drain).
+  std::vector<double> LastArrival;
 
   void reserve(unsigned Nodes, std::size_t Channels) {
     for (std::vector<double> *Clock :
          {&NicTxFree, &NicRxFree, &MemTxFree, &MemRxFree})
       Clock->reserve(Nodes);
     LastArrival.reserve(Channels);
-    LastAvail.reserve(Channels);
   }
 
-  void reset(unsigned Nodes, std::size_t Channels, bool Faulted) {
+  void reset(unsigned Nodes, std::size_t Channels) {
     for (std::vector<double> *Clock :
          {&NicTxFree, &NicRxFree, &MemTxFree, &MemRxFree})
       Clock->assign(Nodes, 0.0);
     LastArrival.assign(Channels, 0.0);
-    LastAvail.assign(Faulted ? Channels : 0, 0.0);
   }
 
   /// Heap bytes retained (capacities, not sizes).
   std::size_t footprintBytes() const {
     return (NicTxFree.capacity() + NicRxFree.capacity() +
             MemTxFree.capacity() + MemRxFree.capacity() +
-            LastArrival.capacity() + LastAvail.capacity()) *
+            LastArrival.capacity()) *
            sizeof(double);
   }
 };
@@ -199,8 +196,11 @@ public:
   /// channel is acquired in first-byte order and overlaps the
   /// injection: it cannot end before \p LastByte but does not wait for
   /// it to start, so an uncontended transfer costs one occupancy, not
-  /// two (cut-through). Fault-free, the drain channel already keeps a
-  /// channel's messages in order, so only faulted runs clamp here.
+  /// two (cut-through). It needs no clamp of its own: a channel's
+  /// messages reach it in injection order (the arrival clamp, with
+  /// ties popped by creation sequence) and share one node drain clock
+  /// that only moves forward, so each one is available no earlier than
+  /// its predecessor.
   double drain(const Message &M, double LastByte, double Now) {
     const bool Intra = M.SrcNode == M.DstNode;
     const LinkParams &Link = Intra ? P.IntraNode : P.InterNode;
@@ -209,14 +209,8 @@ public:
     double RxOccupancy = Link.rxOccupancy(M.Bytes) * noise(RxStart);
     if (Faults && !Intra)
       RxOccupancy *= Faults->rxGapMultiplier(M.DstNode, RxStart);
-    double RxDone = std::max(RxStart + RxOccupancy, LastByte);
-    RxFree = RxDone;
-    if (Faults) {
-      double &Prev = C.LastAvail[M.Channel];
-      RxDone = std::max(RxDone, Prev);
-      Prev = RxDone;
-    }
-    return RxDone;
+    RxFree = std::max(RxStart + RxOccupancy, LastByte);
+    return RxFree;
   }
 
 private:

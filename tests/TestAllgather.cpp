@@ -52,8 +52,8 @@ TEST_P(AllgatherSweep, ValidatesExecutesAndExchangesAllBlocks) {
   ASSERT_EQ(Exit.size(), Size);
   Schedule S = B.take();
 
-  std::string Why;
-  ASSERT_TRUE(validateSchedule(S, &Why)) << Why;
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ScheduleContract C = allgatherContract(Config, Size);
   VerifyReport Report = verifySchedule(S, &C);
   // The degenerate single-rank schedule is one dependency-free join,

@@ -53,8 +53,8 @@ TEST_P(AllreduceSweep, ValidatesExecutesAndBalancesTraffic) {
   ASSERT_EQ(Exit.size(), Size);
   Schedule S = B.take();
 
-  std::string Why;
-  ASSERT_TRUE(validateSchedule(S, &Why)) << Why;
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ScheduleContract C = allreduceContract(Config, Size);
   VerifyReport Report = verifySchedule(S, &C);
   // The degenerate single-rank schedule is one dependency-free join,

@@ -21,6 +21,7 @@
 #include "coll/Reduce.h"
 #include "coll/Scatter.h"
 #include "sim/Engine.h"
+#include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -67,8 +68,8 @@ TEST_P(BcastSweep, ValidatesExecutesAndDeliversEverywhere) {
   ASSERT_EQ(Exit.size(), Size);
   Schedule S = B.take();
 
-  std::string Why;
-  ASSERT_TRUE(validateSchedule(S, &Why)) << Why;
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
 
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
@@ -109,7 +110,8 @@ TEST_P(BcastSweep, NonZeroRootWorks) {
   Config.Root = Root;
   std::vector<OpId> Exit = appendBcast(B, Config);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
   for (unsigned Rank = 0; Rank != Size; ++Rank)
@@ -210,7 +212,8 @@ TEST_P(GatherSweep, RootCollectsEveryBlock) {
     Config.Synchronised = Synchronised;
     std::vector<OpId> Exit = appendLinearGather(B, Config);
     Schedule S = B.take();
-    ASSERT_TRUE(validateSchedule(S));
+    ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+        << verifySchedule(S).str();
     ExecutionResult R = runSchedule(S, P);
     ASSERT_TRUE(R.Completed) << R.Diagnostic;
     EXPECT_EQ(R.BytesReceived[0], 4096u * (Size - 1));
@@ -268,7 +271,8 @@ TEST_P(BarrierSweep, NoRankExitsBeforeEveryRankEntered) {
   }
   std::vector<OpId> Exit = appendBarrier(B, /*Tag=*/0, Entry);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
   for (unsigned Rank = 0; Rank != Size; ++Rank)
@@ -286,7 +290,8 @@ TEST(Barrier, RepeatedBarriersCompose) {
   for (int I = 0; I < 4; ++I)
     Exit = appendBarrier(B, I * 8, Exit);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
 }
@@ -300,7 +305,8 @@ TEST(PointToPoint, PingDeliversOnce) {
   ScheduleBuilder B(4);
   std::vector<OpId> Exit = appendPing(B, 1, 3, 777, 0);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed);
   EXPECT_EQ(R.BytesReceived[3], 777u);
@@ -313,7 +319,8 @@ TEST(PointToPoint, PingPongRoundTripIsTwoOneWayTimes) {
   ScheduleBuilder B(2);
   std::vector<OpId> Exit = appendPingPong(B, 0, 1, 1000, 0);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed);
   // One-way delivery on the test platform: 14us + 1us payload + 1us
@@ -339,7 +346,8 @@ TEST(Composition, GatherStartsAfterBcastPerRank) {
   Gather.Tag = 50;
   std::vector<OpId> GatherExit = appendLinearGather(B, Gather, BcastExit);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
   // The gather cannot finish before the broadcast finished anywhere.

@@ -16,6 +16,7 @@
 #include "model/Runner.h"
 #include "model/Selection.h"
 #include "sim/Engine.h"
+#include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -115,7 +116,8 @@ TEST(Composition, ConcurrentBcastsWithDistinctTagsDoNotCrossMatch) {
   appendBcast(B, A);
   appendBcast(B, C);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
   for (unsigned Rank = 0; Rank != 8; ++Rank) {
@@ -149,7 +151,8 @@ TEST(Composition, LongTrainOfCollectivesStaysOrdered) {
   Bc.Tag = 40;
   Exit = appendBcast(B, Bc, Exit);
   Schedule S = B.take();
-  ASSERT_TRUE(validateSchedule(S));
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
   // The second broadcast cannot finish before the gather finished

@@ -9,6 +9,7 @@
 #include "model/ReduceSelection.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
+#include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -48,8 +49,8 @@ TEST_P(ReduceSweep, ValidatesExecutesAndConservesVolume) {
   ASSERT_EQ(Exit.size(), Size);
   Schedule S = B.take();
 
-  std::string Why;
-  ASSERT_TRUE(validateSchedule(S, &Why)) << Why;
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
 

@@ -12,6 +12,7 @@
 #include "model/ScatterSelection.h"
 #include "sim/Engine.h"
 #include "topo/Tree.h"
+#include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -53,8 +54,8 @@ TEST_P(ScatterSweep, ValidatesExecutesAndDeliversBlocks) {
   ASSERT_EQ(Exit.size(), Size);
   Schedule S = B.take();
 
-  std::string Why;
-  ASSERT_TRUE(validateSchedule(S, &Why)) << Why;
+  ASSERT_TRUE(verifySchedule(S).clean(Severity::Error))
+      << verifySchedule(S).str();
   ExecutionResult R = runSchedule(S, P);
   ASSERT_TRUE(R.Completed) << R.Diagnostic;
 

@@ -6,12 +6,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "mpi/Schedule.h"
+#include "verify/Verifier.h"
 
 #include "RawSchedule.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace mpicsel;
 
@@ -67,49 +69,54 @@ TEST(ScheduleBuilder, JoinIsZeroDurationCompute) {
   EXPECT_DOUBLE_EQ(S.op(J).Duration, 0.0);
 }
 
+// The ValidateSchedule cases check what the static verifier
+// (verify/Verifier.h) reports for minimal valid and broken schedules.
+
+namespace {
+
+/// True if \p R holds an error of \p Check naming op \p Id whose
+/// message contains \p Text.
+bool hasError(const VerifyReport &R, CheckKind Check, OpId Id,
+              const std::string &Text = "") {
+  return std::any_of(R.Findings.begin(), R.Findings.end(),
+                     [&](const VerifyFinding &F) {
+                       return F.Sev == Severity::Error && F.Check == Check &&
+                              F.Id == Id &&
+                              F.Message.find(Text) != std::string::npos;
+                     });
+}
+
+} // namespace
+
 TEST(ValidateSchedule, AcceptsMatchedPair) {
   ScheduleBuilder B(2);
   B.addSend(0, 1, 64, 0);
   B.addRecv(1, 0, 64, 0);
-  Schedule S = B.take();
-  std::string Why;
-  EXPECT_TRUE(validateSchedule(S, &Why)) << Why;
+  const VerifyReport R = verifySchedule(B.take());
+  EXPECT_TRUE(R.clean()) << R.str();
 }
 
 TEST(ValidateSchedule, DetectsUnmatchedSend) {
   ScheduleBuilder B(2);
   B.addSend(0, 1, 64, 0);
-  Schedule S = B.take();
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("unmatched send"), std::string::npos);
+  const VerifyReport R = verifySchedule(B.take());
+  EXPECT_TRUE(hasError(R, CheckKind::Matching, 0, "unmatched send")) << R.str();
 }
 
 TEST(ValidateSchedule, DetectsUnmatchedRecv) {
   ScheduleBuilder B(2);
   B.addRecv(1, 0, 64, 0);
-  Schedule S = B.take();
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("unmatched recv"), std::string::npos);
-}
-
-TEST(ValidateSchedule, DetectsSizeMismatch) {
-  ScheduleBuilder B(2);
-  B.addSend(0, 1, 64, 0);
-  B.addRecv(1, 0, 65, 0);
-  Schedule S = B.take();
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("size mismatch"), std::string::npos);
+  const VerifyReport R = verifySchedule(B.take());
+  EXPECT_TRUE(hasError(R, CheckKind::Matching, 0, "unmatched recv")) << R.str();
 }
 
 TEST(ValidateSchedule, TagsSeparateChannels) {
   ScheduleBuilder B(2);
   B.addSend(0, 1, 64, 1);
   B.addRecv(1, 0, 64, 2);
-  Schedule S = B.take();
-  EXPECT_FALSE(validateSchedule(S));
+  const VerifyReport R = verifySchedule(B.take());
+  EXPECT_TRUE(hasError(R, CheckKind::Matching, 0, "unmatched send")) << R.str();
+  EXPECT_TRUE(hasError(R, CheckKind::Matching, 1, "unmatched recv")) << R.str();
 }
 
 TEST(ValidateSchedule, FifoPairsInOrderWithEqualSizes) {
@@ -118,49 +125,57 @@ TEST(ValidateSchedule, FifoPairsInOrderWithEqualSizes) {
   B.addSend(0, 1, 20, 0);
   B.addRecv(1, 0, 10, 0);
   B.addRecv(1, 0, 20, 0);
-  EXPECT_TRUE(validateSchedule(B.take()));
+  const VerifyReport InOrder = verifySchedule(B.take());
+  EXPECT_TRUE(InOrder.clean()) << InOrder.str();
 
   ScheduleBuilder B2(2);
   B2.addSend(0, 1, 10, 0);
   B2.addSend(0, 1, 20, 0);
   B2.addRecv(1, 0, 20, 0); // Out of FIFO order: sizes mismatch.
   B2.addRecv(1, 0, 10, 0);
-  EXPECT_FALSE(validateSchedule(B2.take()));
+  const VerifyReport Swapped = verifySchedule(B2.take());
+  EXPECT_TRUE(hasError(Swapped, CheckKind::Matching, 2)) << Swapped.str();
+  EXPECT_TRUE(hasError(Swapped, CheckKind::Matching, 3)) << Swapped.str();
 }
 
 TEST(ValidateSchedule, DetectsCrossRankDependency) {
   // Construct an invalid schedule by hand (the builder asserts, so it
   // cannot produce one).
-  Schedule S = rawSchedule(2, {{.Rank = 0}, {.Rank = 1, .Deps = {0}}});
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("cross-rank"), std::string::npos);
+  const VerifyReport R =
+      verifySchedule(rawSchedule(2, {{.Rank = 0}, {.Rank = 1, .Deps = {0}}}));
+  EXPECT_TRUE(hasError(R, CheckKind::Structure, 1, "cross-rank")) << R.str();
 }
 
 TEST(ValidateSchedule, DetectsForwardDependency) {
-  Schedule S = rawSchedule(1, {{.Deps = {1}}, {}});
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("forward"), std::string::npos);
+  const VerifyReport R = verifySchedule(rawSchedule(1, {{.Deps = {1}}, {}}));
+  EXPECT_TRUE(hasError(R, CheckKind::Structure, 0, "later op")) << R.str();
 }
 
 TEST(ValidateSchedule, DetectsOutOfRangeRankAndPeer) {
   Schedule S = rawSchedule(2, {{.Kind = OpKind::Send, .Rank = 5, .Peer = 1}});
-  EXPECT_FALSE(validateSchedule(S));
+  EXPECT_TRUE(hasError(verifySchedule(S), CheckKind::Structure, 0, "rank 5"));
 
   S.Rows[0].Rank = 0;
   S.Rows[0].Peer = 9;
-  EXPECT_FALSE(validateSchedule(S));
+  EXPECT_TRUE(hasError(verifySchedule(S), CheckKind::Structure, 0, "peer 9"));
 
-  S.Rows[0].Peer = 0; // Self-message.
-  EXPECT_FALSE(validateSchedule(S));
+  // A self-message is a lint, not a structural error.
+  S.Rows[0].Peer = 0;
+  const VerifyReport R = verifySchedule(S);
+  EXPECT_FALSE(hasError(R, CheckKind::Structure, 0)) << R.str();
+  EXPECT_TRUE(std::any_of(R.Findings.begin(), R.Findings.end(),
+                          [](const VerifyFinding &F) {
+                            return F.Check == CheckKind::Lint && F.Id == 0;
+                          }))
+      << R.str();
 }
 
 TEST(ValidateSchedule, EmptyScheduleIsInvalidZeroRanks) {
   Schedule S;
-  EXPECT_FALSE(validateSchedule(S));
+  EXPECT_TRUE(hasError(verifySchedule(S), CheckKind::Structure, InvalidOpId,
+                       "zero ranks"));
   S.RankCount = 1;
-  EXPECT_TRUE(validateSchedule(S)); // No ops is fine.
+  EXPECT_TRUE(verifySchedule(S).clean()); // No ops is fine.
 }
 
 TEST(ValidateSchedule, DetectsArraysOutOfStep) {
@@ -168,9 +183,9 @@ TEST(ValidateSchedule, DetectsArraysOutOfStep) {
   ASSERT_TRUE(S.consistent());
   S.Tags.pop_back();
   EXPECT_FALSE(S.consistent());
-  std::string Why;
-  EXPECT_FALSE(validateSchedule(S, &Why));
-  EXPECT_NE(Why.find("inconsistent"), std::string::npos) << Why;
+  const VerifyReport R = verifySchedule(S);
+  EXPECT_TRUE(hasError(R, CheckKind::Structure, InvalidOpId, "disagree"))
+      << R.str();
 
   // Offsets that step backwards give op 0 one edge and op 1 minus one.
   S = rawSchedule(2, {{}, {.Rank = 1}});

@@ -11,23 +11,20 @@
 //    child order included;
 //  * forEachStreamedOp re-derives appendBcast's schedules op for op --
 //    kinds, peers, byte counts, tags and dependency lists;
-//  * the gather and barrier closed-form layouts land on the exact op
-//    ids the materialized generators emit;
 //  * StreamEngine's replay reproduces the compiled engine's timeline
 //    bit for bit -- per-op timings, makespan, byte counters, fault
 //    windows -- across seeds, platforms and fault scenarios;
-//  * both event queues, the calendar and the compiled engine's replay
-//    heap, pop in exactly the order a binary heap would;
+//  * the event heap pops in exactly the order a binary heap would,
+//    reserved to its bound as the compiled engine runs it and growing
+//    from empty as the streaming engine runs it;
 //  * and the whole point of the exercise: the streaming engine's
 //    memory footprint at P = 100k stays far below what materializing
 //    the schedule would cost.
 //
 //===----------------------------------------------------------------------===//
 
-#include "coll/Barrier.h"
 #include "coll/Bcast.h"
 #include "coll/BcastStream.h"
-#include "coll/Gather.h"
 #include "fault/Fault.h"
 #include "mpi/CompiledSchedule.h"
 #include "sim/Engine.h"
@@ -281,97 +278,6 @@ TEST(StreamingSchedule, SplitBinaryHasNoStreamingForm) {
 }
 
 //===----------------------------------------------------------------------===//
-// Gather and barrier closed-form layouts.
-//===----------------------------------------------------------------------===//
-
-TEST(StreamingSchedule, GatherClosedFormLayout) {
-  for (bool Synchronised : {false, true}) {
-    for (unsigned P : {2u, 5u, 16u}) {
-      for (unsigned Root : {0u, 2u}) {
-        if (Root >= P)
-          continue;
-        GatherConfig C;
-        C.BlockBytes = 4096;
-        C.Root = Root;
-        C.Synchronised = Synchronised;
-        ScheduleBuilder B(P);
-        appendLinearGather(B, C);
-        Schedule S = B.take();
-
-        for (unsigned J = 0; J != P - 1; ++J) {
-          GatherContributorOps Ops = gatherContributorOps(C, P, J);
-          ASSERT_LT(Ops.RootRecv, S.numOps());
-          if (Synchronised) {
-            const OpView Ready = S.op(Ops.ReadySend);
-            EXPECT_EQ(Ready.Kind, OpKind::Send);
-            EXPECT_EQ(Ready.Rank, Root);
-            EXPECT_EQ(Ready.Peer, Ops.ContributorRank);
-            EXPECT_EQ(Ready.Bytes, 0u);
-            const OpView Got = S.op(Ops.GotReady);
-            EXPECT_EQ(Got.Kind, OpKind::Recv);
-            EXPECT_EQ(Got.Rank, Ops.ContributorRank);
-            EXPECT_EQ(Got.Peer, Root);
-          }
-          const OpView Send = S.op(Ops.BlockSend);
-          EXPECT_EQ(Send.Kind, OpKind::Send);
-          EXPECT_EQ(Send.Rank, Ops.ContributorRank);
-          EXPECT_EQ(Send.Peer, Root);
-          EXPECT_EQ(Send.Bytes, C.BlockBytes);
-          const OpView Recv = S.op(Ops.RootRecv);
-          EXPECT_EQ(Recv.Kind, OpKind::Recv);
-          EXPECT_EQ(Recv.Rank, Root);
-          EXPECT_EQ(Recv.Peer, Ops.ContributorRank);
-          EXPECT_EQ(Recv.Bytes, C.BlockBytes);
-        }
-        const OpId Join = gatherRootJoin(C, P);
-        ASSERT_EQ(Join + 1, S.numOps());
-        EXPECT_EQ(S.op(Join).Kind, OpKind::Compute);
-        EXPECT_EQ(S.op(Join).Rank, Root);
-        EXPECT_EQ(S.op(Join).Deps.size(), P - 1);
-      }
-    }
-  }
-}
-
-TEST(StreamingSchedule, BarrierClosedFormLayout) {
-  for (unsigned P : {2u, 3u, 8u, 13u}) {
-    ScheduleBuilder B(P);
-    appendBarrier(B, 0);
-    Schedule S = B.take();
-    const unsigned Rounds = barrierNumRounds(P);
-    ASSERT_EQ(std::size_t{S.numOps()},
-              static_cast<std::size_t>(Rounds) * P * 3);
-    for (unsigned Round = 0; Round != Rounds; ++Round) {
-      for (unsigned Rank = 0; Rank != P; ++Rank) {
-        BarrierRoundOps Ops = barrierRoundOps(P, Rank, Round);
-        const OpView Send = S.op(Ops.Send);
-        EXPECT_EQ(Send.Kind, OpKind::Send);
-        EXPECT_EQ(Send.Rank, Rank);
-        EXPECT_EQ(Send.Peer, Ops.SendPeer);
-        const OpView Recv = S.op(Ops.Recv);
-        EXPECT_EQ(Recv.Kind, OpKind::Recv);
-        EXPECT_EQ(Recv.Rank, Rank);
-        EXPECT_EQ(Recv.Peer, Ops.RecvPeer);
-        const OpView Join = S.op(Ops.Join);
-        EXPECT_EQ(Join.Kind, OpKind::Compute);
-        ASSERT_EQ(Join.Deps.size(), 2u);
-        EXPECT_EQ(Join.Deps[0], Ops.Send);
-        EXPECT_EQ(Join.Deps[1], Ops.Recv);
-        if (Round == 0) {
-          EXPECT_TRUE(Send.Deps.empty());
-          EXPECT_EQ(Ops.PrevJoin, InvalidOpId);
-        } else {
-          ASSERT_EQ(Send.Deps.size(), 1u);
-          EXPECT_EQ(Send.Deps[0], Ops.PrevJoin);
-          ASSERT_EQ(Recv.Deps.size(), 1u);
-          EXPECT_EQ(Recv.Deps[0], Ops.PrevJoin);
-        }
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Streaming replay vs compiled engine.
 //===----------------------------------------------------------------------===//
 
@@ -466,39 +372,37 @@ TEST(StreamEngineTest, FaultScenariosBitIdenticalToCompiledEngine) {
 }
 
 //===----------------------------------------------------------------------===//
-// Event queues vs reference heap.
+// The event heap vs a reference heap.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// A popped (Time, Key) pair; the reference orders pairs the same way
-/// both queues must.
+/// the event heap must.
 using TimedKey = std::pair<double, std::uint64_t>;
 
 using ReferenceHeap =
     std::priority_queue<TimedKey, std::vector<TimedKey>, std::greater<>>;
 
-/// The streaming engine's calendar queue behind the (Time, Seq)
-/// interface the shared cases drive.
-class CalendarUnderTest {
+/// The streaming engine's heap, reset without a bound: every case
+/// grows it from empty.
+class GrowingHeapUnderTest {
 public:
-  explicit CalendarUnderTest(std::size_t /*MaxLive*/) {}
+  explicit GrowingHeapUnderTest(std::size_t /*MaxLive*/) { H.reset(); }
   void push(double Time, std::uint64_t Seq) {
-    StreamEvent E;
-    E.Time = Time;
-    E.Key = Seq << 2;
-    E.Rank = static_cast<std::uint32_t>(Seq);
-    Q.push(E);
+    H.push(StreamEvent{Time, Seq << 2, static_cast<std::uint32_t>(Seq), 0,
+                       0.0});
   }
   TimedKey pop() {
-    const StreamEvent E = Q.pop();
+    const StreamEvent E = H.pop();
+    EXPECT_EQ(E.Rank, static_cast<std::uint32_t>(E.Key >> 2));
     return {E.Time, E.Key};
   }
-  std::size_t size() const { return Q.size(); }
-  bool empty() const { return Q.empty(); }
+  std::size_t size() const { return H.size(); }
+  bool empty() const { return H.empty(); }
 
 private:
-  CalendarQueue Q;
+  EventHeap<StreamEvent> H;
 };
 
 /// The compiled engine's replay heap, reserved to the case's bound.
@@ -538,8 +442,8 @@ void expectSamePops(Queue &Q, ReferenceHeap &Ref, const std::string &Context) {
   EXPECT_TRUE(Q.empty()) << Context;
 }
 
-// The cases below run against every queue: a TEST per (queue, case)
-// instantiates the shared body.
+// The cases below run against both ways the engines hold the heap: a
+// TEST per (adapter, case) instantiates the shared body.
 
 template <typename Queue> void randomTimesMatchReferenceHeap() {
   std::mt19937_64 Rng(12345);
@@ -562,9 +466,7 @@ template <typename Queue> void equalTimesPopInSequenceOrder() {
 
 template <typename Queue> void simulationPatternMatchesReferenceHeap() {
   // Event-sim-shaped load: pop the minimum, push a few events a short
-  // (noisy) horizon past it, drain at the end. Exercises the
-  // calendar's day advance, rebuilds in both directions and the
-  // empty-lap direct search.
+  // (noisy) horizon past it, drain at the end.
   constexpr int Steps = 20000;
   std::mt19937_64 Rng(999);
   std::uniform_real_distribution<double> Delta(1e-7, 9e-6);
@@ -588,7 +490,7 @@ template <typename Queue> void simulationPatternMatchesReferenceHeap() {
 }
 
 template <typename Queue> void sparseFarFutureEventsFound() {
-  // Events many calendar "years" apart force the empty-lap fallback.
+  // Times spread over nine orders of magnitude.
   Queue Q(64);
   ReferenceHeap Ref;
   for (std::uint64_t Seq = 0; Seq != 64; ++Seq)
@@ -624,20 +526,73 @@ template <typename Queue> void deepHeapWithPartialChildGroups() {
 
 } // namespace
 
-TEST(CalendarQueueTest, RandomTimesMatchReferenceHeap) {
-  randomTimesMatchReferenceHeap<CalendarUnderTest>();
+TEST(GrowingEventHeapTest, RandomTimesMatchReferenceHeap) {
+  randomTimesMatchReferenceHeap<GrowingHeapUnderTest>();
 }
-TEST(CalendarQueueTest, EqualTimesPopInSequenceOrder) {
-  equalTimesPopInSequenceOrder<CalendarUnderTest>();
+TEST(GrowingEventHeapTest, EqualTimesPopInSequenceOrder) {
+  equalTimesPopInSequenceOrder<GrowingHeapUnderTest>();
 }
-TEST(CalendarQueueTest, SimulationPatternMatchesReferenceHeap) {
-  simulationPatternMatchesReferenceHeap<CalendarUnderTest>();
+TEST(GrowingEventHeapTest, SimulationPatternMatchesReferenceHeap) {
+  simulationPatternMatchesReferenceHeap<GrowingHeapUnderTest>();
 }
-TEST(CalendarQueueTest, SparseFarFutureEventsFound) {
-  sparseFarFutureEventsFound<CalendarUnderTest>();
+TEST(GrowingEventHeapTest, SparseFarFutureEventsFound) {
+  sparseFarFutureEventsFound<GrowingHeapUnderTest>();
 }
-TEST(CalendarQueueTest, DeepQueueWithPartialChildGroups) {
-  deepHeapWithPartialChildGroups<CalendarUnderTest>();
+TEST(GrowingEventHeapTest, DeepQueueWithPartialChildGroups) {
+  deepHeapWithPartialChildGroups<GrowingHeapUnderTest>();
+}
+
+TEST(GrowingEventHeapTest, OrderHoldsAcrossGrowthAndResetReusesTheGrownStorage) {
+  // A bound of 5 puts the first growth in the middle of a group of
+  // children, so the pops after it read the moved sentinel tail.
+  EventHeap<StreamEvent> H;
+  EXPECT_FALSE(H.reset(5));
+  ReferenceHeap Ref;
+  std::mt19937_64 Rng(2024);
+  std::uniform_int_distribution<int> Tick(0, 500);
+  // Push two, pop one, until the heap has grown six times: every pop is
+  // checked, including those right across each growth copy.
+  std::size_t Growths = 0, Peak = 0;
+  std::uint64_t Seq = 0;
+  while (Growths != 6) {
+    for (int Push = 0; Push != 2; ++Push, ++Seq) {
+      const std::size_t Before = H.capacity();
+      const double Time = 1e-9 * Tick(Rng);
+      H.push(StreamEvent{Time, Seq << 2, 0, 0, 0.0});
+      Ref.push({Time, Seq << 2});
+      Peak = std::max(Peak, H.size());
+      if (H.capacity() == Before)
+        continue;
+      ++Growths;
+      // Doubling the room for live events on a full heap keeps the
+      // room under twice the peak once the first growth is filled.
+      EXPECT_EQ(H.capacity() - 4,
+                std::max<std::size_t>(2 * (Before - 4), 60));
+      if (Growths > 1) {
+        EXPECT_LT(H.capacity() - 4, 2 * Peak);
+      }
+    }
+    const StreamEvent Got = H.pop();
+    ASSERT_EQ(Ref.top(), (TimedKey{Got.Time, Got.Key})) << "pop " << Seq / 2;
+    Ref.pop();
+  }
+  ASSERT_EQ(H.size(), Ref.size());
+  while (!Ref.empty()) {
+    const StreamEvent Got = H.pop();
+    ASSERT_EQ(Ref.top(), (TimedKey{Got.Time, Got.Key}));
+    Ref.pop();
+  }
+  EXPECT_TRUE(H.empty());
+
+  // The grown storage survives reset: a run of the same size fits.
+  const std::size_t Grown = H.capacity();
+  EXPECT_TRUE(H.reset());
+  EXPECT_TRUE(H.empty());
+  for (std::uint64_t I = 0; I != Grown - 4; ++I)
+    H.push(StreamEvent{static_cast<double>(Grown - I), I << 2, 0, 0, 0.0});
+  EXPECT_EQ(H.capacity(), Grown);
+  EXPECT_TRUE(H.reset(Grown - 4));
+  EXPECT_FALSE(H.reset(Grown - 3));
 }
 
 TEST(ReplayHeapTest, RandomTimesMatchReferenceHeap) {
