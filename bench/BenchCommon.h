@@ -21,6 +21,7 @@
 #include "model/DecisionCache.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
+#include "obs/Rss.h"
 #include "support/CommandLine.h"
 #include "support/Json.h"
 
@@ -176,6 +177,13 @@ public:
            static_cast<double>(Snap.counter(obs::Counter::EngineReplays)));
     metric("engine.events",
            static_cast<double>(Snap.counter(obs::Counter::EngineEvents)));
+  }
+
+  /// Records the process's peak RSS so far as `peak_rss_kib`. The
+  /// committed baseline max-bounds it with a budget: a run that keeps a
+  /// second copy of its schedules (or of anything per op) fails there.
+  void peakRss() {
+    metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
   }
 
   /// Writes the record to \p Path; empty \p Path is a no-op (the flag

@@ -99,7 +99,7 @@ int main(int Argc, char **Argv) {
               "rewrites it atomically", TableFile);
   Cli.addFlag("models-file", "write the patched models here (for modellint)",
               ModelsFile);
-  Cli.addFlag("cache-dir", "store the repaired models/table through a "
+  Cli.addFlag("cache-dir", "store the repaired models through a "
               "DecisionCache rooted here (cache churn shows up in the "
               "journal counters)", CacheDir);
   Cli.addFlag("json", "write a machine-readable record to this file",
@@ -297,6 +297,7 @@ int main(int Argc, char **Argv) {
        (Repair.AlgorithmsGivenUp == 0 && Recovered && QuarantinedAfter == 0));
   if (!StoryHolds)
     std::printf("\nWARNING: the recovery story did not hold; see metrics.\n");
+  Report.peakRss();
   Report.workCounts();
   return Report.writeIfRequested(JsonPath) && StoryHolds ? 0 : 1;
 }

@@ -156,6 +156,7 @@ int main(int Argc, char **Argv) {
                                              Quick, Csv));
   }
 
+  Report.peakRss();
   Report.workCounts();
 
   std::printf("The paper's Sect. 6 follow-up, measured: the same gamma +\n"

@@ -115,6 +115,7 @@ int main(int Argc, char **Argv) {
                 runPanel<ScatterAlgorithm>("MPI_Scatter", "block", 1024,
                                            128 * 1024, Plat, SelectProcs));
   }
+  Report.peakRss();
   Report.workCounts();
   std::printf("This is the paper's Sect. 6 follow-up made concrete: the\n"
               "same gamma + collective-experiment calibration transfers to\n"

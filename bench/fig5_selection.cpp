@@ -149,6 +149,7 @@ int main(int Argc, char **Argv) {
 
   Report.metric("worst_model_deg", WorstModel);
   Report.metric("worst_ompi_deg", WorstOmpi);
+  Report.peakRss();
   Report.workCounts();
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);

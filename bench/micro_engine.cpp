@@ -21,7 +21,9 @@
 //
 // It also measures the layer before replay: building each schedule and
 // compiling it by move, with the heap allocations that takes and the
-// heap bytes the compiled schedule keeps.
+// heap bytes the compiled schedule keeps. Three build-only cases (a
+// segmented reduce, a ring allgather and a ring allreduce) gate that
+// layer for the generators the broadcast cases do not exercise.
 //
 // The deterministic facts (op and event counts, identity flags,
 // allocation counts, schedule bytes) land in the gated `metrics`
@@ -41,8 +43,11 @@
 
 #include "BenchCommon.h"
 
+#include "coll/Allgather.h"
+#include "coll/Allreduce.h"
 #include "coll/Bcast.h"
 #include "coll/BcastStream.h"
+#include "coll/Reduce.h"
 #include "mpi/CompiledSchedule.h"
 #include "obs/Rss.h"
 #include "sim/Engine.h"
@@ -53,6 +58,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 #include <vector>
@@ -91,57 +97,90 @@ using namespace mpicsel::bench;
 
 namespace {
 
-/// One replayed schedule shape.
+/// One schedule shape: built and compiled by the build layer and,
+/// unless it is build-only, replayed by both engines.
 struct BenchCase {
   std::string Name;
   unsigned NumProcs = 0;
-  BcastConfig Config;
+  /// Appends the case's collective to a builder and returns its exits.
+  std::function<std::vector<OpId>(ScheduleBuilder &)> Append;
+  /// Build-only cases measure the build layer and skip the replays.
+  bool Replay = true;
   /// Also report compiled ns/event as a (budgeted) metric.
   bool BudgetThroughput = false;
 };
+
+BenchCase bcastCase(std::string Name, unsigned NumProcs,
+                    BcastAlgorithm Algorithm, std::uint64_t MessageBytes,
+                    std::uint64_t SegmentBytes) {
+  BcastConfig Config;
+  Config.Algorithm = Algorithm;
+  Config.MessageBytes = MessageBytes;
+  Config.SegmentBytes = SegmentBytes;
+  BenchCase C;
+  C.Name = std::move(Name);
+  C.NumProcs = NumProcs;
+  C.Append = [Config](ScheduleBuilder &B) { return appendBcast(B, Config); };
+  return C;
+}
 
 /// The shapes the calibration stage replays most: the paper-sized
 /// segmented binomial broadcast dominates sweeps; the small case
 /// stresses per-run overhead; split-binary has the most channels. The
 /// P=90 4 MiB split-binary broadcast is the selection-point shape with
-/// the deepest event heap (~40K live events on Grisou).
+/// the deepest event heap (~40K live events on Grisou). The build-only
+/// cases cover the other generators' building blocks: the segmented
+/// tree reduction and the exchange rounds of the ring allgather and
+/// the ring allreduce.
 std::vector<BenchCase> benchCases() {
   std::vector<BenchCase> Cases;
+  Cases.push_back(bcastCase("binomial_P64_1M_seg8K", 64,
+                            BcastAlgorithm::Binomial, 1 << 20, 8 << 10));
+  Cases.push_back(
+      bcastCase("binomial_P16_8K", 16, BcastAlgorithm::Binomial, 8 << 10, 0));
+  Cases.push_back(bcastCase("split_binary_P64_1M_seg8K", 64,
+                            BcastAlgorithm::SplitBinary, 1 << 20, 8 << 10));
+  Cases.push_back(bcastCase("split_binary_P90_4M_seg8K", 90,
+                            BcastAlgorithm::SplitBinary, 4 << 20, 8 << 10));
+  Cases.back().BudgetThroughput = true;
   {
+    ReduceConfig Config;
+    Config.Algorithm = ReduceAlgorithm::Binomial;
+    Config.MessageBytes = 1 << 20;
+    Config.SegmentBytes = 8 << 10;
+    Config.ComputeSecondsPerByte = 1e-10;
     BenchCase C;
-    C.Name = "binomial_P64_1M_seg8K";
+    C.Name = "reduce_binomial_P64_1M_seg8K";
     C.NumProcs = 64;
-    C.Config.Algorithm = BcastAlgorithm::Binomial;
-    C.Config.MessageBytes = 1 << 20;
-    C.Config.SegmentBytes = 8 << 10;
+    C.Append = [Config](ScheduleBuilder &B) { return appendReduce(B, Config); };
+    C.Replay = false;
     Cases.push_back(C);
   }
   {
+    AllgatherConfig Config;
+    Config.Algorithm = AllgatherAlgorithm::Ring;
+    Config.BlockBytes = 64 << 10;
     BenchCase C;
-    C.Name = "binomial_P16_8K";
-    C.NumProcs = 16;
-    C.Config.Algorithm = BcastAlgorithm::Binomial;
-    C.Config.MessageBytes = 8 << 10;
-    C.Config.SegmentBytes = 0;
+    C.Name = "allgather_ring_P100_64K";
+    C.NumProcs = 100;
+    C.Append = [Config](ScheduleBuilder &B) {
+      return appendAllgather(B, Config);
+    };
+    C.Replay = false;
     Cases.push_back(C);
   }
   {
+    AllreduceConfig Config;
+    Config.Algorithm = AllreduceAlgorithm::Ring;
+    Config.MessageBytes = 1 << 20;
+    Config.ComputeSecondsPerByte = 1e-10;
     BenchCase C;
-    C.Name = "split_binary_P64_1M_seg8K";
-    C.NumProcs = 64;
-    C.Config.Algorithm = BcastAlgorithm::SplitBinary;
-    C.Config.MessageBytes = 1 << 20;
-    C.Config.SegmentBytes = 8 << 10;
-    Cases.push_back(C);
-  }
-  {
-    BenchCase C;
-    C.Name = "split_binary_P90_4M_seg8K";
-    C.NumProcs = 90;
-    C.Config.Algorithm = BcastAlgorithm::SplitBinary;
-    C.Config.MessageBytes = 4 << 20;
-    C.Config.SegmentBytes = 8 << 10;
-    C.BudgetThroughput = true;
+    C.Name = "allreduce_ring_P100_1M";
+    C.NumProcs = 100;
+    C.Append = [Config](ScheduleBuilder &B) {
+      return appendAllreduce(B, Config);
+    };
+    C.Replay = false;
     Cases.push_back(C);
   }
   return Cases;
@@ -188,7 +227,7 @@ BuiltCase buildCase(const BenchCase &Case) {
     const std::uint64_t AllocsBefore = allocationCount();
     const auto Start = std::chrono::steady_clock::now();
     ScheduleBuilder B(Case.NumProcs);
-    Out.Exit = appendBcast(B, Case.Config);
+    Out.Exit = Case.Append(B);
     Schedule S = B.take();
     const auto Built = std::chrono::steady_clock::now();
     Out.CS = compileSchedule(std::move(S));
@@ -502,6 +541,10 @@ int main(int Argc, char **Argv) {
     Report.metric(Case.Name + "_schedule_bytes", static_cast<double>(Bytes));
     Report.timing(Case.Name + "_build_ns_per_op", Built.BuildNsPerOp);
     Report.timing(Case.Name + "_compile_ns_per_op", Built.CompileNsPerOp);
+    if (!Case.Replay) {
+      Report.metric(Case.Name + "_ops", static_cast<double>(NumOps));
+      continue;
+    }
 
     // Bit-identity probe at a seed outside the timing loops.
     ExecutionResult LegacyProbe = runScheduleLegacy(S, Plat, 9001);
@@ -518,7 +561,7 @@ int main(int Argc, char **Argv) {
     auto LegacyStart = std::chrono::steady_clock::now();
     for (unsigned Rep = 0; Rep != NumReps; ++Rep) {
       ScheduleBuilder RepB(Case.NumProcs);
-      appendBcast(RepB, Case.Config);
+      Case.Append(RepB);
       Schedule RepS = RepB.take();
       Sink += runScheduleLegacy(RepS, Plat, Rep + 1).Makespan;
     }

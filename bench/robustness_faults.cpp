@@ -244,6 +244,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nA robust pipeline should stay near the oracle on every "
               "scenario; the raw pipeline\nis expected to degrade once the "
               "calibration campaign is contaminated.\n");
+  Report.peakRss();
   Report.workCounts();
   return Report.writeIfRequested(JsonPath) ? 0 : 1;
 }

@@ -109,6 +109,7 @@ int main(int Argc, char **Argv) {
       "several times the tree algorithms' because its point-to-point\n"
       "transfers serialise at the root -- which is what makes\n"
       "per-algorithm estimation necessary.\n");
+  Report.peakRss();
   Report.workCounts();
   return Report.writeIfRequested(JsonPath) ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 #include "BenchCommon.h"
 
 #include "model/Selection.h"
-#include "obs/Rss.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -119,9 +118,7 @@ int main(int Argc, char **Argv) {
     Report.metric("worst_model_deg_" + Key, S.WorstModel);
     Report.metric("worst_ompi_deg_" + Key, S.WorstOmpi);
   }
-  // Max-bounded by the baseline's budget: a measurement that keeps
-  // its schedules after it returns shows up here first.
-  Report.metric("peak_rss_kib", static_cast<double>(obs::peakRssKiB()));
+  Report.peakRss();
   Report.workCounts();
   Report.timing("calibration_seconds", CalibrationSeconds);
   Report.timing("cache_hits", Cache.stats().Hits);

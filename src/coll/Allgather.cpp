@@ -2,6 +2,7 @@
 
 #include "coll/Allgather.h"
 
+#include "coll/Primitives.h"
 #include "support/Error.h"
 #include "support/Format.h"
 
@@ -44,94 +45,61 @@ bool mpicsel::allgatherAlgorithmApplies(AllgatherAlgorithm Algorithm,
 
 namespace {
 
-std::vector<OpId> firstDeps(std::span<const OpId> Entry, unsigned Rank) {
-  if (Entry.empty() || Entry[Rank] == InvalidOpId)
-    return {};
-  return {Entry[Rank]};
-}
-
 /// Ring allgather: P-1 rounds; each rank forwards the block received
 /// in the previous round to (rank+1) while receiving the next one
 /// from (rank-1). Round k ops depend on the round k-1 join, which
 /// enforces "forward only what has arrived".
-std::vector<OpId> appendRingAllgather(ScheduleBuilder &B,
-                                      const AllgatherConfig &Config,
-                                      std::span<const OpId> Entry) {
+void appendRingAllgather(ScheduleBuilder &B, const AllgatherConfig &Config,
+                         std::span<OpId> Frontier) {
   const unsigned P = B.rankCount();
   B.reserveOps(static_cast<std::size_t>(P - 1) * P * 3);
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
-  for (unsigned Round = 0; Round + 1 != P; ++Round) {
-    std::vector<OpId> Next(P, InvalidOpId);
-    for (unsigned Rank = 0; Rank != P; ++Rank) {
-      unsigned SendPeer = (Rank + 1) % P;
-      unsigned RecvPeer = (Rank + P - 1) % P;
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send = B.addSend(Rank, SendPeer, Config.BlockBytes, Config.Tag,
-                            Deps);
-      OpId Recv = B.addRecv(Rank, RecvPeer, Config.BlockBytes, Config.Tag,
-                            Deps);
-      Next[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Recv});
-    }
-    Current = std::move(Next);
-  }
-  return Current;
+  for (unsigned Round = 0; Round + 1 != P; ++Round)
+    for (unsigned Rank = 0; Rank != P; ++Rank)
+      Frontier[Rank] = appendExchange(B, Rank, Frontier[Rank],
+                                      {.SendPeer = (Rank + 1) % P,
+                                       .RecvPeer = (Rank + P - 1) % P,
+                                       .SendBytes = Config.BlockBytes,
+                                       .RecvBytes = Config.BlockBytes,
+                                       .Tag = Config.Tag});
 }
 
 /// Recursive-doubling allgather (power-of-two P): round k exchanges
 /// the 2^k blocks accumulated so far with the rank at XOR-distance
 /// 2^k, doubling the held data each round.
-std::vector<OpId> appendRdAllgather(ScheduleBuilder &B,
-                                    const AllgatherConfig &Config,
-                                    std::span<const OpId> Entry) {
+void appendRdAllgather(ScheduleBuilder &B, const AllgatherConfig &Config,
+                       std::span<OpId> Frontier) {
   const unsigned P = B.rankCount();
   assert((P & (P - 1)) == 0 && "recursive doubling needs a power of two");
   std::size_t Rounds = 0;
   for (unsigned Distance = 1; Distance < P; Distance <<= 1)
     ++Rounds;
   B.reserveOps(Rounds * P * 3);
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
   for (unsigned Distance = 1; Distance < P; Distance <<= 1) {
     const std::uint64_t Bytes =
         static_cast<std::uint64_t>(Distance) * Config.BlockBytes;
-    std::vector<OpId> Next(P, InvalidOpId);
-    for (unsigned Rank = 0; Rank != P; ++Rank) {
-      unsigned Peer = Rank ^ Distance;
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send = B.addSend(Rank, Peer, Bytes, Config.Tag, Deps);
-      OpId Recv = B.addRecv(Rank, Peer, Bytes, Config.Tag, Deps);
-      Next[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Recv});
-    }
-    Current = std::move(Next);
+    for (unsigned Rank = 0; Rank != P; ++Rank)
+      Frontier[Rank] = appendExchange(B, Rank, Frontier[Rank],
+                                      {.SendPeer = Rank ^ Distance,
+                                       .RecvPeer = Rank ^ Distance,
+                                       .SendBytes = Bytes,
+                                       .RecvBytes = Bytes,
+                                       .Tag = Config.Tag});
   }
-  return Current;
 }
 
 /// Neighbor-exchange allgather (even P): round 0 swaps one block with
 /// neighbor[0], then P/2 - 1 rounds swap two blocks with alternating
 /// neighbours. Even ranks pair right first, odd ranks left first, as
 /// in Open MPI.
-std::vector<OpId> appendNeighborAllgather(ScheduleBuilder &B,
-                                          const AllgatherConfig &Config,
-                                          std::span<const OpId> Entry) {
+void appendNeighborAllgather(ScheduleBuilder &B, const AllgatherConfig &Config,
+                             std::span<OpId> Frontier) {
   const unsigned P = B.rankCount();
   assert(P % 2 == 0 && "neighbor exchange needs an even communicator");
   const unsigned Rounds = P / 2;
   B.reserveOps(static_cast<std::size_t>(Rounds) * P * 3);
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
   for (unsigned Round = 0; Round != Rounds; ++Round) {
     const std::uint64_t Bytes =
         (Round == 0 ? 1 : 2) * Config.BlockBytes;
-    std::vector<OpId> Next(P, InvalidOpId);
     for (unsigned Rank = 0; Rank != P; ++Rank) {
       // neighbor[0] is rank+1 for even ranks, rank-1 for odd ones;
       // neighbor[1] the other way round. Rounds alternate starting
@@ -140,16 +108,14 @@ std::vector<OpId> appendNeighborAllgather(ScheduleBuilder &B,
       bool Even = Rank % 2 == 0;
       unsigned Peer = (Even == First) ? (Rank + 1) % P
                                       : (Rank + P - 1) % P;
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send = B.addSend(Rank, Peer, Bytes, Config.Tag, Deps);
-      OpId Recv = B.addRecv(Rank, Peer, Bytes, Config.Tag, Deps);
-      Next[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Recv});
+      Frontier[Rank] = appendExchange(B, Rank, Frontier[Rank],
+                                      {.SendPeer = Peer,
+                                       .RecvPeer = Peer,
+                                       .SendBytes = Bytes,
+                                       .RecvBytes = Bytes,
+                                       .Tag = Config.Tag});
     }
-    Current = std::move(Next);
   }
-  return Current;
 }
 
 } // namespace
@@ -162,21 +128,22 @@ std::vector<OpId> mpicsel::appendAllgather(ScheduleBuilder &B,
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
 
-  if (P == 1) {
-    std::vector<OpId> Exit(1);
-    Exit[0] = B.addJoin(0, firstDeps(Entry, 0));
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
   AllgatherAlgorithm Alg = Config.Algorithm;
   if (!allgatherAlgorithmApplies(Alg, P))
     Alg = AllgatherAlgorithm::Ring;
+  std::vector<OpId> Frontier = entryFrontier(Entry, P);
   switch (Alg) {
   case AllgatherAlgorithm::Ring:
-    return appendRingAllgather(B, Config, Entry);
+    appendRingAllgather(B, Config, Frontier);
+    return Frontier;
   case AllgatherAlgorithm::RecursiveDoubling:
-    return appendRdAllgather(B, Config, Entry);
+    appendRdAllgather(B, Config, Frontier);
+    return Frontier;
   case AllgatherAlgorithm::NeighborExchange:
-    return appendNeighborAllgather(B, Config, Entry);
+    appendNeighborAllgather(B, Config, Frontier);
+    return Frontier;
   }
   MPICSEL_UNREACHABLE("unknown allgather algorithm");
 }

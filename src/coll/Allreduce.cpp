@@ -3,6 +3,7 @@
 #include "coll/Allreduce.h"
 
 #include "coll/Bcast.h"
+#include "coll/Primitives.h"
 #include "coll/Reduce.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -42,20 +43,13 @@ std::uint64_t mpicsel::allreduceRingBlockBytes(std::uint64_t MessageBytes,
 
 namespace {
 
-std::vector<OpId> firstDeps(std::span<const OpId> Entry, unsigned Rank) {
-  if (Entry.empty() || Entry[Rank] == InvalidOpId)
-    return {};
-  return {Entry[Rank]};
-}
-
 /// Recursive-doubling allreduce with Open MPI's non-power-of-two
 /// pre/post phase: with r = P - 2^H extra ranks, even ranks < 2r fold
 /// their vector into rank+1 before the rounds and receive the final
 /// result after; the remaining 2^H ranks run log2 rounds of
 /// exchange+combine at XOR distances 1, 2, ..., 2^(H-1).
-std::vector<OpId> appendRdAllreduce(ScheduleBuilder &B,
-                                    const AllreduceConfig &Config,
-                                    std::span<const OpId> Entry) {
+void appendRdAllreduce(ScheduleBuilder &B, const AllreduceConfig &Config,
+                       std::span<OpId> Frontier) {
   const unsigned P = B.rankCount();
   unsigned H = 0;
   while ((2u << H) <= P)
@@ -63,30 +57,20 @@ std::vector<OpId> appendRdAllreduce(ScheduleBuilder &B,
   const unsigned PowP = 1u << H;
   const unsigned R = P - PowP; // Extra ranks folded in pre/post.
   const std::uint64_t M = Config.MessageBytes;
+  const double CombineSeconds =
+      Config.ComputeSecondsPerByte * static_cast<double>(M);
 
   B.reserveOps(static_cast<std::size_t>(R) * 6 +
                static_cast<std::size_t>(PowP) * H * 4);
 
-  // Current[Rank]: the op the rank's next step must wait for.
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
-  std::vector<OpId> Exit(P, InvalidOpId);
-
   // Pre-phase: even ranks < 2R send their vector to rank+1, which
   // combines it with its own.
   for (unsigned Rank = 0; Rank + 1 < 2 * R; Rank += 2) {
-    std::vector<OpId> SendDeps;
-    if (Current[Rank] != InvalidOpId)
-      SendDeps.push_back(Current[Rank]);
-    Current[Rank] = B.addSend(Rank, Rank + 1, M, Config.Tag, SendDeps);
-    std::vector<OpId> RecvDeps;
-    if (Current[Rank + 1] != InvalidOpId)
-      RecvDeps.push_back(Current[Rank + 1]);
-    OpId Recv = B.addRecv(Rank + 1, Rank, M, Config.Tag, RecvDeps);
-    Current[Rank + 1] = B.addCompute(
-        Rank + 1, Config.ComputeSecondsPerByte * static_cast<double>(M),
-        std::vector<OpId>{Recv});
+    Frontier[Rank] =
+        B.addSend(Rank, Rank + 1, M, Config.Tag, depOn(Frontier[Rank]));
+    const OpId Recv =
+        B.addRecv(Rank + 1, Rank, M, Config.Tag, depOn(Frontier[Rank + 1]));
+    Frontier[Rank + 1] = B.addCompute(Rank + 1, CombineSeconds, depOn(Recv));
   }
 
   // newrank -> real rank: the 2^H round participants are the odd
@@ -95,93 +79,71 @@ std::vector<OpId> appendRdAllreduce(ScheduleBuilder &B,
   auto RealRank = [R](unsigned NewRank) {
     return NewRank < R ? 2 * NewRank + 1 : NewRank + R;
   };
-
   for (unsigned Distance = 1; Distance < PowP; Distance <<= 1) {
     for (unsigned NewRank = 0; NewRank != PowP; ++NewRank) {
-      unsigned Rank = RealRank(NewRank);
-      unsigned Peer = RealRank(NewRank ^ Distance);
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send = B.addSend(Rank, Peer, M, Config.Tag, Deps);
-      OpId Recv = B.addRecv(Rank, Peer, M, Config.Tag, Deps);
-      OpId Combine = B.addCompute(
-          Rank, Config.ComputeSecondsPerByte * static_cast<double>(M),
-          std::vector<OpId>{Recv});
-      Current[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Combine});
+      const unsigned Rank = RealRank(NewRank);
+      const unsigned Peer = RealRank(NewRank ^ Distance);
+      Frontier[Rank] = appendExchange(B, Rank, Frontier[Rank],
+                                      {.SendPeer = Peer,
+                                       .RecvPeer = Peer,
+                                       .SendBytes = M,
+                                       .RecvBytes = M,
+                                       .Tag = Config.Tag,
+                                       .CombineSeconds = CombineSeconds});
     }
   }
 
   // Post-phase: odd ranks < 2R return the result to their even
   // neighbour.
   for (unsigned Rank = 0; Rank + 1 < 2 * R; Rank += 2) {
-    OpId Send = B.addSend(Rank + 1, Rank, M, Config.Tag,
-                          std::vector<OpId>{Current[Rank + 1]});
-    Exit[Rank + 1] = B.addJoin(Rank + 1, std::vector<OpId>{Send});
-    Exit[Rank] = B.addRecv(Rank, Rank + 1, M, Config.Tag,
-                           std::vector<OpId>{Current[Rank]});
+    const OpId Send =
+        B.addSend(Rank + 1, Rank, M, Config.Tag, depOn(Frontier[Rank + 1]));
+    Frontier[Rank + 1] = B.addJoin(Rank + 1, depOn(Send));
+    Frontier[Rank] =
+        B.addRecv(Rank, Rank + 1, M, Config.Tag, depOn(Frontier[Rank]));
   }
-  for (unsigned Rank = 2 * R; Rank < P; ++Rank)
-    Exit[Rank] = Current[Rank];
-  return Exit;
 }
 
 /// Ring allreduce: P-1 reduce-scatter rounds (send block R-k, receive
 /// and combine block R-k-1) followed by P-1 allgather rounds of the
 /// reduced blocks. Block b lives at index (b mod P) and may be empty
 /// when the vector is shorter than the communicator.
-std::vector<OpId> appendRingAllreduce(ScheduleBuilder &B,
-                                      const AllreduceConfig &Config,
-                                      std::span<const OpId> Entry) {
+void appendRingAllreduce(ScheduleBuilder &B, const AllreduceConfig &Config,
+                         std::span<OpId> Frontier) {
   const unsigned P = B.rankCount();
   auto Block = [&](unsigned Index) {
     return allreduceRingBlockBytes(Config.MessageBytes, P, Index % P);
   };
   B.reserveOps(static_cast<std::size_t>(P - 1) * P * 7);
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
 
   // Reduce-scatter: round k sends block (R - k), receives block
   // (R - k - 1) and combines into it.
   for (unsigned Round = 0; Round + 1 != P; ++Round) {
-    std::vector<OpId> Next(P, InvalidOpId);
     for (unsigned Rank = 0; Rank != P; ++Rank) {
-      const std::uint64_t SendBytes = Block(Rank + P - Round);
       const std::uint64_t RecvBytes = Block(Rank + 2 * P - Round - 1);
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send =
-          B.addSend(Rank, (Rank + 1) % P, SendBytes, Config.Tag, Deps);
-      OpId Recv = B.addRecv(Rank, (Rank + P - 1) % P, RecvBytes,
-                            Config.Tag, Deps);
-      OpId Combine = B.addCompute(
-          Rank,
-          Config.ComputeSecondsPerByte * static_cast<double>(RecvBytes),
-          std::vector<OpId>{Recv});
-      Next[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Combine});
+      Frontier[Rank] = appendExchange(
+          B, Rank, Frontier[Rank],
+          {.SendPeer = (Rank + 1) % P,
+           .RecvPeer = (Rank + P - 1) % P,
+           .SendBytes = Block(Rank + P - Round),
+           .RecvBytes = RecvBytes,
+           .Tag = Config.Tag,
+           .CombineSeconds = Config.ComputeSecondsPerByte *
+                             static_cast<double>(RecvBytes)});
     }
-    Current = std::move(Next);
   }
 
   // Allgather: rank R starts owning final block (R + 1); round k
   // sends block (R + 1 - k), receives block (R - k).
-  for (unsigned Round = 0; Round + 1 != P; ++Round) {
-    std::vector<OpId> Next(P, InvalidOpId);
-    for (unsigned Rank = 0; Rank != P; ++Rank) {
-      const std::uint64_t SendBytes = Block(Rank + 1 + 2 * P - Round);
-      const std::uint64_t RecvBytes = Block(Rank + 2 * P - Round);
-      std::vector<OpId> Deps{Current[Rank]};
-      OpId Send =
-          B.addSend(Rank, (Rank + 1) % P, SendBytes, Config.Tag, Deps);
-      OpId Recv = B.addRecv(Rank, (Rank + P - 1) % P, RecvBytes,
-                            Config.Tag, Deps);
-      Next[Rank] = B.addJoin(Rank, std::vector<OpId>{Send, Recv});
-    }
-    Current = std::move(Next);
-  }
-  return Current;
+  for (unsigned Round = 0; Round + 1 != P; ++Round)
+    for (unsigned Rank = 0; Rank != P; ++Rank)
+      Frontier[Rank] =
+          appendExchange(B, Rank, Frontier[Rank],
+                         {.SendPeer = (Rank + 1) % P,
+                          .RecvPeer = (Rank + P - 1) % P,
+                          .SendBytes = Block(Rank + 1 + 2 * P - Round),
+                          .RecvBytes = Block(Rank + 2 * P - Round),
+                          .Tag = Config.Tag});
 }
 
 /// Reduce + bcast composition: a binomial segmented reduction to rank
@@ -219,16 +181,16 @@ std::vector<OpId> mpicsel::appendAllreduce(ScheduleBuilder &B,
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
 
-  if (P == 1) {
-    std::vector<OpId> Exit(1);
-    Exit[0] = B.addJoin(0, firstDeps(Entry, 0));
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
+  std::vector<OpId> Frontier = entryFrontier(Entry, P);
   switch (Config.Algorithm) {
   case AllreduceAlgorithm::RecursiveDoubling:
-    return appendRdAllreduce(B, Config, Entry);
+    appendRdAllreduce(B, Config, Frontier);
+    return Frontier;
   case AllreduceAlgorithm::Ring:
-    return appendRingAllreduce(B, Config, Entry);
+    appendRingAllreduce(B, Config, Frontier);
+    return Frontier;
   case AllreduceAlgorithm::ReduceBcast:
     return appendReduceBcast(B, Config, Entry);
   }

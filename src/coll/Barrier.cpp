@@ -2,6 +2,7 @@
 
 #include "coll/Barrier.h"
 
+#include "coll/Primitives.h"
 #include "support/Format.h"
 
 #include <cassert>
@@ -13,40 +14,21 @@ std::vector<OpId> mpicsel::appendBarrier(ScheduleBuilder &B, int Tag,
   const unsigned P = B.rankCount();
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
-
-  std::vector<OpId> Current(P, InvalidOpId);
-  if (!Entry.empty())
-    Current.assign(Entry.begin(), Entry.end());
-
-  if (P == 1) {
-    std::vector<OpId> Exit(1);
-    std::vector<OpId> Deps;
-    if (Current[0] != InvalidOpId)
-      Deps.push_back(Current[0]);
-    Exit[0] = B.addJoin(0, Deps);
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
 
   // Each round emits send + recv + join per rank.
   B.reserveOps(std::size_t{barrierNumRounds(P)} * P * 3);
 
   // Rounds: each rank's round-k ops depend on its round-(k-1) join.
-  for (unsigned Distance = 1; Distance < P; Distance <<= 1) {
-    std::vector<OpId> Next(P, InvalidOpId);
-    for (unsigned Rank = 0; Rank != P; ++Rank) {
-      unsigned SendPeer = (Rank + Distance) % P;
-      unsigned RecvPeer = (Rank + P - Distance) % P;
-      std::vector<OpId> Deps;
-      if (Current[Rank] != InvalidOpId)
-        Deps.push_back(Current[Rank]);
-      OpId Send = B.addSend(Rank, SendPeer, 0, Tag, Deps);
-      OpId Recv = B.addRecv(Rank, RecvPeer, 0, Tag, Deps);
-      std::vector<OpId> RoundOps{Send, Recv};
-      Next[Rank] = B.addJoin(Rank, RoundOps);
-    }
-    Current = std::move(Next);
-  }
-  return Current;
+  std::vector<OpId> Frontier = entryFrontier(Entry, P);
+  for (unsigned Distance = 1; Distance < P; Distance <<= 1)
+    for (unsigned Rank = 0; Rank != P; ++Rank)
+      Frontier[Rank] = appendExchange(B, Rank, Frontier[Rank],
+                                      {.SendPeer = (Rank + Distance) % P,
+                                       .RecvPeer = (Rank + P - Distance) % P,
+                                       .Tag = Tag});
+  return Frontier;
 }
 
 unsigned mpicsel::barrierNumRounds(unsigned RankCount) {

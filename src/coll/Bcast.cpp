@@ -2,6 +2,7 @@
 
 #include "coll/Bcast.h"
 
+#include "coll/Primitives.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "topo/Tree.h"
@@ -19,33 +20,10 @@ std::uint64_t mpicsel::bcastSegmentCount(std::uint64_t MessageBytes,
   return (MessageBytes + SegmentBytes - 1) / SegmentBytes;
 }
 
-namespace {
-
-/// Convenience wrapper around the per-rank entry dependencies.
-class EntryDeps {
-public:
-  EntryDeps(std::span<const OpId> EntryOps, unsigned RankCount)
-      : Entry(EntryOps) {
-    assert((EntryOps.empty() || EntryOps.size() == RankCount) &&
-           "entry array must cover every rank");
-  }
-
-  /// Dependency list for the first op of \p Rank (empty or one op).
-  std::vector<OpId> firstDeps(unsigned Rank) const {
-    if (Entry.empty() || Entry[Rank] == InvalidOpId)
-      return {};
-    return {Entry[Rank]};
-  }
-
-private:
-  std::span<const OpId> Entry;
-};
-
-/// Payload size of segment \p Seg out of \p NumSegments covering
-/// \p MessageBytes with nominal segment size \p SegmentBytes.
-std::uint64_t segmentSize(std::uint64_t MessageBytes,
-                          std::uint64_t SegmentBytes,
-                          std::uint64_t NumSegments, std::uint64_t Seg) {
+std::uint64_t mpicsel::bcastSegmentBytes(std::uint64_t MessageBytes,
+                                         std::uint64_t SegmentBytes,
+                                         std::uint64_t NumSegments,
+                                         std::uint64_t Seg) {
   assert(Seg < NumSegments && "segment index out of range");
   if (NumSegments == 1)
     return MessageBytes;
@@ -54,148 +32,144 @@ std::uint64_t segmentSize(std::uint64_t MessageBytes,
   return MessageBytes - SegmentBytes * (NumSegments - 1);
 }
 
-/// The generic segmented tree broadcast engine, a schedule-level
-/// transcription of `ompi_coll_base_bcast_intra_generic` (Open MPI
-/// 3.1, coll/base/coll_base_bcast.c). Emits ops for every rank of
-/// \p T and returns the per-rank exits.
-///
-/// Roles (request structure matches the Open MPI source):
-///   root:     per segment: isend to each child, waitall.
+namespace {
+
+/// A message as the segmented algorithms cut it.
+struct Segmented {
+  Segmented(std::uint64_t Total, std::uint64_t Segment)
+      : Bytes(Total), SegmentBytes(Segment),
+        Count(bcastSegmentCount(Total, Segment)) {}
+
+  std::uint64_t segment(std::uint64_t Seg) const {
+    return bcastSegmentBytes(Bytes, SegmentBytes, Count, Seg);
+  }
+
+  std::uint64_t Bytes;
+  std::uint64_t SegmentBytes;
+  std::uint64_t Count;
+};
+
+/// Emits the ops of one non-root rank of a segmented tree broadcast of
+/// \p Msg from \p Parent to \p Children, after \p First, and returns
+/// the rank's exit. The request structure is Open MPI's:
+///   leaf:     double-buffered receives -- irecv(s) is posted after
+///             recv(s-2) completed (two outstanding requests) -- and
+///             one final waitall;
 ///   interior: irecv(0); for s in 1..n_s-1: irecv(s), wait(recv s-1),
 ///             isend seg s-1 to children, waitall(sends);
 ///             wait(recv n_s-1), isend last seg, waitall.
-///   leaf:     double-buffered receives.
+/// \p Scratch is the caller's reusable op list.
+OpId appendTreeBcastRole(ScheduleBuilder &B, unsigned Rank, unsigned Parent,
+                         std::span<const unsigned> Children,
+                         const Segmented &Msg, int Tag,
+                         std::span<const OpId> First,
+                         std::vector<OpId> &Scratch) {
+  Scratch.clear();
+  if (Children.empty()) {
+    for (std::uint64_t Seg = 0; Seg != Msg.Count; ++Seg)
+      Scratch.push_back(B.addRecv(Rank, Parent, Msg.segment(Seg), Tag,
+                                  Seg < 2 ? First : depOn(Scratch[Seg - 2])));
+    return B.addJoin(Rank, Scratch);
+  }
+
+  // SendJoin[0] closes the sends of segment s-1, SendJoin[1] those of
+  // segment s-2.
+  OpId SendJoin[2] = {InvalidOpId, InvalidOpId};
+  for (std::uint64_t Seg = 0; Seg != Msg.Count; ++Seg) {
+    const std::uint64_t Bytes = Msg.segment(Seg);
+    // irecv(s) is posted at the top of loop iteration s, i.e. after
+    // iteration s-1 finished its waitall of the sends of segment s-2.
+    const OpId Recv = B.addRecv(Rank, Parent, Bytes, Tag,
+                                Seg < 2 ? First : depOn(SendJoin[1]));
+    // Forward segment s once received; the isends are also
+    // program-ordered after the previous segment's waitall.
+    const OpId SendDeps[] = {Recv, SendJoin[0]};
+    const std::span<const OpId> SendAfter(SendDeps, Seg == 0 ? 1 : 2);
+    Scratch.clear();
+    for (unsigned Child : Children)
+      Scratch.push_back(B.addSend(Rank, Child, Bytes, Tag, SendAfter));
+    SendJoin[1] = SendJoin[0];
+    SendJoin[0] = B.addJoin(Rank, Scratch);
+  }
+  return SendJoin[0];
+}
+
+/// The generic segmented tree broadcast engine, a schedule-level
+/// transcription of `ompi_coll_base_bcast_intra_generic` (Open MPI
+/// 3.1, coll/base/coll_base_bcast.c). Emits ops for every rank of
+/// \p T and returns the per-rank exits. The root sends each segment
+/// to all its children and waits for those sends; every other rank
+/// plays appendTreeBcastRole.
 std::vector<OpId> appendTreeBcast(ScheduleBuilder &B, const Tree &T,
-                                  std::uint64_t MessageBytes,
-                                  std::uint64_t SegmentBytes, int Tag,
-                                  const EntryDeps &Entry) {
+                                  const Segmented &Msg, int Tag,
+                                  std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
   assert(T.Size == P && "tree does not span the communicator");
-  const std::uint64_t NumSegments =
-      bcastSegmentCount(MessageBytes, SegmentBytes);
+  assert(P >= 2 && "a one-rank broadcast is a lone join");
 
   // Closed-form op count: the root emits |children| sends + 1 join per
-  // segment (or a lone join when childless), a leaf one recv per
-  // segment + 1 final join, an interior rank recv + |children| sends +
-  // join per segment.
+  // segment, a leaf one recv per segment + 1 final join, an interior
+  // rank recv + |children| sends + join per segment.
   std::uint64_t OpCount = 0;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
     const std::uint64_t NumChildren = T.Children[Rank].size();
     if (Rank == T.Root)
-      OpCount += NumChildren == 0 ? 1 : NumSegments * (NumChildren + 1);
+      OpCount += Msg.Count * (NumChildren + 1);
     else if (NumChildren == 0)
-      OpCount += NumSegments + 1;
+      OpCount += Msg.Count + 1;
     else
-      OpCount += NumSegments * (NumChildren + 2);
+      OpCount += Msg.Count * (NumChildren + 2);
   }
   B.reserveOps(OpCount);
 
   std::vector<OpId> Exit(P, InvalidOpId);
-
+  std::vector<OpId> Scratch;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
     const std::vector<unsigned> &Children = T.Children[Rank];
-    const bool IsRoot = Rank == T.Root;
-    const std::vector<OpId> First = Entry.firstDeps(Rank);
-
-    if (IsRoot) {
-      // Root: no receives; per segment isend to every child + waitall.
-      OpId PrevJoin = InvalidOpId;
-      if (Children.empty()) {
-        // Trivial communicator: the call returns immediately.
-        Exit[Rank] = B.addJoin(Rank, First);
-        continue;
-      }
-      for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg) {
-        std::uint64_t Bytes =
-            segmentSize(MessageBytes, SegmentBytes, NumSegments, Seg);
-        std::vector<OpId> Deps =
-            PrevJoin == InvalidOpId ? First : std::vector<OpId>{PrevJoin};
-        std::vector<OpId> Sends;
-        Sends.reserve(Children.size());
-        for (unsigned Child : Children)
-          Sends.push_back(B.addSend(Rank, Child, Bytes, Tag, Deps));
-        PrevJoin = B.addJoin(Rank, Sends);
-      }
-      Exit[Rank] = PrevJoin;
+    const std::span<const OpId> First = entryDep(Entry, Rank);
+    if (Rank != T.Root) {
+      Exit[Rank] = appendTreeBcastRole(B, Rank,
+                                       static_cast<unsigned>(T.Parent[Rank]),
+                                       Children, Msg, Tag, First, Scratch);
       continue;
     }
-
-    const unsigned Parent = static_cast<unsigned>(T.Parent[Rank]);
-    if (Children.empty()) {
-      // Leaf: double-buffered receives -- irecv(s) is posted after
-      // recv(s-2) completed (two outstanding requests, as in the Open
-      // MPI leaf loop).
-      std::vector<OpId> Recvs(NumSegments, InvalidOpId);
-      for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg) {
-        std::uint64_t Bytes =
-            segmentSize(MessageBytes, SegmentBytes, NumSegments, Seg);
-        std::vector<OpId> Deps =
-            Seg < 2 ? First : std::vector<OpId>{Recvs[Seg - 2]};
-        Recvs[Seg] = B.addRecv(Rank, Parent, Bytes, Tag, Deps);
-      }
-      Exit[Rank] = B.addJoin(Rank, Recvs);
-      continue;
-    }
-
-    // Interior node.
-    std::vector<OpId> Recvs(NumSegments, InvalidOpId);
-    std::vector<OpId> SendJoins(NumSegments, InvalidOpId);
-    // irecv(0) posted on entry; irecv(1) posted right after (the first
-    // loop iteration posts it before any wait).
-    for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg) {
-      std::vector<OpId> Deps;
-      if (Seg < 2)
-        Deps = First;
-      else
-        // irecv(s) is posted at the top of loop iteration s, i.e.
-        // after iteration s-1 finished its waitall of the sends of
-        // segment s-2.
-        Deps = {SendJoins[Seg - 2]};
-      std::uint64_t Bytes =
-          segmentSize(MessageBytes, SegmentBytes, NumSegments, Seg);
-      Recvs[Seg] = B.addRecv(Rank, Parent, Bytes, Tag, Deps);
-
-      // Forward segment Seg once received; the isends are also
-      // program-ordered after the previous segment's waitall.
-      std::vector<OpId> SendDeps{Recvs[Seg]};
-      if (Seg > 0)
-        SendDeps.push_back(SendJoins[Seg - 1]);
-      std::vector<OpId> Sends;
-      Sends.reserve(Children.size());
-      std::uint64_t SendBytes = Bytes;
+    // Root: no receives; per segment isend to every child + waitall.
+    OpId PrevJoin = InvalidOpId;
+    for (std::uint64_t Seg = 0; Seg != Msg.Count; ++Seg) {
+      const std::uint64_t Bytes = Msg.segment(Seg);
+      Scratch.clear();
       for (unsigned Child : Children)
-        Sends.push_back(B.addSend(Rank, Child, SendBytes, Tag, SendDeps));
-      SendJoins[Seg] = B.addJoin(Rank, Sends);
+        Scratch.push_back(B.addSend(Rank, Child, Bytes, Tag,
+                                    Seg == 0 ? First : depOn(PrevJoin)));
+      PrevJoin = B.addJoin(Rank, Scratch);
     }
-    Exit[Rank] = SendJoins[NumSegments - 1];
+    Exit[Rank] = PrevJoin;
   }
   return Exit;
 }
 
 /// Open MPI basic linear broadcast: the root posts a non-blocking send
-/// of the whole (unsegmented) message to every other rank and waits
-/// for all of them; receivers post one receive.
+/// of the whole (unsegmented) message to every other rank, in
+/// increasing shifted-rank order, and waits for all of them; receivers
+/// post one receive.
 std::vector<OpId> appendLinearBcast(ScheduleBuilder &B,
                                     const BcastConfig &Config,
-                                    const EntryDeps &Entry) {
+                                    std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
-  Tree T = buildLinearTree(P, Config.Root);
+  const unsigned Root = Config.Root;
   B.reserveOps(2 * static_cast<std::size_t>(P) - 1); // P-1 sends, join, P-1 recvs.
-  std::vector<OpId> Exit(P, InvalidOpId);
+  const std::span<const OpId> RootFirst = entryDep(Entry, Root);
   std::vector<OpId> Sends;
   Sends.reserve(P - 1);
-  std::vector<OpId> RootDeps = Entry.firstDeps(Config.Root);
-  for (unsigned Child : T.Children[Config.Root])
-    Sends.push_back(
-        B.addSend(Config.Root, Child, Config.MessageBytes, Config.Tag,
-                  RootDeps));
-  Exit[Config.Root] = B.addJoin(Config.Root, Sends);
-  for (unsigned Rank = 0; Rank != P; ++Rank) {
-    if (Rank == Config.Root)
-      continue;
-    Exit[Rank] = B.addRecv(Rank, Config.Root, Config.MessageBytes, Config.Tag,
-                           Entry.firstDeps(Rank));
-  }
+  for (unsigned Offset = 1; Offset != P; ++Offset)
+    Sends.push_back(B.addSend(Root, (Root + Offset) % P, Config.MessageBytes,
+                              Config.Tag, RootFirst));
+  std::vector<OpId> Exit(P, InvalidOpId);
+  Exit[Root] = B.addJoin(Root, Sends);
+  for (unsigned Rank = 0; Rank != P; ++Rank)
+    if (Rank != Root)
+      Exit[Rank] = B.addRecv(Rank, Root, Config.MessageBytes, Config.Tag,
+                             entryDep(Entry, Rank));
   return Exit;
 }
 
@@ -209,143 +183,88 @@ std::vector<OpId> appendLinearBcast(ScheduleBuilder &B,
 /// single extra exchange step).
 std::vector<OpId> appendSplitBinaryBcast(ScheduleBuilder &B,
                                          const BcastConfig &Config,
-                                         const EntryDeps &Entry) {
+                                         std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
   const unsigned Root = Config.Root;
   const std::uint64_t M = Config.MessageBytes;
 
   // Tiny communicators degenerate exactly as in Open MPI (which falls
   // back for size <= 3 or messages that cannot be split).
-  if (P <= 2 || M < 2) {
-    Tree T = buildChainTree(P, Root, 1);
-    return appendTreeBcast(B, T, M, Config.SegmentBytes, Config.Tag, Entry);
-  }
+  if (P <= 2 || M < 2)
+    return appendTreeBcast(B, buildChainTree(P, Root, 1),
+                           Segmented(M, Config.SegmentBytes), Config.Tag,
+                           Entry);
 
   Tree T = buildInOrderBinaryTree(P, Root);
   assert(T.Children[Root].size() == 2 && "split tree root must have two "
                                          "subtrees for P >= 3");
-  const unsigned LeftChild = T.Children[Root][0];
-  const unsigned RightChild = T.Children[Root][1];
-  std::vector<unsigned> LeftRanks = T.subtreeRanks(LeftChild);
-  std::vector<unsigned> RightRanks = T.subtreeRanks(RightChild);
   // Pair by ascending virtual rank; subtree blocks are contiguous in
   // vrank space, so sorting by vrank is well defined.
-  auto vrankOf = [&](unsigned Rank) { return (Rank + P - Root) % P; };
-  auto byVrank = [&](unsigned A, unsigned C) { return vrankOf(A) < vrankOf(C); };
-  std::sort(LeftRanks.begin(), LeftRanks.end(), byVrank);
-  std::sort(RightRanks.begin(), RightRanks.end(), byVrank);
+  auto byVrank = [&](unsigned A, unsigned C) {
+    return (A + P - Root) % P < (C + P - Root) % P;
+  };
+  std::vector<unsigned> Subtree[2];
+  for (int H = 0; H != 2; ++H) {
+    Subtree[H] = T.subtreeRanks(T.Children[Root][H]);
+    std::sort(Subtree[H].begin(), Subtree[H].end(), byVrank);
+  }
+  const std::vector<unsigned> &LeftRanks = Subtree[0];
+  const std::vector<unsigned> &RightRanks = Subtree[1];
 
-  const std::uint64_t HalfBytes[2] = {(M + 1) / 2, M / 2};
-  const std::uint64_t NumSegments[2] = {
-      bcastSegmentCount(HalfBytes[0], Config.SegmentBytes),
-      bcastSegmentCount(HalfBytes[1], Config.SegmentBytes)};
+  const Segmented Half[2] = {{(M + 1) / 2, Config.SegmentBytes},
+                             {M / 2, Config.SegmentBytes}};
 
   // Closed-form op count across both phases (see the emission loops
   // below for the per-role breakdown).
   {
     // Root phase 1: S0 + S1 sends, one join per round.
-    std::uint64_t OpCount = NumSegments[0] + NumSegments[1] +
-                            std::max(NumSegments[0], NumSegments[1]);
-    for (int Half = 0; Half != 2; ++Half) {
-      const std::vector<unsigned> &Members = Half == 0 ? LeftRanks : RightRanks;
-      for (unsigned Rank : Members) {
+    std::uint64_t OpCount =
+        Half[0].Count + Half[1].Count + std::max(Half[0].Count, Half[1].Count);
+    for (int H = 0; H != 2; ++H) {
+      for (unsigned Rank : Subtree[H]) {
         const std::uint64_t NumChildren = T.Children[Rank].size();
-        OpCount += NumChildren == 0 ? NumSegments[Half] + 1
-                                    : NumSegments[Half] * (NumChildren + 2);
+        OpCount += NumChildren == 0 ? Half[H].Count + 1
+                                    : Half[H].Count * (NumChildren + 2);
       }
     }
     // Phase 2: each pair swaps both halves segment-wise and joins.
     const std::uint64_t NumPairs =
         std::min(LeftRanks.size(), RightRanks.size());
-    OpCount += NumPairs * (2 * (NumSegments[0] + NumSegments[1]) + 2);
+    OpCount += NumPairs * (2 * (Half[0].Count + Half[1].Count) + 2);
     // Unpaired left ranks drain half 1 from the root.
     const std::uint64_t Unpaired = LeftRanks.size() - NumPairs;
-    OpCount += Unpaired * (2 * NumSegments[1] + 1) + (Unpaired != 0 ? 1 : 0);
+    OpCount += Unpaired * (2 * Half[1].Count + 1) + (Unpaired != 0 ? 1 : 0);
     B.reserveOps(OpCount);
   }
 
-  // Phase 1: pipeline half h down subtree h. Both subtrees are full
-  // tree broadcasts rooted at the global root; the root interleaves
-  // the two halves' segments round by round (matching the round-robin
-  // of the Open MPI implementation). We emit two tree broadcasts over
-  // *sub-communicators* {root} + subtree, with distinct tags.
-  //
-  // Implementing "subtree bcast" with the generic engine requires a
-  // per-half tree over all P ranks; instead emit the ops explicitly
-  // per half, reusing the interior/leaf request patterns.
+  // Phase 1: pipeline half h down subtree h, with the half's tag. The
+  // root interleaves the two halves' segments round by round (the
+  // round-robin of the Open MPI implementation): per round, segment s
+  // of half 0 to the left child and of half 1 to the right child, then
+  // a waitall. Subtree members play the tree broadcast's roles.
   std::vector<OpId> PhaseOneExit(P, InvalidOpId);
-
-  // Root: per round, send segment s of half 0 to LeftChild and
-  // segment s of half 1 to RightChild; waitall per round.
   {
-    std::vector<OpId> First = Entry.firstDeps(Root);
+    const std::span<const OpId> First = entryDep(Entry, Root);
     OpId PrevJoin = InvalidOpId;
-    std::uint64_t Rounds = std::max(NumSegments[0], NumSegments[1]);
+    const std::uint64_t Rounds = std::max(Half[0].Count, Half[1].Count);
     for (std::uint64_t Seg = 0; Seg != Rounds; ++Seg) {
-      std::vector<OpId> Deps =
-          PrevJoin == InvalidOpId ? First : std::vector<OpId>{PrevJoin};
-      std::vector<OpId> Sends;
-      if (Seg < NumSegments[0])
-        Sends.push_back(B.addSend(
-            Root, LeftChild,
-            segmentSize(HalfBytes[0], Config.SegmentBytes, NumSegments[0], Seg),
-            Config.Tag, Deps));
-      if (Seg < NumSegments[1])
-        Sends.push_back(B.addSend(
-            Root, RightChild,
-            segmentSize(HalfBytes[1], Config.SegmentBytes, NumSegments[1], Seg),
-            Config.Tag + 1, Deps));
-      PrevJoin = B.addJoin(Root, Sends);
+      OpId Sends[2];
+      std::size_t NumSends = 0;
+      for (int H = 0; H != 2; ++H)
+        if (Seg < Half[H].Count)
+          Sends[NumSends++] =
+              B.addSend(Root, T.Children[Root][H], Half[H].segment(Seg),
+                        Config.Tag + H, Seg == 0 ? First : depOn(PrevJoin));
+      PrevJoin = B.addJoin(Root, std::span(Sends, NumSends));
     }
     PhaseOneExit[Root] = PrevJoin;
   }
-
-  // Subtree members: the generic interior/leaf patterns, with the
-  // half's message size and the half's tag.
-  for (int Half = 0; Half != 2; ++Half) {
-    const std::vector<unsigned> &Members = Half == 0 ? LeftRanks : RightRanks;
-    const std::uint64_t HBytes = HalfBytes[Half];
-    const std::uint64_t HSegments = NumSegments[Half];
-    const int Tag = Config.Tag + Half;
-    for (unsigned Rank : Members) {
-      const unsigned Parent = static_cast<unsigned>(T.Parent[Rank]);
-      const std::vector<unsigned> &Children = T.Children[Rank];
-      const std::vector<OpId> First = Entry.firstDeps(Rank);
-      if (Children.empty()) {
-        std::vector<OpId> Recvs(HSegments, InvalidOpId);
-        for (std::uint64_t Seg = 0; Seg != HSegments; ++Seg) {
-          std::vector<OpId> Deps =
-              Seg < 2 ? First : std::vector<OpId>{Recvs[Seg - 2]};
-          Recvs[Seg] = B.addRecv(
-              Rank, Parent,
-              segmentSize(HBytes, Config.SegmentBytes, HSegments, Seg), Tag,
-              Deps);
-        }
-        PhaseOneExit[Rank] = B.addJoin(Rank, Recvs);
-        continue;
-      }
-      std::vector<OpId> Recvs(HSegments, InvalidOpId);
-      std::vector<OpId> SendJoins(HSegments, InvalidOpId);
-      for (std::uint64_t Seg = 0; Seg != HSegments; ++Seg) {
-        std::vector<OpId> Deps;
-        if (Seg < 2)
-          Deps = First;
-        else
-          Deps = {SendJoins[Seg - 2]};
-        std::uint64_t Bytes =
-            segmentSize(HBytes, Config.SegmentBytes, HSegments, Seg);
-        Recvs[Seg] = B.addRecv(Rank, Parent, Bytes, Tag, Deps);
-        std::vector<OpId> SendDeps{Recvs[Seg]};
-        if (Seg > 0)
-          SendDeps.push_back(SendJoins[Seg - 1]);
-        std::vector<OpId> Sends;
-        for (unsigned Child : Children)
-          Sends.push_back(B.addSend(Rank, Child, Bytes, Tag, SendDeps));
-        SendJoins[Seg] = B.addJoin(Rank, Sends);
-      }
-      PhaseOneExit[Rank] = SendJoins[HSegments - 1];
-    }
-  }
+  std::vector<OpId> Scratch;
+  for (int H = 0; H != 2; ++H)
+    for (unsigned Rank : Subtree[H])
+      PhaseOneExit[Rank] = appendTreeBcastRole(
+          B, Rank, static_cast<unsigned>(T.Parent[Rank]), T.Children[Rank],
+          Half[H], Config.Tag + H, entryDep(Entry, Rank), Scratch);
 
   // Phase 2: pairwise exchange of halves. Left rank i <-> right rank
   // i swap their halves with a sendrecv; an unpaired left rank (left
@@ -358,51 +277,55 @@ std::vector<OpId> appendSplitBinaryBcast(ScheduleBuilder &B,
   std::vector<OpId> Exit(P, InvalidOpId);
   const int XTag = Config.Tag + 2;
 
-  // Emits the segmented one-way transfer Src -> Dst of one half;
-  // returns {send ops, recv ops}.
-  auto addHalfTransfer = [&](unsigned Src, unsigned Dst, int Half)
-      -> std::pair<std::vector<OpId>, std::vector<OpId>> {
-    std::uint64_t Segments = NumSegments[Half];
-    std::vector<OpId> Sends, Recvs;
-    std::vector<OpId> SendDeps{PhaseOneExit[Src]};
-    std::vector<OpId> RecvDeps{PhaseOneExit[Dst]};
-    for (std::uint64_t Seg = 0; Seg != Segments; ++Seg) {
-      std::uint64_t Bytes =
-          segmentSize(HalfBytes[Half], Config.SegmentBytes, Segments, Seg);
-      Sends.push_back(B.addSend(Src, Dst, Bytes, XTag, SendDeps));
-      Recvs.push_back(B.addRecv(Dst, Src, Bytes, XTag, RecvDeps));
+  // Emits the segmented one-way transfer Src -> Dst of half H as
+  // (send, recv) pairs and returns the first op: its sends are then
+  // Base, Base + 2, ... and its receives Base + 1, Base + 3, ...
+  auto transfer = [&](unsigned Src, unsigned Dst, int H) {
+    const OpId Base = B.numOps();
+    for (std::uint64_t Seg = 0; Seg != Half[H].Count; ++Seg) {
+      const std::uint64_t Bytes = Half[H].segment(Seg);
+      B.addSend(Src, Dst, Bytes, XTag, depOn(PhaseOneExit[Src]));
+      B.addRecv(Dst, Src, Bytes, XTag, depOn(PhaseOneExit[Dst]));
     }
-    return {std::move(Sends), std::move(Recvs)};
+    return Base;
+  };
+  // Appends the sends (Offset 0) or the receives (Offset 1) of the
+  // transfer of half H that starts at Base to \p Ops.
+  auto collect = [&](std::vector<OpId> &Ops, OpId Base, int H,
+                     unsigned Offset) {
+    for (std::uint64_t Seg = 0; Seg != Half[H].Count; ++Seg)
+      Ops.push_back(static_cast<OpId>(Base + 2 * Seg + Offset));
   };
 
-  size_t Pairs = std::min(LeftRanks.size(), RightRanks.size());
-  for (size_t I = 0; I != Pairs; ++I) {
-    unsigned L = LeftRanks[I], R = RightRanks[I];
-    auto [LSends, RRecvs] = addHalfTransfer(L, R, /*Half=*/0);
-    auto [RSends, LRecvs] = addHalfTransfer(R, L, /*Half=*/1);
-    std::vector<OpId> LJoin = LSends;
-    LJoin.insert(LJoin.end(), LRecvs.begin(), LRecvs.end());
-    std::vector<OpId> RJoin = RSends;
-    RJoin.insert(RJoin.end(), RRecvs.begin(), RRecvs.end());
-    Exit[L] = B.addJoin(L, LJoin);
-    Exit[R] = B.addJoin(R, RJoin);
+  const std::size_t Pairs = std::min(LeftRanks.size(), RightRanks.size());
+  for (std::size_t I = 0; I != Pairs; ++I) {
+    const unsigned L = LeftRanks[I], R = RightRanks[I];
+    const OpId LeftToRight = transfer(L, R, /*H=*/0);
+    const OpId RightToLeft = transfer(R, L, /*H=*/1);
+    // Each rank waits for its sends, then its receives.
+    Scratch.clear();
+    collect(Scratch, LeftToRight, 0, 0);
+    collect(Scratch, RightToLeft, 1, 1);
+    Exit[L] = B.addJoin(L, Scratch);
+    Scratch.clear();
+    collect(Scratch, RightToLeft, 1, 0);
+    collect(Scratch, LeftToRight, 0, 1);
+    Exit[R] = B.addJoin(R, Scratch);
   }
 
-  std::vector<OpId> RootExtra;
   assert(LeftRanks.size() >= RightRanks.size() &&
          "in-order tree puts the larger block on the left");
-  for (size_t I = Pairs; I < LeftRanks.size(); ++I) {
-    unsigned L = LeftRanks[I];
-    auto [RootSends, LRecvs] = addHalfTransfer(Root, L, /*Half=*/1);
-    RootExtra.insert(RootExtra.end(), RootSends.begin(), RootSends.end());
-    Exit[L] = B.addJoin(L, LRecvs);
+  std::vector<OpId> RootSends;
+  for (std::size_t I = Pairs; I < LeftRanks.size(); ++I) {
+    const unsigned L = LeftRanks[I];
+    const OpId RootToLeft = transfer(Root, L, /*H=*/1);
+    collect(RootSends, RootToLeft, 1, 0);
+    Scratch.clear();
+    collect(Scratch, RootToLeft, 1, 1);
+    Exit[L] = B.addJoin(L, Scratch);
   }
-
-  if (RootExtra.empty()) {
-    Exit[Root] = PhaseOneExit[Root];
-  } else {
-    Exit[Root] = B.addJoin(Root, RootExtra);
-  }
+  Exit[Root] =
+      RootSends.empty() ? PhaseOneExit[Root] : B.addJoin(Root, RootSends);
   return Exit;
 }
 
@@ -414,42 +337,34 @@ std::vector<OpId> mpicsel::appendBcast(ScheduleBuilder &B,
   const unsigned P = B.rankCount();
   assert(Config.Root < P && "broadcast root outside the communicator");
   assert(Config.MessageBytes >= 1 && "empty broadcast");
-  EntryDeps Deps(Entry, P);
+  assert((Entry.empty() || Entry.size() == P) &&
+         "entry array must cover every rank");
 
-  if (P == 1) {
-    // Single-rank broadcast is a no-op; still emit an exit marker so
-    // composition stays uniform.
-    std::vector<OpId> Exit(1, InvalidOpId);
-    Exit[0] = B.addJoin(0, Deps.firstDeps(0));
-    return Exit;
-  }
+  // A single-rank broadcast is a no-op; its lone join is the exit
+  // marker that keeps composition uniform.
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
 
+  const Segmented Msg(Config.MessageBytes, Config.SegmentBytes);
   switch (Config.Algorithm) {
   case BcastAlgorithm::Linear:
-    return appendLinearBcast(B, Config, Deps);
-  case BcastAlgorithm::Chain: {
-    Tree T = buildChainTree(P, Config.Root, 1);
-    return appendTreeBcast(B, T, Config.MessageBytes, Config.SegmentBytes,
-                           Config.Tag, Deps);
-  }
-  case BcastAlgorithm::KChain: {
+    return appendLinearBcast(B, Config, Entry);
+  case BcastAlgorithm::Chain:
+    return appendTreeBcast(B, buildChainTree(P, Config.Root, 1), Msg,
+                           Config.Tag, Entry);
+  case BcastAlgorithm::KChain:
     assert(Config.KChainFanout >= 1 && "K-chain needs a positive fanout");
-    Tree T = buildChainTree(P, Config.Root, Config.KChainFanout);
-    return appendTreeBcast(B, T, Config.MessageBytes, Config.SegmentBytes,
-                           Config.Tag, Deps);
-  }
-  case BcastAlgorithm::Binary: {
-    Tree T = buildBinaryTree(P, Config.Root);
-    return appendTreeBcast(B, T, Config.MessageBytes, Config.SegmentBytes,
-                           Config.Tag, Deps);
-  }
+    return appendTreeBcast(B,
+                           buildChainTree(P, Config.Root, Config.KChainFanout),
+                           Msg, Config.Tag, Entry);
+  case BcastAlgorithm::Binary:
+    return appendTreeBcast(B, buildBinaryTree(P, Config.Root), Msg,
+                           Config.Tag, Entry);
   case BcastAlgorithm::SplitBinary:
-    return appendSplitBinaryBcast(B, Config, Deps);
-  case BcastAlgorithm::Binomial: {
-    Tree T = buildBinomialTree(P, Config.Root);
-    return appendTreeBcast(B, T, Config.MessageBytes, Config.SegmentBytes,
-                           Config.Tag, Deps);
-  }
+    return appendSplitBinaryBcast(B, Config, Entry);
+  case BcastAlgorithm::Binomial:
+    return appendTreeBcast(B, buildBinomialTree(P, Config.Root), Msg,
+                           Config.Tag, Entry);
   }
   MPICSEL_UNREACHABLE("unknown broadcast algorithm");
 }

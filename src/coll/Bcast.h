@@ -66,6 +66,13 @@ struct BcastConfig {
 std::uint64_t bcastSegmentCount(std::uint64_t MessageBytes,
                                 std::uint64_t SegmentBytes);
 
+/// Payload of segment \p Seg of the \p NumSegments (bcastSegmentCount)
+/// that cut \p MessageBytes into \p SegmentBytes pieces: every segment
+/// is full but the last, which carries the remainder.
+std::uint64_t bcastSegmentBytes(std::uint64_t MessageBytes,
+                                std::uint64_t SegmentBytes,
+                                std::uint64_t NumSegments, std::uint64_t Seg);
+
 /// Appends one broadcast to \p B over all B.rankCount() ranks.
 ///
 /// \param Entry either empty (the collective starts the schedule) or

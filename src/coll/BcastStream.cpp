@@ -116,12 +116,8 @@ unsigned BcastStreamPlan::childOf(unsigned Rank, unsigned Child) const {
 }
 
 std::uint64_t BcastStreamPlan::segmentBytes(std::uint64_t Seg) const {
-  assert(Seg < NumSegments && "segment index out of range");
-  if (NumSegments == 1)
-    return Config.MessageBytes;
-  if (Seg + 1 < NumSegments)
-    return Config.SegmentBytes;
-  return Config.MessageBytes - Config.SegmentBytes * (NumSegments - 1);
+  return bcastSegmentBytes(Config.MessageBytes, Config.SegmentBytes,
+                           NumSegments, Seg);
 }
 
 std::uint64_t BcastStreamPlan::totalOps() const {

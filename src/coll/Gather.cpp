@@ -2,6 +2,7 @@
 
 #include "coll/Gather.h"
 
+#include "coll/Primitives.h"
 #include "support/Format.h"
 
 #include <cassert>
@@ -12,21 +13,13 @@ std::vector<OpId> mpicsel::appendLinearGather(ScheduleBuilder &B,
                                               const GatherConfig &Config,
                                               std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
-  assert(Config.Root < P && "gather root outside the communicator");
+  const unsigned Root = Config.Root;
+  assert(Root < P && "gather root outside the communicator");
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
 
-  auto firstDeps = [&](unsigned Rank) -> std::vector<OpId> {
-    if (Entry.empty() || Entry[Rank] == InvalidOpId)
-      return {};
-    return {Entry[Rank]};
-  };
-
-  std::vector<OpId> Exit(P, InvalidOpId);
-  if (P == 1) {
-    Exit[0] = B.addJoin(0, firstDeps(0));
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
 
   // Per contributor: send + root recv (+ ready send/recv when
   // synchronised), plus the root's final join.
@@ -34,32 +27,34 @@ std::vector<OpId> mpicsel::appendLinearGather(ScheduleBuilder &B,
                    (Config.Synchronised ? 4 : 2) +
                1);
 
+  std::vector<OpId> Exit(P, InvalidOpId);
   std::vector<OpId> RootRecvs;
   RootRecvs.reserve(P - 1);
-  std::vector<OpId> RootDeps = firstDeps(Config.Root);
-
+  // The synchronised root's ready round is serialised: each ready send
+  // waits for the previous one.
+  OpId LastReady = InvalidOpId;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
-    if (Rank == Config.Root)
+    if (Rank == Root)
       continue;
-    std::vector<OpId> RankDeps = firstDeps(Rank);
+    std::span<const OpId> RankAfter = entryDep(Entry, Rank);
+    OpId GotReady = InvalidOpId;
     if (Config.Synchronised) {
       // Root announces readiness with a zero-byte message; the
       // contributor waits for it before sending its block.
-      OpId Ready = B.addSend(Config.Root, Rank, 0, Config.Tag + 1, RootDeps);
-      RootDeps = {Ready}; // Serialise the ready round on the root.
-      OpId GotReady = B.addRecv(Rank, Config.Root, 0, Config.Tag + 1,
-                                RankDeps);
-      RankDeps = {GotReady};
+      LastReady = B.addSend(Root, Rank, 0, Config.Tag + 1,
+                            LastReady == InvalidOpId ? entryDep(Entry, Root)
+                                                     : depOn(LastReady));
+      GotReady = B.addRecv(Rank, Root, 0, Config.Tag + 1, RankAfter);
+      RankAfter = depOn(GotReady);
     }
-    OpId Send =
-        B.addSend(Rank, Config.Root, Config.BlockBytes, Config.Tag, RankDeps);
-    Exit[Rank] = Send;
-    RootRecvs.push_back(B.addRecv(Config.Root, Rank, Config.BlockBytes,
-                                  Config.Tag,
-                                  Config.Synchronised ? RootDeps
-                                                      : firstDeps(Config.Root)));
+    Exit[Rank] =
+        B.addSend(Rank, Root, Config.BlockBytes, Config.Tag, RankAfter);
+    RootRecvs.push_back(B.addRecv(Root, Rank, Config.BlockBytes, Config.Tag,
+                                  Config.Synchronised
+                                      ? depOn(LastReady)
+                                      : entryDep(Entry, Root)));
   }
-  Exit[Config.Root] = B.addJoin(Config.Root, RootRecvs);
+  Exit[Root] = B.addJoin(Root, RootRecvs);
   return Exit;
 }
 

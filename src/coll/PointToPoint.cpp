@@ -2,15 +2,20 @@
 
 #include "coll/PointToPoint.h"
 
+#include "coll/Primitives.h"
+
 #include <cassert>
 
 using namespace mpicsel;
 
-static std::vector<OpId> firstDeps(std::span<const OpId> Entry,
-                                   unsigned Rank) {
-  if (Entry.empty() || Entry[Rank] == InvalidOpId)
-    return {};
-  return {Entry[Rank]};
+/// Gives every rank without an exit yet (a bystander) a zero-cost join
+/// after its entry op, so the exit array stays total.
+static void appendBystanderJoins(ScheduleBuilder &B,
+                                 std::span<const OpId> Entry,
+                                 std::vector<OpId> &Exit) {
+  for (unsigned Rank = 0; Rank != Exit.size(); ++Rank)
+    if (Exit[Rank] == InvalidOpId)
+      Exit[Rank] = B.addJoin(Rank, entryDep(Entry, Rank));
 }
 
 std::vector<OpId> mpicsel::appendPing(ScheduleBuilder &B, unsigned From,
@@ -23,12 +28,9 @@ std::vector<OpId> mpicsel::appendPing(ScheduleBuilder &B, unsigned From,
 
   B.reserveOps(P); // Send + recv + P-2 bystander joins.
   std::vector<OpId> Exit(P, InvalidOpId);
-  Exit[From] = B.addSend(From, To, Bytes, Tag, firstDeps(Entry, From));
-  Exit[To] = B.addRecv(To, From, Bytes, Tag, firstDeps(Entry, To));
-  // Bystander ranks: a zero-cost join keeps the exit array total.
-  for (unsigned Rank = 0; Rank != P; ++Rank)
-    if (Exit[Rank] == InvalidOpId)
-      Exit[Rank] = B.addJoin(Rank, firstDeps(Entry, Rank));
+  Exit[From] = B.addSend(From, To, Bytes, Tag, entryDep(Entry, From));
+  Exit[To] = B.addRecv(To, From, Bytes, Tag, entryDep(Entry, To));
+  appendBystanderJoins(B, Entry, Exit);
   return Exit;
 }
 
@@ -45,17 +47,13 @@ std::vector<OpId> mpicsel::appendPingPong(ScheduleBuilder &B, unsigned RankA,
   // Four message ops + B's join + P-2 bystander joins.
   B.reserveOps(static_cast<std::size_t>(P) + 3);
   std::vector<OpId> Exit(P, InvalidOpId);
-  OpId ASend = B.addSend(RankA, RankB, Bytes, Tag, firstDeps(Entry, RankA));
-  OpId BRecv = B.addRecv(RankB, RankA, Bytes, Tag, firstDeps(Entry, RankB));
-  std::vector<OpId> BDeps{BRecv};
-  OpId BSend = B.addSend(RankB, RankA, Bytes, Tag + 1, BDeps);
-  std::vector<OpId> ADeps{ASend};
-  OpId ARecv = B.addRecv(RankA, RankB, Bytes, Tag + 1, ADeps);
-  Exit[RankA] = ARecv;
-  std::vector<OpId> BExitDeps{BSend};
-  Exit[RankB] = B.addJoin(RankB, BExitDeps);
-  for (unsigned Rank = 0; Rank != P; ++Rank)
-    if (Exit[Rank] == InvalidOpId)
-      Exit[Rank] = B.addJoin(Rank, firstDeps(Entry, Rank));
+  const OpId ASend =
+      B.addSend(RankA, RankB, Bytes, Tag, entryDep(Entry, RankA));
+  const OpId BRecv =
+      B.addRecv(RankB, RankA, Bytes, Tag, entryDep(Entry, RankB));
+  const OpId BSend = B.addSend(RankB, RankA, Bytes, Tag + 1, depOn(BRecv));
+  Exit[RankA] = B.addRecv(RankA, RankB, Bytes, Tag + 1, depOn(ASend));
+  Exit[RankB] = B.addJoin(RankB, depOn(BSend));
+  appendBystanderJoins(B, Entry, Exit);
   return Exit;
 }

@@ -3,6 +3,7 @@
 #include "coll/Reduce.h"
 
 #include "coll/Bcast.h"
+#include "coll/Primitives.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "topo/Tree.h"
@@ -33,22 +34,6 @@ mpicsel::parseReduceAlgorithm(const std::string &Name) {
 
 namespace {
 
-std::vector<OpId> firstDeps(std::span<const OpId> Entry, unsigned Rank) {
-  if (Entry.empty() || Entry[Rank] == InvalidOpId)
-    return {};
-  return {Entry[Rank]};
-}
-
-std::uint64_t segmentSize(std::uint64_t MessageBytes,
-                          std::uint64_t SegmentBytes,
-                          std::uint64_t NumSegments, std::uint64_t Seg) {
-  if (NumSegments == 1)
-    return MessageBytes;
-  if (Seg + 1 < NumSegments)
-    return SegmentBytes;
-  return MessageBytes - SegmentBytes * (NumSegments - 1);
-}
-
 /// The generic segmented tree reduction engine (broadcast reversed).
 /// Per rank and segment s:
 ///   leaf:     send its own segment s to the parent (sends issue in
@@ -63,19 +48,19 @@ std::vector<OpId> appendTreeReduce(ScheduleBuilder &B, const Tree &T,
                                    const ReduceConfig &Config,
                                    std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
+  assert(P >= 2 && "a one-rank reduction is a lone join");
   const std::uint64_t NumSegments =
       bcastSegmentCount(Config.MessageBytes, Config.SegmentBytes);
 
   // Closed-form op count: a leaf streams NumSegments sends + 1 join; an
   // interior rank emits |children| recvs + 1 combine (+ 1 forward when
-  // not root) per segment, plus a final join when not root; a childless
-  // root is a lone join.
+  // not root) per segment, plus a final join when not root.
   std::uint64_t OpCount = 0;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
     const std::uint64_t NumChildren = T.Children[Rank].size();
     const bool IsRoot = Rank == T.Root;
     if (NumChildren == 0)
-      OpCount += IsRoot ? 1 : NumSegments + 1;
+      OpCount += NumSegments + 1;
     else
       OpCount += NumSegments * (NumChildren + (IsRoot ? 1 : 2)) +
                  (IsRoot ? 0 : 1);
@@ -83,64 +68,51 @@ std::vector<OpId> appendTreeReduce(ScheduleBuilder &B, const Tree &T,
   B.reserveOps(OpCount);
 
   std::vector<OpId> Exit(P, InvalidOpId);
+  // What the combine of a segment waits on: Operands[i] is child i's
+  // receive of the segment, Operands.back() the previous combine.
+  std::vector<OpId> Operands;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
     const std::vector<unsigned> &Children = T.Children[Rank];
     const bool IsRoot = Rank == T.Root;
-    std::vector<OpId> First = firstDeps(Entry, Rank);
+    const unsigned Parent = static_cast<unsigned>(T.Parent[Rank]);
+    const std::span<const OpId> First = entryDep(Entry, Rank);
 
     if (Children.empty()) {
-      if (IsRoot) { // Trivial communicator.
-        Exit[Rank] = B.addJoin(Rank, First);
-        continue;
-      }
       // Leaf: stream the segments to the parent in order.
-      unsigned Parent = static_cast<unsigned>(T.Parent[Rank]);
       OpId Prev = InvalidOpId;
-      for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg) {
-        std::vector<OpId> Deps =
-            Prev == InvalidOpId ? First : std::vector<OpId>{Prev};
+      for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg)
         Prev = B.addSend(Rank, Parent,
-                         segmentSize(Config.MessageBytes,
-                                     Config.SegmentBytes, NumSegments, Seg),
-                         Config.Tag, Deps);
-      }
-      Exit[Rank] = B.addJoin(Rank, std::vector<OpId>{Prev});
+                         bcastSegmentBytes(Config.MessageBytes,
+                                           Config.SegmentBytes, NumSegments,
+                                           Seg),
+                         Config.Tag, Seg == 0 ? First : depOn(Prev));
+      Exit[Rank] = B.addJoin(Rank, depOn(Prev));
       continue;
     }
 
     // Interior (or root): receive, combine, forward.
-    std::vector<OpId> PrevRecvOfChild(Children.size(), InvalidOpId);
-    OpId PrevCombine = InvalidOpId;
+    const std::size_t NumChildren = Children.size();
+    Operands.assign(NumChildren + 1, InvalidOpId);
     OpId PrevSend = InvalidOpId;
     for (std::uint64_t Seg = 0; Seg != NumSegments; ++Seg) {
-      std::uint64_t Bytes = segmentSize(Config.MessageBytes,
-                                        Config.SegmentBytes, NumSegments,
-                                        Seg);
-      std::vector<OpId> CombineDeps;
-      for (std::size_t I = 0; I != Children.size(); ++I) {
-        std::vector<OpId> Deps = PrevRecvOfChild[I] == InvalidOpId
-                                     ? First
-                                     : std::vector<OpId>{PrevRecvOfChild[I]};
-        PrevRecvOfChild[I] =
-            B.addRecv(Rank, Children[I], Bytes, Config.Tag, Deps);
-        CombineDeps.push_back(PrevRecvOfChild[I]);
-      }
-      if (PrevCombine != InvalidOpId)
-        CombineDeps.push_back(PrevCombine);
-      double CombineSeconds = Config.ComputeSecondsPerByte *
-                              static_cast<double>(Bytes) *
-                              static_cast<double>(Children.size());
-      PrevCombine = B.addCompute(Rank, CombineSeconds, CombineDeps);
+      const std::uint64_t Bytes = bcastSegmentBytes(
+          Config.MessageBytes, Config.SegmentBytes, NumSegments, Seg);
+      for (std::size_t I = 0; I != NumChildren; ++I)
+        Operands[I] = B.addRecv(Rank, Children[I], Bytes, Config.Tag,
+                                Seg == 0 ? First : depOn(Operands[I]));
+      const double CombineSeconds = Config.ComputeSecondsPerByte *
+                                    static_cast<double>(Bytes) *
+                                    static_cast<double>(NumChildren);
+      Operands.back() = B.addCompute(
+          Rank, CombineSeconds,
+          std::span(Operands).first(Seg == 0 ? NumChildren : NumChildren + 1));
       if (!IsRoot) {
-        std::vector<OpId> SendDeps{PrevCombine};
-        if (PrevSend != InvalidOpId)
-          SendDeps.push_back(PrevSend);
-        PrevSend = B.addSend(Rank, static_cast<unsigned>(T.Parent[Rank]),
-                             Bytes, Config.Tag, SendDeps);
+        const OpId SendDeps[] = {Operands.back(), PrevSend};
+        PrevSend = B.addSend(Rank, Parent, Bytes, Config.Tag,
+                             std::span(SendDeps, Seg == 0 ? 1 : 2));
       }
     }
-    Exit[Rank] = IsRoot ? PrevCombine
-                        : B.addJoin(Rank, std::vector<OpId>{PrevSend});
+    Exit[Rank] = IsRoot ? Operands.back() : B.addJoin(Rank, depOn(PrevSend));
   }
   return Exit;
 }
@@ -157,29 +129,24 @@ std::vector<OpId> mpicsel::appendReduce(ScheduleBuilder &B,
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
 
-  if (P == 1) {
-    std::vector<OpId> Exit(1);
-    Exit[0] = B.addJoin(0, firstDeps(Entry, 0));
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
 
   switch (Config.Algorithm) {
   case ReduceAlgorithm::Linear: {
     // Non-segmented flat tree: the root drains every rank's whole
     // vector and combines in rank order (basic_linear).
-    Tree T = buildLinearTree(P, Config.Root);
     ReduceConfig Unsegmented = Config;
     Unsegmented.SegmentBytes = 0;
-    return appendTreeReduce(B, T, Unsegmented, Entry);
+    return appendTreeReduce(B, buildLinearTree(P, Config.Root), Unsegmented,
+                            Entry);
   }
-  case ReduceAlgorithm::Chain: {
-    Tree T = buildChainTree(P, Config.Root, 1);
-    return appendTreeReduce(B, T, Config, Entry);
-  }
-  case ReduceAlgorithm::Binomial: {
-    Tree T = buildBinomialTree(P, Config.Root);
-    return appendTreeReduce(B, T, Config, Entry);
-  }
+  case ReduceAlgorithm::Chain:
+    return appendTreeReduce(B, buildChainTree(P, Config.Root, 1), Config,
+                            Entry);
+  case ReduceAlgorithm::Binomial:
+    return appendTreeReduce(B, buildBinomialTree(P, Config.Root), Config,
+                            Entry);
   }
   MPICSEL_UNREACHABLE("unknown reduce algorithm");
 }

@@ -2,6 +2,7 @@
 
 #include "coll/Scatter.h"
 
+#include "coll/Primitives.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "topo/Tree.h"
@@ -30,12 +31,6 @@ mpicsel::parseScatterAlgorithm(const std::string &Name) {
 
 namespace {
 
-std::vector<OpId> firstDeps(std::span<const OpId> Entry, unsigned Rank) {
-  if (Entry.empty() || Entry[Rank] == InvalidOpId)
-    return {};
-  return {Entry[Rank]};
-}
-
 /// Linear scatter: P-1 non-blocking sends from the root, one block
 /// each; waitall; receivers post one receive.
 std::vector<OpId> appendLinearScatter(ScheduleBuilder &B,
@@ -46,13 +41,13 @@ std::vector<OpId> appendLinearScatter(ScheduleBuilder &B,
   std::vector<OpId> Exit(P, InvalidOpId);
   std::vector<OpId> Sends;
   Sends.reserve(P - 1);
-  std::vector<OpId> RootDeps = firstDeps(Entry, Config.Root);
+  const std::span<const OpId> RootFirst = entryDep(Entry, Config.Root);
   for (unsigned Offset = 1; Offset != P; ++Offset) {
     unsigned Rank = (Config.Root + Offset) % P;
     Sends.push_back(B.addSend(Config.Root, Rank, Config.BlockBytes,
-                              Config.Tag, RootDeps));
+                              Config.Tag, RootFirst));
     Exit[Rank] = B.addRecv(Rank, Config.Root, Config.BlockBytes, Config.Tag,
-                           firstDeps(Entry, Rank));
+                           entryDep(Entry, Rank));
   }
   Exit[Config.Root] = B.addJoin(Config.Root, Sends);
   return Exit;
@@ -75,48 +70,42 @@ std::vector<OpId> appendBinomialScatter(ScheduleBuilder &B,
     SubtreeSize[Rank] = T.subtreeSize(Rank);
 
   // Closed-form op count: every non-root receives its bundle; every
-  // rank with children emits |children| sends + 1 join; a childless
-  // root still emits its join.
-  std::size_t OpCount = 0;
-  for (unsigned Rank = 0; Rank != P; ++Rank) {
-    if (Rank != Config.Root)
-      ++OpCount;
+  // rank with children emits |children| sends + 1 join.
+  std::size_t OpCount = P - 1;
+  for (unsigned Rank = 0; Rank != P; ++Rank)
     if (!T.Children[Rank].empty())
       OpCount += T.Children[Rank].size() + 1;
-    else if (Rank == Config.Root)
-      ++OpCount;
-  }
   B.reserveOps(OpCount);
 
   // Emit per rank: one receive of its bundle (except the root, which
   // owns the data), then sends to children in decreasing-subtree
   // order (Open MPI walks the mask downward, i.e. biggest child
   // first).
+  std::vector<OpId> Sends;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
-    std::vector<OpId> Deps = firstDeps(Entry, Rank);
+    const bool IsRoot = Rank == Config.Root;
     OpId Bundle = InvalidOpId;
-    if (Rank != Config.Root) {
-      std::uint64_t BundleBytes =
-          static_cast<std::uint64_t>(SubtreeSize[Rank]) * Config.BlockBytes;
+    if (!IsRoot)
       Bundle = B.addRecv(Rank, static_cast<unsigned>(T.Parent[Rank]),
-                         BundleBytes, Config.Tag, Deps);
-      Deps = {Bundle};
-    }
+                         static_cast<std::uint64_t>(SubtreeSize[Rank]) *
+                             Config.BlockBytes,
+                         Config.Tag, entryDep(Entry, Rank));
     if (T.Children[Rank].empty()) {
-      Exit[Rank] = Rank == Config.Root ? B.addJoin(Rank, Deps) : Bundle;
+      Exit[Rank] = Bundle;
       continue;
     }
-    std::vector<OpId> Sends;
-    Sends.reserve(T.Children[Rank].size());
+    const std::span<const OpId> After =
+        IsRoot ? entryDep(Entry, Rank) : depOn(Bundle);
+    Sends.clear();
     // Children in decreasing subtree size = reverse of the builder's
     // increasing-mask order.
     for (auto It = T.Children[Rank].rbegin(), E = T.Children[Rank].rend();
          It != E; ++It) {
       std::uint64_t Bytes =
           static_cast<std::uint64_t>(SubtreeSize[*It]) * Config.BlockBytes;
-      Sends.push_back(B.addSend(Rank, *It, Bytes, Config.Tag, Deps));
+      Sends.push_back(B.addSend(Rank, *It, Bytes, Config.Tag, After));
     }
-    if (Bundle != InvalidOpId)
+    if (!IsRoot)
       Sends.push_back(Bundle); // The rank's exit also covers its recv.
     Exit[Rank] = B.addJoin(Rank, Sends);
   }
@@ -134,11 +123,8 @@ std::vector<OpId> mpicsel::appendScatter(ScheduleBuilder &B,
   assert((Entry.empty() || Entry.size() == P) &&
          "entry array must cover every rank");
 
-  if (P == 1) {
-    std::vector<OpId> Exit(1);
-    Exit[0] = B.addJoin(0, firstDeps(Entry, 0));
-    return Exit;
-  }
+  if (P == 1)
+    return {B.addJoin(0, entryDep(Entry, 0))};
   switch (Config.Algorithm) {
   case ScatterAlgorithm::Linear:
     return appendLinearScatter(B, Config, Entry);

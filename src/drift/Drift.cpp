@@ -477,8 +477,8 @@ DriftRepairReport mpicsel::repairDriftedCells(
   // The atomic swap: rebuild the choices from the patched models and
   // publish -- writeDecisionTableFile goes through temp + rename, so
   // a concurrent reader sees either the old table or the repaired
-  // one, never a half-patched file. The cache entries are restored
-  // under their content-hash keys: a healthy repair reproduces what a
+  // one, never a half-patched file. The models entry is restored
+  // under its content-hash key: a healthy repair reproduces what a
   // clean calibration would have stored.
   DecisionTable Patched =
       buildDecisionTable(Models, Table.Procs, Table.MessageSizes);
@@ -490,10 +490,6 @@ DriftRepairReport mpicsel::repairDriftedCells(
   if (Cache) {
     Report.ModelsKey = DecisionCache::calibrationKey(Plat, Options);
     Cache->storeModels(Report.ModelsKey, Models);
-    Report.TableKey =
-        DecisionCache::tableKey(Report.ModelsKey, Table.Procs,
-                                Table.MessageSizes, Table.Collective);
-    Cache->storeTable(Report.TableKey, Table);
   }
   // Hand the repaired table to the serving layer (when one is
   // installed): readers of the decision service observe the swap

@@ -329,10 +329,9 @@ struct DriftRepairReport {
   /// Audit violations before / after the accepted patches.
   unsigned ViolationsBefore = 0;
   unsigned ViolationsAfter = 0;
-  /// Cache keys the patched artifacts were stored under (empty when
-  /// no cache was given or nothing was repaired).
+  /// Cache key the patched models were stored under (empty when no
+  /// cache was given or nothing was repaired).
   std::string ModelsKey;
-  std::string TableKey;
   bool TableWritten = false;
 };
 
@@ -343,8 +342,8 @@ struct DriftRepairReport {
 /// for that algorithm), audits the patched model set, and on
 /// acceptance splices the patch into \p Models, lifts the quarantine,
 /// rebuilds \p Table's choices, rewrites \p TableFile atomically
-/// (when non-empty) and restores the DecisionCache entries (when
-/// \p Cache is non-null) under their content-hash keys. A rejected
+/// (when non-empty) and restores the DecisionCache models entry (when
+/// \p Cache is non-null) under its content-hash key. A rejected
 /// patch retries with reseed/backoff up to MaxAttempts, then the
 /// algorithm is given up: journalled, counted, and its cells stay
 /// quarantined (selection keeps degrading to the OMPI fallback --

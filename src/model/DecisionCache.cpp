@@ -156,25 +156,6 @@ std::string DecisionCache::calibrationKey(const Platform &P,
                    static_cast<unsigned long long>(H.digest()));
 }
 
-std::string
-DecisionCache::tableKey(const std::string &ModelsKey,
-                        const std::vector<unsigned> &Procs,
-                        const std::vector<std::uint64_t> &MessageSizes,
-                        CollectiveOp Collective) {
-  ContentHasher H;
-  H.u64(FormatVersion);
-  H.u64(static_cast<std::uint64_t>(Collective));
-  H.text(ModelsKey);
-  H.u64(Procs.size());
-  for (unsigned P : Procs)
-    H.u64(P);
-  H.u64(MessageSizes.size());
-  for (std::uint64_t M : MessageSizes)
-    H.u64(M);
-  return strFormat("%016llx",
-                   static_cast<unsigned long long>(H.digest()));
-}
-
 //===----------------------------------------------------------------------===//
 // Entry serialisation
 //===----------------------------------------------------------------------===//
@@ -521,23 +502,6 @@ bool DecisionCache::loadModels(const std::string &Key,
   return false;
 }
 
-bool DecisionCache::loadTable(const std::string &Key, DecisionTable &Out) {
-  std::string Text;
-  const bool Read = readFile(entryPath("table", Key), Text);
-  if (Read && parseTable(std::move(Text), Out)) {
-    ++Stats.Hits;
-    noteCacheOutcome("hit", obs::Counter::CacheHits, "table", Key);
-    return true;
-  }
-  if (Read) {
-    ++Stats.Corrupt;
-    noteCacheOutcome("corrupt", obs::Counter::CacheCorrupt, "table", Key);
-  }
-  ++Stats.Misses;
-  noteCacheOutcome("miss", obs::Counter::CacheMisses, "table", Key);
-  return false;
-}
-
 bool DecisionCache::storeModels(const std::string &Key,
                                 const CalibratedModels &Models) {
   std::error_code Error;
@@ -557,25 +521,6 @@ bool DecisionCache::storeModels(const std::string &Key,
   return true;
 }
 
-bool DecisionCache::storeTable(const std::string &Key,
-                               const DecisionTable &T) {
-  std::error_code Error;
-  std::filesystem::create_directories(Dir, Error);
-  if (Error) {
-    noteCacheStoreFail("table", Key, Dir, "mkdir");
-    return false;
-  }
-  const std::string Path = entryPath("table", Key);
-  const char *Stage = nullptr;
-  if (!writeFileAtomically(Path, renderTable(T), &Stage)) {
-    noteCacheStoreFail("table", Key, Path, Stage);
-    return false;
-  }
-  ++Stats.Stores;
-  noteCacheOutcome("store", obs::Counter::CacheStores, "table", Key);
-  return true;
-}
-
 unsigned DecisionCache::clear() {
   unsigned Removed = 0;
   std::error_code Error;
@@ -586,6 +531,8 @@ unsigned DecisionCache::clear() {
     if (Error)
       break;
     const std::string Name = It->path().filename().string();
+    // Table entries are no longer written, but a directory kept from
+    // a build that still cached tables may hold some.
     const bool OurPrefix =
         Name.rfind("calib-", 0) == 0 || Name.rfind("table-", 0) == 0;
     // Entries proper, plus any ".txt.tmp<pid>.<seq>" stragglers a

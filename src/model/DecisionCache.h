@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Disk-persisted memoisation of the calibration pass and of derived
-/// per-(P, m) decision tables. Calibration is the dominant wall-clock
-/// cost of every bench and tool invocation, yet its result is a pure
-/// function of (platform, calibration options, active fault scenario)
-/// -- exactly the inputs folded into the cache key's content hash, so
-/// a repeated invocation skips recalibration entirely and a *changed*
-/// input never matches a stale entry (invalidation by construction;
-/// there is nothing to expire).
+/// Disk-persisted memoisation of the calibration pass, and the
+/// decision table with its file formats. Calibration is the dominant
+/// wall-clock cost of every bench and tool invocation, yet its result
+/// is a pure function of (platform, calibration options, active fault
+/// scenario) -- exactly the inputs folded into the cache key's content
+/// hash, so a repeated invocation skips recalibration entirely and a
+/// *changed* input never matches a stale entry (invalidation by
+/// construction; there is nothing to expire).
 ///
 /// Entries are small versioned text files, one per key, with doubles
 /// stored as C99 hex-floats so the round-trip is bit-exact: a cache
@@ -22,6 +22,11 @@
 /// precedence order) the constructor argument, the MPICSEL_CACHE_DIR
 /// environment variable, and the default `.mpicsel-cache/` under the
 /// current working directory.
+///
+/// Only models are cached. A decision table is rebuilt from them in
+/// microseconds (buildDecisionTable); tools hand tables to each other
+/// as files (writeDecisionTableFile / readDecisionTableFile), and the
+/// serving layer takes them through the publish hook below.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +59,9 @@ struct DecisionCacheStats {
 /// The model-based selection evaluated over an explicit (P, m) grid:
 /// the runtime decision procedure flattened into a lookup table, the
 /// deployable artifact of the paper's method (cf. Open MPI's tuned
-/// decision tables). Cheap to rebuild from CalibratedModels; cached so
-/// repeated tool invocations and exports skip even that.
+/// decision tables). Cheap to rebuild from CalibratedModels, so only
+/// the models are cached; tools exchange tables as files
+/// (writeDecisionTableFile / readDecisionTableFile).
 struct DecisionTable {
   /// Which collective's algorithm registry the ordinals in Choice
   /// index (coll/Collective.h). Tables of different collectives are
@@ -104,7 +110,7 @@ buildAllreduceDecisionTable(const CollectiveModels<AllreduceAlgorithm> &Models,
                             std::vector<unsigned> Procs,
                             std::vector<std::uint64_t> MessageSizes);
 
-/// A directory of memoised calibration results and decision tables.
+/// A directory of memoised calibration results.
 class DecisionCache {
 public:
   /// \p Directory empty selects MPICSEL_CACHE_DIR, falling back to
@@ -131,25 +137,15 @@ public:
   static std::string calibrationKey(const Platform &P,
                                     const CalibrationOptions &Options);
 
-  /// The key of a decision table derived from the models behind
-  /// \p ModelsKey over the given grid. The collective tag is part of
-  /// the key: same grids for different collectives never collide.
-  static std::string tableKey(const std::string &ModelsKey,
-                              const std::vector<unsigned> &Procs,
-                              const std::vector<std::uint64_t> &MessageSizes,
-                              CollectiveOp Collective = CollectiveOp::Bcast);
-
   /// Loads the entry of \p Key into \p Out. Returns false (and leaves
   /// \p Out untouched) when the entry is absent, unreadable or
   /// malformed -- a corrupt file is treated as a miss, never an error.
   bool loadModels(const std::string &Key, CalibratedModels &Out);
-  bool loadTable(const std::string &Key, DecisionTable &Out);
 
   /// Persists an entry under \p Key (write-to-temp + rename, so a
   /// concurrent reader never observes a half-written file). Returns
   /// false when the directory or file cannot be written.
   bool storeModels(const std::string &Key, const CalibratedModels &Models);
-  bool storeTable(const std::string &Key, const DecisionTable &T);
 
   /// Deletes every cache entry in the directory; returns the number
   /// removed.

@@ -25,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
 #include <tuple>
 
 using namespace mpicsel;
@@ -511,4 +514,229 @@ TEST(CollectiveRegistry, RegistryAgreesWithPerOpEnums) {
     EXPECT_STREQ(collectiveAlgorithmName(CollectiveOp::Allreduce,
                                          static_cast<unsigned>(Alg)),
                  allreduceAlgorithmName(Alg));
+}
+
+//===----------------------------------------------------------------------===//
+// Golden layouts: every generator emits exactly the schedule it always did
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a over the fields that define a schedule's layout.
+class LayoutDigest {
+public:
+  template <typename T> void add(const T &Value) {
+    unsigned char Bytes[sizeof(T)];
+    std::memcpy(Bytes, &Value, sizeof(T));
+    for (unsigned char Byte : Bytes)
+      Hash = (Hash ^ Byte) * 0x100000001b3ull;
+  }
+
+  /// Every row field but the padding and the (compile-time) channel,
+  /// then the tags, the CSR dependencies and the returned exits.
+  void addSchedule(const Schedule &S, const std::vector<OpId> &Exit) {
+    for (const OpRow &R : S.Rows) {
+      add(R.Bytes);
+      add(R.Duration);
+      add(R.Rank);
+      add(R.Peer);
+      add(R.Kind);
+    }
+    for (std::int32_t Tag : S.Tags)
+      add(Tag);
+    for (std::uint32_t Offset : S.DepOffsets)
+      add(Offset);
+    for (OpId Dep : S.DepList)
+      add(Dep);
+    for (OpId Op : Exit)
+      add(Op);
+    ++Schedules;
+  }
+
+  std::uint64_t Hash = 0xcbf29ce484222325ull;
+  unsigned Schedules = 0;
+};
+
+/// The shapes every generator is built on: each communicator size of
+/// at least \p MinRanks ranks, roots 0 and P/2 when \p Rooted, and each
+/// once standalone and once after an entry op on every even rank (odd
+/// ranks enter with none).
+template <typename BuildFn>
+void forEachGoldenShape(bool Rooted, unsigned MinRanks, LayoutDigest &Digest,
+                        BuildFn Build) {
+  for (unsigned P : {1u, 2u, 3u, 5u, 8u, 13u, 16u, 40u}) {
+    if (P < MinRanks)
+      continue;
+    std::vector<unsigned> Roots{0};
+    if (Rooted && P / 2 != 0)
+      Roots.push_back(P / 2);
+    for (unsigned Root : Roots) {
+      for (bool WithEntry : {false, true}) {
+        ScheduleBuilder B(P);
+        std::vector<OpId> Entry;
+        if (WithEntry) {
+          Entry.assign(P, InvalidOpId);
+          for (unsigned Rank = 0; Rank < P; Rank += 2)
+            Entry[Rank] = B.addCompute(Rank, 1e-6);
+        }
+        std::vector<OpId> Exit = Build(B, P, Root, std::span(Entry));
+        Schedule S = B.take();
+        Digest.addSchedule(S, Exit);
+      }
+    }
+  }
+}
+
+} // namespace
+
+// One digest per (generator, algorithm) over the whole catalogue. The
+// constants were captured from the generators before they shared their
+// building blocks; a refactor of coll/ must leave every one unchanged.
+// A deliberate layout change recaptures them (the failure message
+// prints the new value) and says why.
+TEST(ScheduleGolden, EveryGeneratorKeepsItsLayout) {
+  std::map<std::string, LayoutDigest> Digests;
+  const int Tag = 3;
+
+  for (BcastAlgorithm Alg : AllBcastAlgorithms)
+    for (std::uint64_t Bytes : {1u, 3000u, 8192u, 100000u})
+      for (std::uint64_t Segment : {0u, 1024u, 8192u})
+        forEachGoldenShape(
+            true, 1, Digests[std::string("bcast/") + bcastAlgorithmName(Alg)],
+            [&](ScheduleBuilder &B, unsigned, unsigned Root,
+                std::span<const OpId> Entry) {
+              BcastConfig C;
+              C.Algorithm = Alg;
+              C.MessageBytes = Bytes;
+              C.SegmentBytes = Segment;
+              C.Root = Root;
+              C.Tag = Tag;
+              return appendBcast(B, C, Entry);
+            });
+
+  for (ReduceAlgorithm Alg : AllReduceAlgorithms)
+    for (std::uint64_t Bytes : {1u, 100000u})
+      forEachGoldenShape(
+          true, 1, Digests[std::string("reduce/") + reduceAlgorithmName(Alg)],
+          [&](ScheduleBuilder &B, unsigned, unsigned Root,
+              std::span<const OpId> Entry) {
+            ReduceConfig C;
+            C.Algorithm = Alg;
+            C.MessageBytes = Bytes;
+            C.Root = Root;
+            C.ComputeSecondsPerByte = 3e-10;
+            C.Tag = Tag;
+            return appendReduce(B, C, Entry);
+          });
+
+  for (ScatterAlgorithm Alg : AllScatterAlgorithms)
+    for (std::uint64_t Block : {1u, 3000u})
+      forEachGoldenShape(
+          true, 1, Digests[std::string("scatter/") + scatterAlgorithmName(Alg)],
+          [&](ScheduleBuilder &B, unsigned, unsigned Root,
+              std::span<const OpId> Entry) {
+            ScatterConfig C;
+            C.Algorithm = Alg;
+            C.BlockBytes = Block;
+            C.Root = Root;
+            C.Tag = Tag;
+            return appendScatter(B, C, Entry);
+          });
+
+  for (AllgatherAlgorithm Alg : AllAllgatherAlgorithms)
+    for (std::uint64_t Block : {1u, 3000u})
+      forEachGoldenShape(
+          false, 1,
+          Digests[std::string("allgather/") + allgatherAlgorithmName(Alg)],
+          [&](ScheduleBuilder &B, unsigned, unsigned,
+              std::span<const OpId> Entry) {
+            AllgatherConfig C;
+            C.Algorithm = Alg;
+            C.BlockBytes = Block;
+            C.Tag = Tag;
+            return appendAllgather(B, C, Entry);
+          });
+
+  for (AllreduceAlgorithm Alg : AllAllreduceAlgorithms)
+    for (std::uint64_t Bytes : {1u, 7u, 100000u})
+      forEachGoldenShape(
+          false, 1,
+          Digests[std::string("allreduce/") + allreduceAlgorithmName(Alg)],
+          [&](ScheduleBuilder &B, unsigned, unsigned,
+              std::span<const OpId> Entry) {
+            AllreduceConfig C;
+            C.Algorithm = Alg;
+            C.MessageBytes = Bytes;
+            C.ComputeSecondsPerByte = 3e-10;
+            C.Tag = Tag;
+            return appendAllreduce(B, C, Entry);
+          });
+
+  for (bool Synchronised : {false, true})
+    for (std::uint64_t Block : {1u, 3000u})
+      forEachGoldenShape(
+          true, 1,
+          Digests[Synchronised ? "gather/linear_sync" : "gather/linear"],
+          [&](ScheduleBuilder &B, unsigned, unsigned Root,
+              std::span<const OpId> Entry) {
+            GatherConfig C;
+            C.BlockBytes = Block;
+            C.Root = Root;
+            C.Tag = Tag;
+            C.Synchronised = Synchronised;
+            return appendLinearGather(B, C, Entry);
+          });
+
+  forEachGoldenShape(false, 1, Digests["barrier/dissemination"],
+                     [&](ScheduleBuilder &B, unsigned, unsigned,
+                         std::span<const OpId> Entry) {
+                       return appendBarrier(B, Tag, Entry);
+                     });
+
+  // Point-to-point needs two distinct endpoints: the root and its
+  // successor.
+  for (bool PingPong : {false, true})
+    for (std::uint64_t Bytes : {1u, 3000u})
+      forEachGoldenShape(
+          true, 2, Digests[PingPong ? "p2p/ping_pong" : "p2p/ping"],
+          [&](ScheduleBuilder &B, unsigned P, unsigned Root,
+              std::span<const OpId> Entry) {
+            const unsigned Peer = (Root + 1) % P;
+            return PingPong ? appendPingPong(B, Root, Peer, Bytes, Tag, Entry)
+                            : appendPing(B, Root, Peer, Bytes, Tag, Entry);
+          });
+
+  const std::pair<const char *, std::uint64_t> Expected[] = {
+      {"bcast/linear", 0x38adf51e3010c731ull},
+      {"bcast/chain", 0x8d7daae17109a24dull},
+      {"bcast/k_chain", 0x4d2c11581d25a552ull},
+      {"bcast/binary", 0x223b77a315d9cdc0ull},
+      {"bcast/split_binary", 0x2305fdbeb2a55bfeull},
+      {"bcast/binomial", 0x760f124da11b9ffbull},
+      {"reduce/linear", 0x24edeabfcb860ff1ull},
+      {"reduce/chain", 0x1fd13ff4158887bcull},
+      {"reduce/binomial", 0xc16794a7f0e681d0ull},
+      {"scatter/linear", 0x4a51956b61f68e4full},
+      {"scatter/binomial", 0xa6b5e50897113057ull},
+      {"allgather/ring", 0x51a205415dd24cf9ull},
+      {"allgather/recursive_doubling", 0x7bc50ebf60a6b0c1ull},
+      {"allgather/neighbor_exchange", 0xd8f417520e4d014dull},
+      {"allreduce/recursive_doubling", 0x5728ae6bca386ec0ull},
+      {"allreduce/ring", 0xe223a464fccf58daull},
+      {"allreduce/reduce_bcast", 0x4d919e853737ed21ull},
+      {"gather/linear", 0x5bb7e03dcd770c85ull},
+      {"gather/linear_sync", 0xc16b4db1c18c7cb1ull},
+      {"barrier/dissemination", 0x13ba7f16f1fce1b1ull},
+      {"p2p/ping", 0x50cd193fcc1575fdull},
+      {"p2p/ping_pong", 0x93f2d34bac4f7dull},
+  };
+  ASSERT_EQ(Digests.size(), std::size(Expected));
+  unsigned Schedules = 0;
+  for (const auto &[Name, Want] : Expected) {
+    ASSERT_TRUE(Digests.count(Name)) << Name;
+    const LayoutDigest &Got = Digests[Name];
+    Schedules += Got.Schedules;
+    EXPECT_EQ(Got.Hash, Want) << Name << ": 0x" << std::hex << Got.Hash;
+  }
+  EXPECT_EQ(Schedules, 2948u);
 }

@@ -572,16 +572,12 @@ TEST(DriftRepair, RepairedArtifactsLandInTheDecisionCache) {
                            /*TableFile=*/{}, Repair);
     EXPECT_EQ(R.AlgorithmsRepaired, 1u);
     ASSERT_FALSE(R.ModelsKey.empty());
-    ASSERT_FALSE(R.TableKey.empty());
 
-    // A fresh load through the same keys round-trips the patched
-    // artifacts.
+    // A fresh load through the same key round-trips the patched
+    // models.
     CalibratedModels Loaded;
     ASSERT_TRUE(Cache.loadModels(R.ModelsKey, Loaded));
     EXPECT_EQ(Loaded.Algorithms[V].Alpha, W.Models.Algorithms[V].Alpha);
-    DecisionTable LoadedTable;
-    ASSERT_TRUE(Cache.loadTable(R.TableKey, LoadedTable));
-    EXPECT_TRUE(diffDecisionTables(W.Table, LoadedTable).identical());
   }
   std::error_code Ignored;
   std::filesystem::remove_all(CacheDir, Ignored);

@@ -331,13 +331,6 @@ TEST(ServeImage, CollectiveTagRoundTripsAndKeysTheHash) {
   DecisionTable Bad = Allreduce;
   Bad.Choice[0] = collectiveAlgorithmCount(CollectiveOp::Allreduce);
   EXPECT_TRUE(compileDecisionTableImage(Bad).empty());
-
-  // The decision-cache key separates the collectives too.
-  EXPECT_NE(DecisionCache::tableKey("models", Bcast.Procs,
-                                    Bcast.MessageSizes, CollectiveOp::Bcast),
-            DecisionCache::tableKey("models", Bcast.Procs,
-                                    Bcast.MessageSizes,
-                                    CollectiveOp::Allreduce));
 }
 
 //===----------------------------------------------------------------------===//
@@ -707,7 +700,6 @@ TEST(ServeCache, FailedStoreLeavesNoTempDebris) {
     DecisionCache Cache(Blocker);
     CalibratedModels Models;
     EXPECT_FALSE(Cache.storeModels("deadbeef", Models));
-    EXPECT_FALSE(Cache.storeTable("deadbeef", sampleTable()));
   }
   EXPECT_TRUE(std::filesystem::is_regular_file(Blocker));
   std::remove(Blocker.c_str());
@@ -727,7 +719,7 @@ TEST(ServeCache, ClearSweepsStaleTempFiles) {
   std::filesystem::remove_all(CacheDir, Ignored);
   {
     DecisionCache Cache(CacheDir);
-    ASSERT_TRUE(Cache.storeTable("feedface", sampleTable()));
+    ASSERT_TRUE(Cache.storeModels("feedface", CalibratedModels()));
     const std::string Stale = CacheDir + "/calib-deadbeef.txt.tmp1234.5";
     std::FILE *F = std::fopen(Stale.c_str(), "w");
     ASSERT_NE(F, nullptr);
