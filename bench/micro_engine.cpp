@@ -20,10 +20,14 @@
 //    claim is enforced, not assumed.
 //
 // It also measures the layer before replay: building each schedule and
-// compiling it by move, with the heap allocations that takes and the
-// heap bytes the compiled schedule keeps. Three build-only cases (a
-// segmented reduce, a ring allgather and a ring allreduce) gate that
-// layer for the generators the broadcast cases do not exercise.
+// compiling it by move, with the heap allocations that takes, their
+// peak of live bytes and the heap bytes the compiled schedule keeps.
+// Four build-only cases (a segmented reduce, a ring allgather, a ring
+// allreduce and the Sect. 4.2 calibration experiment's broadcast plus
+// gather) gate that layer for shapes the broadcast cases do not cover.
+// For each replayed case it records the heap bytes a fresh Engine
+// allocates for its first lean replay, the run state one measurement
+// helper holds.
 //
 // The deterministic facts (op and event counts, identity flags,
 // allocation counts, schedule bytes) land in the gated `metrics`
@@ -48,6 +52,7 @@
 #include "coll/Bcast.h"
 #include "coll/BcastStream.h"
 #include "coll/Reduce.h"
+#include "model/Runner.h"
 #include "mpi/CompiledSchedule.h"
 #include "obs/Rss.h"
 #include "sim/Engine.h"
@@ -57,6 +62,8 @@
 #include "support/Table.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <functional>
 #include <new>
@@ -69,30 +76,78 @@ using namespace mpicsel::bench;
 //===----------------------------------------------------------------------===//
 // Counting allocation functions (this binary only). The ordinary
 // forms route through malloc so the count covers every container the
-// engine could touch; the nothrow/aligned library defaults forward
-// here. They stay out of line: inlined into a caller, the std::free
-// of a delete would sit beside the operator new that made the
-// pointer, which GCC reports as a mismatched deallocation.
+// engine could touch; the nothrow library defaults forward here. Each
+// block carries its requested size in a header, so the bytes
+// allocated, the bytes live and their high-water mark are exact. They
+// stay out of line: inlined into a caller, the std::free of a delete
+// would sit beside the operator new that made the pointer, which GCC
+// reports as a mismatched deallocation.
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Room before each block for its size; keeps malloc's alignment.
+constexpr std::size_t SizeHeader = alignof(std::max_align_t);
+
+std::atomic<std::uint64_t> AllocatedBytes{0};
+std::atomic<std::uint64_t> LiveBytes{0};
+std::atomic<std::uint64_t> PeakLiveBytes{0};
+
+/// Bytes requested through operator new so far.
+std::uint64_t allocatedBytes() {
+  return AllocatedBytes.load(std::memory_order_relaxed);
+}
+
+/// Restarts the high-water mark of live bytes at the current level and
+/// returns that level.
+std::uint64_t resetPeakLiveBytes() {
+  const std::uint64_t Live = LiveBytes.load(std::memory_order_relaxed);
+  PeakLiveBytes.store(Live, std::memory_order_relaxed);
+  return Live;
+}
+
+std::uint64_t peakLiveBytes() {
+  return PeakLiveBytes.load(std::memory_order_relaxed);
+}
+
+} // namespace
 
 [[gnu::noinline]] void *operator new(std::size_t Size) {
   countAllocation();
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
+  auto *Block = static_cast<char *>(std::malloc(SizeHeader + Size));
+  if (!Block)
+    throw std::bad_alloc();
+  *reinterpret_cast<std::size_t *>(Block) = Size;
+  AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
+  const std::uint64_t Live =
+      LiveBytes.fetch_add(Size, std::memory_order_relaxed) + Size;
+  std::uint64_t Peak = PeakLiveBytes.load(std::memory_order_relaxed);
+  while (Live > Peak && !PeakLiveBytes.compare_exchange_weak(
+                            Peak, Live, std::memory_order_relaxed))
+    ;
+  return Block + SizeHeader;
 }
 
 [[gnu::noinline]] void *operator new[](std::size_t Size) {
   return ::operator new(Size);
 }
 
-[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
-[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
+[[gnu::noinline]] void operator delete(void *P) noexcept {
+  if (!P)
+    return;
+  char *Block = static_cast<char *>(P) - SizeHeader;
+  LiveBytes.fetch_sub(*reinterpret_cast<std::size_t *>(Block),
+                      std::memory_order_relaxed);
+  std::free(Block);
 }
-[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  ::operator delete(P);
+}
+[[gnu::noinline]] void operator delete[](void *P) noexcept {
+  ::operator delete(P);
+}
 [[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
-  std::free(P);
+  ::operator delete(P);
 }
 
 namespace {
@@ -131,7 +186,10 @@ BenchCase bcastCase(std::string Name, unsigned NumProcs,
 /// the deepest event heap (~40K live events on Grisou). The build-only
 /// cases cover the other generators' building blocks: the segmented
 /// tree reduction and the exchange rounds of the ring allgather and
-/// the ring allreduce.
+/// the ring allreduce; and a composed schedule: the largest Sect. 4.2
+/// calibration experiment of Gros, a 4 MiB chain broadcast at P=124
+/// followed by the 64 KiB gather timer, built as prepareBcast builds
+/// it.
 std::vector<BenchCase> benchCases() {
   std::vector<BenchCase> Cases;
   Cases.push_back(bcastCase("binomial_P64_1M_seg8K", 64,
@@ -183,6 +241,20 @@ std::vector<BenchCase> benchCases() {
     C.Replay = false;
     Cases.push_back(C);
   }
+  {
+    BcastConfig Config;
+    Config.Algorithm = BcastAlgorithm::Chain;
+    Config.MessageBytes = 4 << 20;
+    Config.SegmentBytes = 8 << 10;
+    BenchCase C;
+    C.Name = "bcast_gather_chain_P124_4M_seg8K";
+    C.NumProcs = 124;
+    C.Append = [Config](ScheduleBuilder &B) {
+      return appendBcastGatherTimer(B, Config, 64 << 10);
+    };
+    C.Replay = false;
+    Cases.push_back(C);
+  }
   return Cases;
 }
 
@@ -211,8 +283,10 @@ struct BuiltCase {
   CompiledSchedule CS;
   std::vector<OpId> Exit;
   /// Heap allocations from the builder's construction to the compiled
-  /// schedule (the same for every build).
+  /// schedule, and the high-water mark of the heap bytes live then
+  /// beyond those live before (the same for every build).
   std::uint64_t Allocs = 0;
+  std::uint64_t PeakBytes = 0;
   /// Fastest build (generate + take) and compile (by move) of BuildReps.
   double BuildNsPerOp = 0.0;
   double CompileNsPerOp = 0.0;
@@ -223,7 +297,10 @@ BuiltCase buildCase(const BenchCase &Case) {
   BuiltCase Out;
   double BuildSeconds = 0.0, CompileSeconds = 0.0;
   for (unsigned Rep = 0; Rep != BuildReps; ++Rep) {
-    Out.CS = {}; // Free the previous build outside the timed window.
+    // Free the previous build outside the measured window.
+    Out.CS = {};
+    Out.Exit = {};
+    const std::uint64_t LiveBefore = resetPeakLiveBytes();
     const std::uint64_t AllocsBefore = allocationCount();
     const auto Start = std::chrono::steady_clock::now();
     ScheduleBuilder B(Case.NumProcs);
@@ -233,6 +310,7 @@ BuiltCase buildCase(const BenchCase &Case) {
     Out.CS = compileSchedule(std::move(S));
     const double Compile = secondsSince(Built);
     Out.Allocs = allocationCount() - AllocsBefore;
+    Out.PeakBytes = peakLiveBytes() - LiveBefore;
     const double Build = std::chrono::duration<double>(Built - Start).count();
     BuildSeconds = Rep == 0 ? Build : std::min(BuildSeconds, Build);
     CompileSeconds = Rep == 0 ? Compile : std::min(CompileSeconds, Compile);
@@ -509,11 +587,12 @@ int main(int Argc, char **Argv) {
 
   Table Results({"case", "ops", "events", "legacy ns/op", "compiled ns/op",
                  "compiled ns/event", "lean ns/event", "speedup", "identical",
-                 "lean identical", "replay allocs", "lean allocs"});
+                 "lean identical", "replay allocs", "lean allocs",
+                 "lean engine bytes"});
   Results.setTitle("legacy interpreter vs compiled replay");
 
   Table BuildLayer({"case", "ops", "build ns/op", "compile ns/op",
-                    "build allocs", "schedule bytes", "B/op"});
+                    "build allocs", "schedule bytes", "B/op", "peak B/op"});
   BuildLayer.setTitle(
       strFormat("schedule build and compile (best of %u)", BuildReps));
 
@@ -535,10 +614,13 @@ int main(int Argc, char **Argv) {
          strFormat("%.1f", Built.CompileNsPerOp),
          strFormat("%llu", static_cast<unsigned long long>(Built.Allocs)),
          strFormat("%zu", Bytes),
-         strFormat("%.1f", static_cast<double>(Bytes) / NumOps)});
+         strFormat("%.1f", static_cast<double>(Bytes) / NumOps),
+         strFormat("%.1f", static_cast<double>(Built.PeakBytes) / NumOps)});
     Report.metric(Case.Name + "_build_allocs",
                   static_cast<double>(Built.Allocs));
     Report.metric(Case.Name + "_schedule_bytes", static_cast<double>(Bytes));
+    Report.metric(Case.Name + "_build_peak_bytes",
+                  static_cast<double>(Built.PeakBytes));
     Report.timing(Case.Name + "_build_ns_per_op", Built.BuildNsPerOp);
     Report.timing(Case.Name + "_compile_ns_per_op", Built.CompileNsPerOp);
     if (!Case.Replay) {
@@ -594,7 +676,12 @@ int main(int Argc, char **Argv) {
     ReplayOptions Lean;
     Lean.RecordTimings = false;
     Lean.ExitOps = Exit;
+    // The run state of one measurement helper: the heap bytes a fresh
+    // engine allocates for its first lean replay.
+    const std::uint64_t BytesBefore = allocatedBytes();
     Engine LeanEngine;
+    LeanEngine.run(CS, Plat, 9001, nullptr, Lean);
+    const std::uint64_t LeanEngineBytes = allocatedBytes() - BytesBefore;
     bool LeanIdentical = true;
     for (std::uint64_t Seed = 9001; Seed != 9006; ++Seed) {
       double Full = 0.0;
@@ -650,7 +737,9 @@ int main(int Argc, char **Argv) {
                     strFormat("%llu",
                               static_cast<unsigned long long>(ReplayAllocs)),
                     strFormat("%llu",
-                              static_cast<unsigned long long>(LeanAllocs))});
+                              static_cast<unsigned long long>(LeanAllocs)),
+                    strFormat("%llu", static_cast<unsigned long long>(
+                                          LeanEngineBytes))});
 
     Report.metric(Case.Name + "_ops", static_cast<double>(NumOps));
     Report.metric(Case.Name + "_events", static_cast<double>(ProbeEvents));
@@ -660,6 +749,8 @@ int main(int Argc, char **Argv) {
     Report.metric(Case.Name + "_lean_identical", LeanIdentical ? 1.0 : 0.0);
     Report.metric(Case.Name + "_lean_replay_allocs",
                   static_cast<double>(LeanAllocs));
+    Report.metric(Case.Name + "_lean_engine_bytes",
+                  static_cast<double>(LeanEngineBytes));
     if (Case.BudgetThroughput)
       Report.metric(Case.Name + "_compiled_ns_per_event", CompiledNsPerEvent);
     Report.timing(Case.Name + "_legacy_ns_per_op", LegacyNsPerOp);

@@ -94,33 +94,47 @@ OpId appendTreeBcastRole(ScheduleBuilder &B, unsigned Rank, unsigned Parent,
   return SendJoin[0];
 }
 
-/// The generic segmented tree broadcast engine, a schedule-level
-/// transcription of `ompi_coll_base_bcast_intra_generic` (Open MPI
-/// 3.1, coll/base/coll_base_bcast.c). Emits ops for every rank of
-/// \p T and returns the per-rank exits. The root sends each segment
-/// to all its children and waits for those sends; every other rank
-/// plays appendTreeBcastRole.
-std::vector<OpId> appendTreeBcast(ScheduleBuilder &B, const Tree &T,
-                                  const Segmented &Msg, int Tag,
-                                  std::span<const OpId> Entry) {
-  const unsigned P = B.rankCount();
-  assert(T.Size == P && "tree does not span the communicator");
-  assert(P >= 2 && "a one-rank broadcast is a lone join");
+/// The tree of a tree broadcast: its kind and, for chains, the number
+/// of chains.
+struct TreeShape {
+  TreeKind Kind;
+  unsigned Fanout;
+};
 
-  // Closed-form op count: the root emits |children| sends + 1 join per
-  // segment, a leaf one recv per segment + 1 final join, an interior
-  // rank recv + |children| sends + join per segment.
+/// The ops appendTreeBcast emits over \p Shape, from the closed-form
+/// child counts (no tree is built): the root emits |children| sends + 1
+/// join per segment, a leaf one recv per segment + 1 final join, an
+/// interior rank recv + |children| sends + join per segment.
+std::uint64_t treeBcastOpCount(TreeShape Shape, unsigned P, unsigned Root,
+                               const Segmented &Msg) {
   std::uint64_t OpCount = 0;
   for (unsigned Rank = 0; Rank != P; ++Rank) {
-    const std::uint64_t NumChildren = T.Children[Rank].size();
-    if (Rank == T.Root)
+    const std::uint64_t NumChildren =
+        treeNodeInfo(Shape.Kind, P, Root, Shape.Fanout, Rank).NumChildren;
+    if (Rank == Root)
       OpCount += Msg.Count * (NumChildren + 1);
     else if (NumChildren == 0)
       OpCount += Msg.Count + 1;
     else
       OpCount += Msg.Count * (NumChildren + 2);
   }
-  B.reserveOps(OpCount);
+  return OpCount;
+}
+
+/// The generic segmented tree broadcast engine, a schedule-level
+/// transcription of `ompi_coll_base_bcast_intra_generic` (Open MPI
+/// 3.1, coll/base/coll_base_bcast.c). Emits ops for every rank of the
+/// tree of \p Shape rooted at \p Root and returns the per-rank exits.
+/// The root sends each segment to all its children and waits for those
+/// sends; every other rank plays appendTreeBcastRole.
+std::vector<OpId> appendTreeBcast(ScheduleBuilder &B, TreeShape Shape,
+                                  unsigned Root, const Segmented &Msg,
+                                  int Tag, std::span<const OpId> Entry) {
+  const unsigned P = B.rankCount();
+  assert(P >= 2 && "a one-rank broadcast is a lone join");
+  const Tree T = buildTreeOfKind(Shape.Kind, P, Root, Shape.Fanout);
+
+  B.reserveOps(treeBcastOpCount(Shape, P, Root, Msg));
 
   std::vector<OpId> Exit(P, InvalidOpId);
   std::vector<OpId> Scratch;
@@ -157,7 +171,7 @@ std::vector<OpId> appendLinearBcast(ScheduleBuilder &B,
                                     std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
   const unsigned Root = Config.Root;
-  B.reserveOps(2 * static_cast<std::size_t>(P) - 1); // P-1 sends, join, P-1 recvs.
+  B.reserveOps(bcastOpCount(Config, P));
   const std::span<const OpId> RootFirst = entryDep(Entry, Root);
   std::vector<OpId> Sends;
   Sends.reserve(P - 1);
@@ -173,6 +187,63 @@ std::vector<OpId> appendLinearBcast(ScheduleBuilder &B,
   return Exit;
 }
 
+/// Split-binary's shape: the in-order binary tree, its two subtrees'
+/// ranks in ascending virtual-rank order, and the message's halves.
+struct SplitBinaryPlan {
+  SplitBinaryPlan(unsigned P, const BcastConfig &Config)
+      : T(buildInOrderBinaryTree(P, Config.Root)),
+        Half{{(Config.MessageBytes + 1) / 2, Config.SegmentBytes},
+             {Config.MessageBytes / 2, Config.SegmentBytes}} {
+    const unsigned Root = Config.Root;
+    assert(T.Children[Root].size() == 2 && "split tree root must have two "
+                                           "subtrees for P >= 3");
+    // Pair by ascending virtual rank; subtree blocks are contiguous in
+    // vrank space, so sorting by vrank is well defined.
+    auto byVrank = [&](unsigned A, unsigned C) {
+      return (A + P - Root) % P < (C + P - Root) % P;
+    };
+    for (int H = 0; H != 2; ++H) {
+      Subtree[H] = T.subtreeRanks(T.Children[Root][H]);
+      std::sort(Subtree[H].begin(), Subtree[H].end(), byVrank);
+    }
+  }
+
+  /// Closed-form op count across both phases (see the emission loops
+  /// of appendSplitBinaryBcast for the per-role breakdown).
+  std::uint64_t opCount() const {
+    // Root phase 1: S0 + S1 sends, one join per round.
+    std::uint64_t OpCount =
+        Half[0].Count + Half[1].Count + std::max(Half[0].Count, Half[1].Count);
+    for (int H = 0; H != 2; ++H) {
+      for (unsigned Rank : Subtree[H]) {
+        const std::uint64_t NumChildren = T.Children[Rank].size();
+        OpCount += NumChildren == 0 ? Half[H].Count + 1
+                                    : Half[H].Count * (NumChildren + 2);
+      }
+    }
+    // Phase 2: each pair swaps both halves segment-wise and joins.
+    const std::uint64_t NumPairs =
+        std::min(Subtree[0].size(), Subtree[1].size());
+    OpCount += NumPairs * (2 * (Half[0].Count + Half[1].Count) + 2);
+    // Unpaired left ranks drain half 1 from the root.
+    const std::uint64_t Unpaired = Subtree[0].size() - NumPairs;
+    OpCount += Unpaired * (2 * Half[1].Count + 1) + (Unpaired != 0 ? 1 : 0);
+    return OpCount;
+  }
+
+  Tree T;
+  std::vector<unsigned> Subtree[2];
+  Segmented Half[2];
+};
+
+/// Tiny communicators degenerate exactly as in Open MPI, which falls
+/// back for size <= 3 or messages that cannot be split: split-binary
+/// then broadcasts down a chain.
+bool splitBinaryFallsBack(unsigned P, std::uint64_t MessageBytes) {
+  return P <= 2 || MessageBytes < 2;
+}
+constexpr TreeShape SplitBinaryFallback = {TreeKind::Chain, 1};
+
 /// Split-binary broadcast (`bcast_intra_split_bintree`): the message
 /// is split in two halves pipelined down the two subtrees of an
 /// in-order binary tree; afterwards each left-subtree rank exchanges
@@ -186,56 +257,18 @@ std::vector<OpId> appendSplitBinaryBcast(ScheduleBuilder &B,
                                          std::span<const OpId> Entry) {
   const unsigned P = B.rankCount();
   const unsigned Root = Config.Root;
-  const std::uint64_t M = Config.MessageBytes;
 
-  // Tiny communicators degenerate exactly as in Open MPI (which falls
-  // back for size <= 3 or messages that cannot be split).
-  if (P <= 2 || M < 2)
-    return appendTreeBcast(B, buildChainTree(P, Root, 1),
-                           Segmented(M, Config.SegmentBytes), Config.Tag,
-                           Entry);
+  if (splitBinaryFallsBack(P, Config.MessageBytes))
+    return appendTreeBcast(B, SplitBinaryFallback, Root,
+                           Segmented(Config.MessageBytes, Config.SegmentBytes),
+                           Config.Tag, Entry);
 
-  Tree T = buildInOrderBinaryTree(P, Root);
-  assert(T.Children[Root].size() == 2 && "split tree root must have two "
-                                         "subtrees for P >= 3");
-  // Pair by ascending virtual rank; subtree blocks are contiguous in
-  // vrank space, so sorting by vrank is well defined.
-  auto byVrank = [&](unsigned A, unsigned C) {
-    return (A + P - Root) % P < (C + P - Root) % P;
-  };
-  std::vector<unsigned> Subtree[2];
-  for (int H = 0; H != 2; ++H) {
-    Subtree[H] = T.subtreeRanks(T.Children[Root][H]);
-    std::sort(Subtree[H].begin(), Subtree[H].end(), byVrank);
-  }
-  const std::vector<unsigned> &LeftRanks = Subtree[0];
-  const std::vector<unsigned> &RightRanks = Subtree[1];
-
-  const Segmented Half[2] = {{(M + 1) / 2, Config.SegmentBytes},
-                             {M / 2, Config.SegmentBytes}};
-
-  // Closed-form op count across both phases (see the emission loops
-  // below for the per-role breakdown).
-  {
-    // Root phase 1: S0 + S1 sends, one join per round.
-    std::uint64_t OpCount =
-        Half[0].Count + Half[1].Count + std::max(Half[0].Count, Half[1].Count);
-    for (int H = 0; H != 2; ++H) {
-      for (unsigned Rank : Subtree[H]) {
-        const std::uint64_t NumChildren = T.Children[Rank].size();
-        OpCount += NumChildren == 0 ? Half[H].Count + 1
-                                    : Half[H].Count * (NumChildren + 2);
-      }
-    }
-    // Phase 2: each pair swaps both halves segment-wise and joins.
-    const std::uint64_t NumPairs =
-        std::min(LeftRanks.size(), RightRanks.size());
-    OpCount += NumPairs * (2 * (Half[0].Count + Half[1].Count) + 2);
-    // Unpaired left ranks drain half 1 from the root.
-    const std::uint64_t Unpaired = LeftRanks.size() - NumPairs;
-    OpCount += Unpaired * (2 * Half[1].Count + 1) + (Unpaired != 0 ? 1 : 0);
-    B.reserveOps(OpCount);
-  }
+  const SplitBinaryPlan Plan(P, Config);
+  const Tree &T = Plan.T;
+  const std::vector<unsigned> &LeftRanks = Plan.Subtree[0];
+  const std::vector<unsigned> &RightRanks = Plan.Subtree[1];
+  const auto &Half = Plan.Half;
+  B.reserveOps(Plan.opCount());
 
   // Phase 1: pipeline half h down subtree h, with the half's tag. The
   // root interleaves the two halves' segments round by round (the
@@ -261,7 +294,7 @@ std::vector<OpId> appendSplitBinaryBcast(ScheduleBuilder &B,
   }
   std::vector<OpId> Scratch;
   for (int H = 0; H != 2; ++H)
-    for (unsigned Rank : Subtree[H])
+    for (unsigned Rank : Plan.Subtree[H])
       PhaseOneExit[Rank] = appendTreeBcastRole(
           B, Rank, static_cast<unsigned>(T.Parent[Rank]), T.Children[Rank],
           Half[H], Config.Tag + H, entryDep(Entry, Rank), Scratch);
@@ -329,7 +362,45 @@ std::vector<OpId> appendSplitBinaryBcast(ScheduleBuilder &B,
   return Exit;
 }
 
+/// The tree a tree algorithm (chain, K-chain, binary, binomial)
+/// broadcasts down.
+TreeShape bcastTreeShape(const BcastConfig &Config) {
+  switch (Config.Algorithm) {
+  case BcastAlgorithm::Chain:
+    return {TreeKind::Chain, 1};
+  case BcastAlgorithm::KChain:
+    assert(Config.KChainFanout >= 1 && "K-chain needs a positive fanout");
+    return {TreeKind::Chain, Config.KChainFanout};
+  case BcastAlgorithm::Binary:
+    return {TreeKind::Binary, 1};
+  case BcastAlgorithm::Binomial:
+    return {TreeKind::Binomial, 1};
+  case BcastAlgorithm::Linear:
+  case BcastAlgorithm::SplitBinary:
+    break;
+  }
+  MPICSEL_UNREACHABLE("not a tree broadcast");
+}
+
 } // namespace
+
+std::uint64_t mpicsel::bcastOpCount(const BcastConfig &Config,
+                                    unsigned NumProcs) {
+  if (NumProcs == 1)
+    return 1;
+  const Segmented Msg(Config.MessageBytes, Config.SegmentBytes);
+  switch (Config.Algorithm) {
+  case BcastAlgorithm::Linear:
+    return 2 * std::uint64_t{NumProcs} - 1; // P-1 sends, join, P-1 recvs.
+  case BcastAlgorithm::SplitBinary:
+    if (splitBinaryFallsBack(NumProcs, Config.MessageBytes))
+      return treeBcastOpCount(SplitBinaryFallback, NumProcs, Config.Root, Msg);
+    return SplitBinaryPlan(NumProcs, Config).opCount();
+  default:
+    return treeBcastOpCount(bcastTreeShape(Config), NumProcs, Config.Root,
+                            Msg);
+  }
+}
 
 std::vector<OpId> mpicsel::appendBcast(ScheduleBuilder &B,
                                        const BcastConfig &Config,
@@ -345,28 +416,16 @@ std::vector<OpId> mpicsel::appendBcast(ScheduleBuilder &B,
   if (P == 1)
     return {B.addJoin(0, entryDep(Entry, 0))};
 
-  const Segmented Msg(Config.MessageBytes, Config.SegmentBytes);
   switch (Config.Algorithm) {
   case BcastAlgorithm::Linear:
     return appendLinearBcast(B, Config, Entry);
-  case BcastAlgorithm::Chain:
-    return appendTreeBcast(B, buildChainTree(P, Config.Root, 1), Msg,
-                           Config.Tag, Entry);
-  case BcastAlgorithm::KChain:
-    assert(Config.KChainFanout >= 1 && "K-chain needs a positive fanout");
-    return appendTreeBcast(B,
-                           buildChainTree(P, Config.Root, Config.KChainFanout),
-                           Msg, Config.Tag, Entry);
-  case BcastAlgorithm::Binary:
-    return appendTreeBcast(B, buildBinaryTree(P, Config.Root), Msg,
-                           Config.Tag, Entry);
   case BcastAlgorithm::SplitBinary:
     return appendSplitBinaryBcast(B, Config, Entry);
-  case BcastAlgorithm::Binomial:
-    return appendTreeBcast(B, buildBinomialTree(P, Config.Root), Msg,
+  default:
+    return appendTreeBcast(B, bcastTreeShape(Config), Config.Root,
+                           Segmented(Config.MessageBytes, Config.SegmentBytes),
                            Config.Tag, Entry);
   }
-  MPICSEL_UNREACHABLE("unknown broadcast algorithm");
 }
 
 ScheduleContract mpicsel::bcastContract(const BcastConfig &Config,

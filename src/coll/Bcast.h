@@ -73,6 +73,12 @@ std::uint64_t bcastSegmentBytes(std::uint64_t MessageBytes,
                                 std::uint64_t SegmentBytes,
                                 std::uint64_t NumSegments, std::uint64_t Seg);
 
+/// The ops appendBcast emits for \p Config over \p NumProcs ranks, in
+/// closed form. appendBcast reserves them itself; a caller that appends
+/// another collective after the broadcast reserves both up front, so
+/// that the second never reallocates the schedule's arrays mid-build.
+std::uint64_t bcastOpCount(const BcastConfig &Config, unsigned NumProcs);
+
 /// Appends one broadcast to \p B over all B.rankCount() ranks.
 ///
 /// \param Entry either empty (the collective starts the schedule) or

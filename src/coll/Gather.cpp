@@ -9,6 +9,13 @@
 
 using namespace mpicsel;
 
+std::uint64_t mpicsel::linearGatherOpCount(const GatherConfig &Config,
+                                           unsigned NumProcs) {
+  // Per contributor: send + root recv (+ ready send/recv when
+  // synchronised), plus the root's final join.
+  return std::uint64_t{NumProcs - 1} * (Config.Synchronised ? 4 : 2) + 1;
+}
+
 std::vector<OpId> mpicsel::appendLinearGather(ScheduleBuilder &B,
                                               const GatherConfig &Config,
                                               std::span<const OpId> Entry) {
@@ -21,11 +28,7 @@ std::vector<OpId> mpicsel::appendLinearGather(ScheduleBuilder &B,
   if (P == 1)
     return {B.addJoin(0, entryDep(Entry, 0))};
 
-  // Per contributor: send + root recv (+ ready send/recv when
-  // synchronised), plus the root's final join.
-  B.reserveOps(static_cast<std::size_t>(P - 1) *
-                   (Config.Synchronised ? 4 : 2) +
-               1);
+  B.reserveOps(linearGatherOpCount(Config, P));
 
   std::vector<OpId> Exit(P, InvalidOpId);
   std::vector<OpId> RootRecvs;

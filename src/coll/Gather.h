@@ -38,6 +38,11 @@ struct GatherConfig {
   bool Synchronised = false;
 };
 
+/// The ops appendLinearGather emits for \p Config over \p NumProcs
+/// ranks, in closed form.
+std::uint64_t linearGatherOpCount(const GatherConfig &Config,
+                                  unsigned NumProcs);
+
 /// Appends a linear gather: every non-root rank sends BlockBytes to
 /// the root; the root receives P-1 blocks. Returns per-rank exits
 /// (the root's exit completes when all blocks have been received).

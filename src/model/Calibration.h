@@ -125,10 +125,13 @@ struct CalibrationOptions {
   bool UseHuber = true;
   /// Robustness policy (screening, retries, quality gates).
   CalibrationQualityOptions Quality;
-  /// Threads of the calibration sweeps. 0 (the default) consults the
-  /// MPICSEL_THREADS environment variable, which itself defaults to 1
-  /// -- i.e. the historical serial pass. The sweeps use at most the
-  /// hardware thread count, whatever is asked. Any thread count
+  /// Threads of the calibration sweeps: how many experiments, and so
+  /// how many schedules, are live at once. 0 (the default) consults
+  /// the MPICSEL_THREADS environment variable, which itself defaults to
+  /// 1 -- i.e. the historical serial pass. The sweeps use at most the
+  /// hardware thread count, whatever is asked, and each experiment's
+  /// first repetitions replay on the helper threads the sweep leaves
+  /// idle (support/ThreadPool.h). Any thread count
   /// produces bit-identical results: every experiment derives
   /// its seed from its grid position and the per-algorithm systems
   /// are assembled in serial order (stat/ParallelSweep.h). The thread

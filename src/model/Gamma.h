@@ -92,10 +92,12 @@ struct GammaEstimationOptions {
   bool OneRankPerNode = true;
   /// Statistical stopping rules for the repeated measurements.
   AdaptiveOptions Adaptive;
-  /// Worker threads fanning the per-P measurements (0 = consult
-  /// MPICSEL_THREADS, which defaults to 1). Each P's experiment seeds
-  /// derive from P alone, so any thread count is bit-identical to the
-  /// serial loop.
+  /// Worker threads fanning the per-P measurements: how many of them,
+  /// and so how many schedules, are live at once (0 = consult
+  /// MPICSEL_THREADS, which defaults to 1). Each measurement's first
+  /// repetitions replay on the helper threads the sweep leaves idle.
+  /// Each P's experiment seeds derive from P alone, so any thread count
+  /// is bit-identical to the serial loop.
   unsigned Threads = 0;
 };
 

@@ -25,12 +25,12 @@ static void checkRanks(const Platform &P, unsigned NumProcs) {
 
 namespace {
 
-/// The per-thread replay engine. A run's result is a pure function of
-/// (schedule, platform, seed, faults), so per-thread engines preserve
-/// the bit-identity of serial and threaded sweeps while letting every
-/// repetition reuse one warm arena. A helper thread that runs sweep
-/// tasks keeps its engine warm between sweeps (DESIGN.md, "Concurrent
-/// first repetitions").
+/// The measuring thread's replay engine. A run's result is a pure
+/// function of (schedule, platform, seed, faults), so per-thread
+/// engines preserve the bit-identity of serial and threaded sweeps
+/// while letting every repetition reuse one warm arena. Pool helpers
+/// measure on engines of the measurement's own instead (DESIGN.md,
+/// "Concurrent first repetitions").
 Engine &workerEngine() {
   thread_local Engine E;
   return E;
@@ -99,25 +99,33 @@ void Experiment::feedDrift(double Observation) const {
 
 AdaptiveResult Experiment::measure(const AdaptiveOptions &Options) const {
   // The first MinReps repetitions always run and depend only on their
-  // seeds, so they replay side by side on the idle cores, each thread
-  // on its own engine over the shared schedule. The calling thread
-  // replays on its warm engine. The helpers' engines live for this
-  // measurement only and are sized here, so their memory comes from
-  // and returns to this thread's allocator arena, where the next
-  // schedule build reuses it; engines kept warm on the helper threads
-  // would each pin their largest shape for good. The drift sentinel
-  // needs a fixed sample order per cell, so this thread feeds it the
-  // observations in repetition order afterwards.
+  // seeds, so they replay side by side on the idle cores -- inside a
+  // sweep's task, on the helpers the sweep leaves idle -- each thread
+  // on its own engine over the shared schedule. An engine kept warm on
+  // a helper thread would pin its largest shape for good, so the
+  // helpers' engines live for this measurement only and are sized
+  // here: their memory comes from and returns to this thread's
+  // allocator arena, where the next schedule build reuses it. For the
+  // same reason a measuring helper replays on an engine of this
+  // measurement's own. The drift sentinel needs a fixed sample order
+  // per cell, so this thread feeds it the observations in repetition
+  // order afterwards.
+  HelperPool &Pool = HelperPool::global();
+  std::optional<Engine> Own;
+  Engine &Mine = HelperPool::onHelperThread() ? Own.emplace() : workerEngine();
   return measureAdaptively(
-      [this](std::uint64_t Seed) { return run(Seed); }, Options,
-      [this](std::span<const std::uint64_t> Seeds, std::span<double> Out) {
-        HelperPool &Pool = HelperPool::global();
+      [&](std::uint64_t Seed) {
+        const double Observation = replay(Seed, Mine);
+        feedDrift(Observation);
+        return Observation;
+      },
+      Options,
+      [&](std::span<const std::uint64_t> Seeds, std::span<double> Out) {
         std::vector<Engine> HelperEngines(Pool.seats(Seeds.size()) - 1);
         for (Engine &E : HelperEngines)
           E.reserve(Schedule->Compiled, *Plat, leanReplay());
         Pool.run(Seeds.size(), [&](std::size_t I, unsigned Seat) {
-          Out[I] = replay(Seeds[I], Seat == 0 ? workerEngine()
-                                              : HelperEngines[Seat - 1]);
+          Out[I] = replay(Seeds[I], Seat == 0 ? Mine : HelperEngines[Seat - 1]);
         });
         for (double Observation : Out)
           feedDrift(Observation);
@@ -129,7 +137,7 @@ Experiment mpicsel::prepareBcast(const Platform &P, unsigned NumProcs,
                                  std::optional<std::uint64_t> GatherBytes) {
   if (GatherBytes) {
     // The Sect. 4.2 calibration experiment starts and finishes on the
-    // root; the gather's tags stay clear of the broadcast's tag range.
+    // root.
     const std::uint64_t Bytes = *GatherBytes;
     return Experiment(
         P, NumProcs,
@@ -139,8 +147,7 @@ Experiment mpicsel::prepareBcast(const Platform &P, unsigned NumProcs,
         "bcast+gather", [&] {
           ScheduleBuilder B(NumProcs);
           BuiltSchedule Built;
-          Built.Exit = appendGatherTimer(B, appendBcast(B, Config),
-                                         Config.Root, Config.Tag + 8, Bytes);
+          Built.Exit = appendBcastGatherTimer(B, Config, Bytes);
           Built.S = B.take();
           return Built;
         });
@@ -165,16 +172,36 @@ AdaptiveResult mpicsel::measureBcast(const Platform &P, unsigned NumProcs,
   return prepareBcast(P, NumProcs, Config).measure(Options);
 }
 
-std::vector<OpId> mpicsel::appendGatherTimer(ScheduleBuilder &B,
-                                             std::span<const OpId> Entry,
-                                             unsigned Root, int Tag,
-                                             std::uint64_t GatherBytes) {
+/// The gather of the Sect. 4.2 calibration timer.
+static GatherConfig gatherTimer(unsigned Root, int Tag,
+                                std::uint64_t GatherBytes) {
   GatherConfig Gather;
   Gather.BlockBytes = GatherBytes;
   Gather.Root = Root;
   Gather.Tag = Tag;
   Gather.Synchronised = false;
-  return {appendLinearGather(B, Gather, Entry)[Root]};
+  return Gather;
+}
+
+std::vector<OpId> mpicsel::appendGatherTimer(ScheduleBuilder &B,
+                                             std::span<const OpId> Entry,
+                                             unsigned Root, int Tag,
+                                             std::uint64_t GatherBytes) {
+  return {appendLinearGather(B, gatherTimer(Root, Tag, GatherBytes),
+                             Entry)[Root]};
+}
+
+std::vector<OpId> mpicsel::appendBcastGatherTimer(ScheduleBuilder &B,
+                                                  const BcastConfig &Config,
+                                                  std::uint64_t GatherBytes) {
+  // The gather's tags stay clear of the broadcast's tag range.
+  const int Tag = Config.Tag + 8;
+  const unsigned P = B.rankCount();
+  B.reserveOps(bcastOpCount(Config, P) +
+               linearGatherOpCount(gatherTimer(Config.Root, Tag, GatherBytes),
+                                   P));
+  return appendGatherTimer(B, appendBcast(B, Config), Config.Root, Tag,
+                           GatherBytes);
 }
 
 Experiment mpicsel::prepareLinearBcastTrain(const Platform &P,

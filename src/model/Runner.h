@@ -21,7 +21,7 @@
 /// Every simulated measurement of every collective replays through one
 /// path, Experiment: a measurement builds and compiles its schedule
 /// once, replays its repetitions without a per-op timeline -- the
-/// first MinReps side by side on several threads -- and releases the
+/// first MinReps side by side on the idle threads -- and releases the
 /// schedule when it returns.
 ///
 //===----------------------------------------------------------------------===//
@@ -74,9 +74,11 @@ prepareBcast(const Platform &P, unsigned NumProcs, const BcastConfig &Config,
 ///
 /// measure() replays the first MinReps repetitions of each attempt side
 /// by side, on the calling thread and the helpers of
-/// HelperPool::global(), then continues serially; its observations
-/// are the serial loop's, bit for bit. Inside a parallel sweep's task
-/// every repetition replays on the thread that runs the task.
+/// HelperPool::global() -- inside a parallel sweep's task, on the
+/// helpers the sweep leaves idle -- then continues serially; its
+/// observations are the serial loop's, bit for bit. Each helper
+/// replays on an engine sized for this measurement, and so does the
+/// measuring thread when it is itself a pool helper.
 class Experiment {
 public:
   /// Prepares the experiment whose schedule \p Build generates over
@@ -131,6 +133,14 @@ std::vector<OpId> appendGatherTimer(ScheduleBuilder &B,
                                     std::span<const OpId> Entry,
                                     unsigned Root, int Tag,
                                     std::uint64_t GatherBytes);
+
+/// Appends the Sect. 4.2 calibration experiment of one broadcast to
+/// \p B (prepareBcast with GatherBytes): the broadcast of \p Config,
+/// then the gather timer of \p GatherBytes per rank, with room for both
+/// reserved up front. Returns the op the experiment's timer reads.
+std::vector<OpId> appendBcastGatherTimer(ScheduleBuilder &B,
+                                         const BcastConfig &Config,
+                                         std::uint64_t GatherBytes);
 
 /// Adaptively repeats prepareBcast(...).run() until the paper's
 /// 95%/2.5% criterion is met and returns the statistics.

@@ -65,8 +65,8 @@ struct CompiledSchedule : Schedule {
   /// a send and its matching receive share the index. Indices are
   /// assigned by first appearance in ascending op id order
   /// (deterministic). ChannelSendOffsets/ChannelRecvOffsets are prefix
-  /// sums of the per-channel send/recv counts: exact capacities for the
-  /// engine's bump-pointer message and posted-receive queues.
+  /// sums of the per-channel send/recv counts: the engine's per-send
+  /// last-byte slots and its bump-pointer posted-receive queues.
   /// @{
   std::uint32_t NumChannels = 0;
   std::vector<std::uint32_t> ChannelSendOffsets;

@@ -535,7 +535,7 @@ OpId eventOp(const ReplayEvent &E) { return static_cast<OpId>(E.Key); }
 /// first run of a given schedule shape nothing here touches the heap
 /// again (the event heap is reserved to its worst case up front, see
 /// CompiledExecutor::run). Without the timeline (Result.Timings, 32
-/// bytes per op) a run keeps 4 bytes per op, 20 per send and 4 per
+/// bytes per op) a run keeps 4 bytes per op, 8 per send and 4 per
 /// receive, plus the event heap's live part.
 struct Engine::RunState {
   ReplayHeap Events;
@@ -561,14 +561,13 @@ struct Engine::RunState {
   /// runs without the timeline).
   std::vector<std::uint64_t> ExitMask;
 
-  // Bump-pointer match queues. Channel C's messages live in slots
-  // [ChannelSendOffsets[C], ChannelSendOffsets[C+1]) of the arenas,
-  // its posted receives in the ChannelRecvOffsets row; Head/Tail are
-  // counts relative to the row base. Each send enqueues at most one
-  // message and each receive posts at most once, so the rows never
-  // overflow and never need to wrap.
-  std::vector<double> MsgAvail;
-  std::vector<OpId> MsgSender;
+  // Match queues. A channel's available messages need no slots: they
+  // match in arrival order and a receive reads its size from its own
+  // row, so MsgTail - MsgHead counts them. Its posted receives live in
+  // the bump-pointer row [ChannelRecvOffsets[C], ChannelRecvOffsets[C+1])
+  // of PostedRecvQ, RecvHead/RecvTail counting from the row base. Each
+  // receive posts at most once, so the rows never overflow and never
+  // need to wrap.
   std::vector<OpId> PostedRecvQ;
   std::vector<std::uint32_t> MsgHead;
   std::vector<std::uint32_t> MsgTail;
@@ -603,8 +602,6 @@ struct Engine::RunState {
     LastByteArrival.reserve(CS.NumSends);
     if (!Opts.RecordTimings)
       ExitMask.reserve((NumOps + 63) / 64);
-    MsgAvail.reserve(CS.NumSends);
-    MsgSender.reserve(CS.NumSends);
     PostedRecvQ.reserve(CS.NumRecvs);
     for (std::vector<std::uint32_t> *PerChannel :
          {&Injected, &Arrived, &MsgHead, &MsgTail, &RecvHead, &RecvTail})
@@ -704,16 +701,18 @@ private:
   void postRecv(OpId Id, const OpRow &O, double Now) {
     const std::uint32_t C = O.Channel;
     if (RS.MsgHead[C] != RS.MsgTail[C]) {
-      const std::uint32_t Slot = CS.ChannelSendOffsets[C] + RS.MsgHead[C]++;
-      assert(RS.MsgAvail[Slot] <= Now && "message matched before it arrived");
-      completeRecv(Id, Now, CS.Rows[RS.MsgSender[Slot]].Bytes);
+      ++RS.MsgHead[C];
+      completeRecv(Id, Now);
       return;
     }
     RS.PostedRecvQ[CS.ChannelRecvOffsets[C] + RS.RecvTail[C]++] = Id;
   }
 
-  void completeRecv(OpId RecvId, double Now, std::uint64_t Bytes) {
-    assert(CS.Rows[RecvId].Bytes == Bytes && "matched message size mismatch");
+  /// Completes receive \p RecvId, matched at \p Now. Matched sizes
+  /// agree (the verifier's Matching check), so the receive's own row
+  /// gives the bytes.
+  void completeRecv(OpId RecvId, double Now) {
+    const std::uint64_t Bytes = CS.Rows[RecvId].Bytes;
     const unsigned Rank = CS.Rows[RecvId].Rank;
     const Transport::Span Cpu = Law.recvCpu(RS.CpuFree[Rank], Rank, Now);
     if (Record)
@@ -791,8 +790,6 @@ std::uint64_t CompiledExecutor::run() {
                 ? obs::Counter::EngineArenaReuses
                 : obs::Counter::EngineArenaWarmups);
 
-  RS.MsgAvail.resize(CS.NumSends);
-  RS.MsgSender.resize(CS.NumSends);
   RS.PostedRecvQ.resize(CS.NumRecvs);
   RS.MsgHead.assign(CS.NumChannels, 0);
   RS.MsgTail.assign(CS.NumChannels, 0);
@@ -826,11 +823,9 @@ std::uint64_t CompiledExecutor::run() {
       if (RS.RecvHead[C] != RS.RecvTail[C]) {
         OpId RecvId =
             RS.PostedRecvQ[CS.ChannelRecvOffsets[C] + RS.RecvHead[C]++];
-        completeRecv(RecvId, E.Time, CS.Rows[Id].Bytes);
+        completeRecv(RecvId, E.Time);
       } else {
-        const std::uint32_t Slot = CS.ChannelSendOffsets[C] + RS.MsgTail[C]++;
-        RS.MsgAvail[Slot] = E.Time;
-        RS.MsgSender[Slot] = Id;
+        ++RS.MsgTail[C];
       }
       break;
     }

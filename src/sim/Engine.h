@@ -145,9 +145,9 @@ struct ReplayOptions {
 /// reusable arena: after the first run of a given schedule shape, a
 /// run performs no heap allocation at all (bench/micro_engine asserts
 /// this with a counting operator-new). One Engine is single-threaded:
-/// every measuring thread owns one (thread_local in model/Runner.cpp),
-/// and a measurement's helper threads replay on engines it sizes with
-/// reserve().
+/// every measuring thread but a pool helper owns one (thread_local in
+/// model/Runner.cpp), and a measurement's helper threads replay on
+/// engines it sizes with reserve().
 ///
 /// run() returns a reference to the engine's internal result, valid
 /// until the next run() on the same Engine -- copy it to keep it.

@@ -21,9 +21,11 @@
 ///
 /// With one thread (the default everywhere) the sweep degenerates to
 /// the plain historical `for` loop. With more, it takes at most
-/// `Threads` seats of the pool, the caller in seat 0; the hardware
-/// thread count caps them, and a sweep started inside another sweep's
-/// task runs on its caller.
+/// `Threads` seats of the pool, the caller in seat 0, and the hardware
+/// thread count caps them. A batch started inside a sweep's task -- a
+/// measurement's first repetitions, or a nested sweep -- seats the
+/// helpers the sweep leaves idle; one nested deeper runs on its
+/// caller.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -168,20 +168,6 @@ TEST(HelperPool, CallerRunsTheBatchAloneWithoutHelpers) {
   EXPECT_EQ(Seats, std::vector<unsigned>(8, 0));
 }
 
-TEST(HelperPool, SweepWorkersRunTheirBatchesAlone) {
-  HelperPool Pool(3);
-  EXPECT_GT(Pool.seats(4), 1u);
-  const std::vector<std::vector<unsigned>> Seats =
-      sweepIndexed<std::vector<unsigned>>(2, 2, [&](std::size_t) {
-        EXPECT_EQ(Pool.seats(4), 1u);
-        std::vector<unsigned> Out;
-        EXPECT_EQ(runCounted(Pool, 4, &Out), std::vector<int>(4, 1));
-        return Out;
-      });
-  for (const std::vector<unsigned> &S : Seats)
-    EXPECT_EQ(S, std::vector<unsigned>(4, 0));
-}
-
 TEST(HelperPool, SeatsAreCappedByTasksRequestAndHelpers) {
   HelperPool Pool(3);
   EXPECT_EQ(Pool.seats(100), 4u);
@@ -192,18 +178,158 @@ TEST(HelperPool, SeatsAreCappedByTasksRequestAndHelpers) {
   EXPECT_EQ(Pool.seats(HelperPool::MaxBatch + 1), 4u);
 }
 
-TEST(HelperPool, NestedBatchesRunOnTheirCaller) {
-  // Inside a sweep task every batch -- a measurement's or a nested
-  // sweep's -- runs on the thread that runs the task.
-  HelperPool &Pool = HelperPool::global();
-  sweepIndexed(2, 2, [&](std::size_t) {
-    EXPECT_EQ(Pool.seats(4), 1u);
-    std::vector<std::thread::id> Ran(8);
-    sweepIndexed(4, Ran.size(), [&](std::size_t I) {
+namespace {
+
+/// Spins until \p Done holds or ten seconds pass; returns whether it
+/// held.
+template <typename Pred> bool waitFor(Pred Done) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Done())
+    if (std::chrono::steady_clock::now() > Deadline)
+      return false;
+  return true;
+}
+
+} // namespace
+
+TEST(HelperPool, NestedBatchRunsOnTheHelpersASweepLeavesIdle) {
+  // Two sweep seats leave two of the three helpers idle. Each task of
+  // a nested batch waits until a helper has run one of the batch's
+  // tasks, so a nested batch that went serial fails after the deadline
+  // instead of passing.
+  HelperPool Pool(3);
+  for (int Sweep = 0; Sweep != 10; ++Sweep) {
+    std::atomic<int> Serial{0};
+    Pool.run(
+        2,
+        [&](std::size_t, unsigned) {
+          EXPECT_EQ(Pool.seats(4), 3u);
+          const std::thread::id Caller = std::this_thread::get_id();
+          std::atomic<bool> HelperRan{false};
+          std::vector<std::atomic<int>> Count(4);
+          Pool.run(4, [&](std::size_t I, unsigned Seat) {
+            Count[I].fetch_add(1);
+            if (std::this_thread::get_id() != Caller) {
+              EXPECT_NE(Seat, 0u);
+              HelperRan = true;
+            }
+            // After one timeout the rest only count, so a serial pool
+            // fails in one deadline.
+            if (Serial.load() != 0 ||
+                !waitFor([&] { return HelperRan.load(); }))
+              Serial.fetch_add(1);
+          });
+          for (const std::atomic<int> &C : Count)
+            EXPECT_EQ(C.load(), 1);
+        },
+        /*MaxSeats=*/2);
+    ASSERT_EQ(Serial.load(), 0) << "sweep " << Sweep;
+  }
+}
+
+TEST(HelperPool, NestedBatchesNeverRunMoreTasksThanThreads) {
+  // Outer and nested tasks count themselves while they run; a thread
+  // that runs a nested batch has left its outer task's count. The seats
+  // handed out add up to the pool's threads: a nested batch seats only
+  // the helpers the outer batch does not.
+  HelperPool Pool(3);
+  for (unsigned OuterSeats : {2u, 3u, 4u}) {
+    std::atomic<unsigned> Running{0};
+    std::atomic<unsigned> HighWater{0};
+    auto busy = [&] {
+      const unsigned Now = Running.fetch_add(1) + 1;
+      unsigned Seen = HighWater.load();
+      while (Now > Seen && !HighWater.compare_exchange_weak(Seen, Now))
+        ;
+      const auto Until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+      while (std::chrono::steady_clock::now() < Until)
+        ;
+      Running.fetch_sub(1);
+    };
+    Pool.run(
+        12,
+        [&](std::size_t, unsigned) {
+          busy();
+          const unsigned NestedSeats = Pool.seats(6);
+          EXPECT_EQ(OuterSeats + NestedSeats - 1, 4u);
+          Pool.run(6, [&](std::size_t, unsigned Seat) {
+            EXPECT_LT(Seat, NestedSeats);
+            busy();
+          });
+          busy();
+        },
+        OuterSeats);
+    EXPECT_LE(HighWater.load(), 4u) << OuterSeats << " outer seats";
+  }
+}
+
+TEST(HelperPool, TopLevelSeatKAlwaysRunsOnTheSameThread) {
+  // Every seat's task waits until all four have started, so each batch
+  // seats all four threads; helper k must take seat k every time.
+  HelperPool Pool(3);
+  std::vector<std::thread::id> SeatThread(4);
+  for (int Batch = 0; Batch != 50; ++Batch) {
+    std::atomic<std::size_t> Started{0};
+    std::vector<std::thread::id> Ran(4);
+    std::vector<unsigned> SeatOf(4, ~0u);
+    Pool.run(4, [&](std::size_t I, unsigned Seat) {
       Ran[I] = std::this_thread::get_id();
+      SeatOf[I] = Seat;
+      Started.fetch_add(1);
+      EXPECT_TRUE(waitFor([&] { return Started.load() == 4; }));
     });
-    EXPECT_EQ(Ran, std::vector<std::thread::id>(8, std::this_thread::get_id()));
-  });
+    for (std::size_t I = 0; I != 4; ++I) {
+      ASSERT_LT(SeatOf[I], 4u);
+      if (Batch == 0)
+        SeatThread[SeatOf[I]] = Ran[I];
+      EXPECT_EQ(Ran[I], SeatThread[SeatOf[I]])
+          << "batch " << Batch << " seat " << SeatOf[I];
+    }
+  }
+  EXPECT_EQ(SeatThread[0], std::this_thread::get_id());
+}
+
+TEST(HelperPool, BatchInANestedBatchRunsOnItsCaller) {
+  HelperPool Pool(3);
+  Pool.run(
+      2,
+      [&](std::size_t, unsigned) {
+        Pool.run(3, [&](std::size_t, unsigned) {
+          EXPECT_EQ(Pool.seats(4), 1u);
+          std::vector<unsigned> Seats;
+          const std::thread::id Caller = std::this_thread::get_id();
+          std::vector<std::thread::id> Ran(4);
+          Pool.run(4, [&](std::size_t I, unsigned Seat) {
+            Ran[I] = std::this_thread::get_id();
+            Seats.push_back(Seat);
+          });
+          EXPECT_EQ(Ran, std::vector<std::thread::id>(4, Caller));
+          EXPECT_EQ(Seats, std::vector<unsigned>(4, 0));
+        });
+      },
+      /*MaxSeats=*/2);
+}
+
+TEST(HelperPoolDeathTest, ForkedChildFinishesNestedBatches) {
+  // The parent's helpers are running; the forked child inherits the
+  // pool object but none of them, and runs a sweep of nested batches
+  // alone.
+  HelperPool Pool(3);
+  EXPECT_EQ(runCounted(Pool, 8), std::vector<int>(8, 1));
+  EXPECT_EXIT(
+      {
+        std::atomic<int> Ran{0};
+        Pool.run(
+            2,
+            [&](std::size_t, unsigned) {
+              Pool.run(4, [&](std::size_t, unsigned) { Ran.fetch_add(1); });
+            },
+            /*MaxSeats=*/2);
+        std::_Exit(Ran.load() == 8 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(HelperPool, ConcurrentCallersEachFinishTheirBatches) {

@@ -12,10 +12,11 @@
 // measurement's observations must equal those of building the schedule
 // afresh and running it through the reference interpreter
 // (runScheduleLegacy) once per repetition over the same seed stream,
-// and those of the serial path a parallel sweep's worker takes --
-// fault-free, under a fault scenario and with pre-flight verification
-// on. The runners also share one rank-count check, and a deadlocking
-// experiment dies with runSchedule's diagnostic.
+// and those of the serial loop over Experiment::run, at top level and
+// inside a parallel sweep's tasks -- fault-free, under a fault scenario
+// and with pre-flight verification on. The runners also share one
+// rank-count check, and a deadlocking experiment dies with
+// runSchedule's diagnostic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 #include "model/ScatterSelection.h"
 #include "obs/Metrics.h"
 #include "sim/Engine.h"
+#include "stat/AdaptiveBenchmark.h"
 #include "stat/ParallelSweep.h"
 #include "support/Random.h"
 
@@ -70,12 +72,19 @@ using ReferenceSchedule = std::pair<Schedule, std::vector<OpId>>;
 /// One experiment of the differential catalogue.
 struct Case {
   std::string Name;
-  /// The library's measurement.
-  std::function<AdaptiveResult(const Platform &, const AdaptiveOptions &)>
-      Measure;
+  /// The library's experiment.
+  std::function<Experiment(const Platform &)> Prepare;
   /// The same experiment, built independently for the reference
   /// interpreter.
   std::function<ReferenceSchedule(const Platform &)> Build;
+  /// The collective's own measure entry point, if it has one.
+  std::function<AdaptiveResult(const Platform &, const AdaptiveOptions &)>
+      MeasureEntry = nullptr;
+
+  /// The library's measurement.
+  AdaptiveResult Measure(const Platform &P, const AdaptiveOptions &O) const {
+    return MeasureEntry ? MeasureEntry(P, O) : Prepare(P).measure(O);
+  }
 };
 
 /// Appends the Sect. 4.2 calibration gather (no synchronisation) and
@@ -132,18 +141,20 @@ AllreduceConfig allreduceConfig() {
 const std::vector<Case> &catalogue() {
   static const std::vector<Case> Cases = {
       {"bcast",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return measureBcast(P, NumProcs, bcastConfig(), O);
+       [](const Platform &P) {
+         return prepareBcast(P, NumProcs, bcastConfig());
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
          std::vector<OpId> Exit = appendBcast(B, bcastConfig());
          return ReferenceSchedule{B.take(), Exit};
+       },
+       [](const Platform &P, const AdaptiveOptions &O) {
+         return measureBcast(P, NumProcs, bcastConfig(), O);
        }},
       {"bcast_gather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return prepareBcast(P, NumProcs, bcastConfig(), GatherBytes)
-             .measure(O);
+       [](const Platform &P) {
+         return prepareBcast(P, NumProcs, bcastConfig(), GatherBytes);
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
@@ -153,18 +164,20 @@ const std::vector<Case> &catalogue() {
          return ReferenceSchedule{B.take(), Exit};
        }},
       {"scatter",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return measureScatter(P, NumProcs, scatterConfig(), O);
+       [](const Platform &P) {
+         return prepareScatter(P, NumProcs, scatterConfig());
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
          std::vector<OpId> Exit = appendScatter(B, scatterConfig());
          return ReferenceSchedule{B.take(), Exit};
+       },
+       [](const Platform &P, const AdaptiveOptions &O) {
+         return measureScatter(P, NumProcs, scatterConfig(), O);
        }},
       {"scatter_gather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return prepareScatter(P, NumProcs, scatterConfig(), GatherBytes)
-             .measure(O);
+       [](const Platform &P) {
+         return prepareScatter(P, NumProcs, scatterConfig(), GatherBytes);
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
@@ -174,8 +187,8 @@ const std::vector<Case> &catalogue() {
          return ReferenceSchedule{B.take(), Exit};
        }},
       {"reduce",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return measureReduce(P, NumProcs, reduceConfig(), O);
+       [](const Platform &P) {
+         return prepareReduce(P, NumProcs, reduceConfig());
        },
        [](const Platform &P) {
          ScheduleBuilder B(NumProcs);
@@ -183,11 +196,13 @@ const std::vector<Case> &catalogue() {
          C.ComputeSecondsPerByte = P.ReduceComputePerByte;
          std::vector<OpId> Exit = appendReduce(B, C);
          return ReferenceSchedule{B.take(), {Exit[C.Root]}};
+       },
+       [](const Platform &P, const AdaptiveOptions &O) {
+         return measureReduce(P, NumProcs, reduceConfig(), O);
        }},
       {"reduce_gather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return prepareReduce(P, NumProcs, reduceConfig(), GatherBytes)
-             .measure(O);
+       [](const Platform &P) {
+         return prepareReduce(P, NumProcs, reduceConfig(), GatherBytes);
        },
        [](const Platform &P) {
          ScheduleBuilder B(NumProcs);
@@ -198,18 +213,20 @@ const std::vector<Case> &catalogue() {
          return ReferenceSchedule{B.take(), Exit};
        }},
       {"allgather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return measureAllgather(P, NumProcs, allgatherConfig(), O);
+       [](const Platform &P) {
+         return prepareAllgather(P, NumProcs, allgatherConfig());
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
          std::vector<OpId> Exit = appendAllgather(B, allgatherConfig());
          return ReferenceSchedule{B.take(), Exit};
+       },
+       [](const Platform &P, const AdaptiveOptions &O) {
+         return measureAllgather(P, NumProcs, allgatherConfig(), O);
        }},
       {"allgather_gather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return prepareAllgather(P, NumProcs, allgatherConfig(), GatherBytes)
-             .measure(O);
+       [](const Platform &P) {
+         return prepareAllgather(P, NumProcs, allgatherConfig(), GatherBytes);
        },
        [](const Platform &) {
          ScheduleBuilder B(NumProcs);
@@ -219,8 +236,8 @@ const std::vector<Case> &catalogue() {
          return ReferenceSchedule{B.take(), Exit};
        }},
       {"allreduce",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return measureAllreduce(P, NumProcs, allreduceConfig(), O);
+       [](const Platform &P) {
+         return prepareAllreduce(P, NumProcs, allreduceConfig());
        },
        [](const Platform &P) {
          ScheduleBuilder B(NumProcs);
@@ -228,11 +245,13 @@ const std::vector<Case> &catalogue() {
          C.ComputeSecondsPerByte = P.ReduceComputePerByte;
          std::vector<OpId> Exit = appendAllreduce(B, C);
          return ReferenceSchedule{B.take(), Exit};
+       },
+       [](const Platform &P, const AdaptiveOptions &O) {
+         return measureAllreduce(P, NumProcs, allreduceConfig(), O);
        }},
       {"allreduce_gather",
-       [](const Platform &P, const AdaptiveOptions &O) {
-         return prepareAllreduce(P, NumProcs, allreduceConfig(), GatherBytes)
-             .measure(O);
+       [](const Platform &P) {
+         return prepareAllreduce(P, NumProcs, allreduceConfig(), GatherBytes);
        },
        [](const Platform &P) {
          ScheduleBuilder B(NumProcs);
@@ -396,18 +415,23 @@ TEST_P(UnifiedReplayPath, ConcurrentRepetitionsMatchTheSerialPath) {
 
   for (const auto &[Name, Options] : prefixVariants()) {
     SCOPED_TRACE(Name);
+    // The serial loop: every repetition through run(), no batch.
+    const Experiment E = C.Prepare(P);
+    const AdaptiveResult Serial = measureAdaptively(
+        [&](std::uint64_t Seed) { return E.run(Seed); }, Options);
     const AdaptiveResult Concurrent = C.Measure(P, Options);
-    // A measurement inside a parallel sweep's worker replays every
-    // repetition on the worker: the serial loop.
-    const std::vector<AdaptiveResult> Serial = sweepIndexed<AdaptiveResult>(
+    expectSameResult(Serial, Concurrent);
+    // Inside a 2-thread sweep's tasks the first repetitions replay on
+    // the helpers the sweep leaves idle.
+    const std::vector<AdaptiveResult> Nested = sweepIndexed<AdaptiveResult>(
         2, 2, [&](std::size_t) { return C.Measure(P, Options); });
-    for (const AdaptiveResult &R : Serial)
-      expectSameResult(Concurrent, R);
+    for (const AdaptiveResult &R : Nested)
+      expectSameResult(Serial, R);
 
     if (Options.TargetPrecision < 1e-9) {
-      EXPECT_FALSE(Concurrent.Converged);
-      EXPECT_EQ(Concurrent.Observations.size(), Options.MaxReps);
-      EXPECT_EQ(Concurrent.Attempts, Options.RetryAttempts + 1);
+      EXPECT_FALSE(Serial.Converged);
+      EXPECT_EQ(Serial.Observations.size(), Options.MaxReps);
+      EXPECT_EQ(Serial.Attempts, Options.RetryAttempts + 1);
     }
   }
 }
